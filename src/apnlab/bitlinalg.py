@@ -4,17 +4,13 @@ Matrices are stored as numpy uint64 arrays, 64 columns per word, column j in
 word ``j >> 6`` at bit ``j & 63`` (LSB first).  Rank is computed by absorbing
 rows into an incremental echelon basis; finished pivot blocks are internally
 pivot-reduced so a 256-entry XOR table per block clears a whole block of pivot
-columns from a work chunk with one gather (four-Russians style).  When numba
-is importable a fused variant of the same scheme (16-pivot blocks, two tables
-per pass) is used; both backends produce identical ranks and are cross-checked
-in the test suite.
+columns from a work chunk with one gather (four-Russians style).
 """
 
 from __future__ import annotations
 
-import io
 import os
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -22,13 +18,8 @@ from .errors import MemoryBudgetError, PreconditionError
 
 __all__ = [
     "BitMatrix",
-    "DiskBitMatrix",
     "GF2Basis",
-    "build",
-    "build_stream",
-    "dump",
     "mem_budget_bytes",
-    "parse_dump",
     "rank",
     "xor_permute_columns",
 ]
@@ -105,26 +96,6 @@ class BitMatrix:
         data = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
         return cls(rows, cols, np.ascontiguousarray(data))
 
-    @classmethod
-    def from_int_rows(cls, int_rows: Iterable[int], cols: int) -> "BitMatrix":
-        int_rows = list(int_rows)
-        m = cls(len(int_rows), cols)
-        for i, v in enumerate(int_rows):
-            if v < 0 or v >> cols:
-                raise PreconditionError("row value exceeds column count")
-            for w in range(m.words):
-                m.data[i, w] = (v >> (64 * w)) & 0xFFFFFFFFFFFFFFFF
-        return m
-
-    def to_int_rows(self) -> list[int]:
-        out = []
-        for i in range(self.rows):
-            v = 0
-            for w in range(self.words):
-                v |= int(self.data[i, w]) << (64 * w)
-            out.append(v)
-        return out
-
     def transpose(self) -> "BitMatrix":
         return BitMatrix.from_dense01(self.to_dense01().T)
 
@@ -141,71 +112,6 @@ class BitMatrix:
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.rows}x{self.cols})"
-
-
-class DiskBitMatrix:
-    """Row store backed by a flat file of packed uint64 rows (out-of-core)."""
-
-    def __init__(self, path: str, rows: int, cols: int):
-        self.path = path
-        self.rows = rows
-        self.cols = cols
-        self.words = _words_for(cols)
-
-    def iter_chunks(self, chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-        row_bytes = self.words * 8
-        with open(self.path, "rb") as fh:
-            done = 0
-            while done < self.rows:
-                take = min(chunk_rows, self.rows - done)
-                buf = fh.read(take * row_bytes)
-                if len(buf) != take * row_bytes:
-                    raise PreconditionError("row store truncated")
-                yield np.frombuffer(buf, dtype=np.uint64).reshape(take, self.words)
-                done += take
-
-
-def build(rows: int, cols: int,
-          generator: Callable[[int], Iterable[int] | np.ndarray],
-          budget: int | None = None) -> BitMatrix:
-    """Materialize a matrix row by row from a set-position generator.
-
-    ``generator(i)`` returns the positions of the 1-bits of row i.  The packed
-    size is checked against the memory budget before allocation.
-    """
-    words = _words_for(cols)
-    need = rows * words * 8
-    limit = mem_budget_bytes() if budget is None else budget
-    if need > limit:
-        raise MemoryBudgetError(
-            f"matrix needs {need} bytes packed, budget is {limit}")
-    m = BitMatrix(rows, cols)
-    for i in range(rows):
-        pos = np.asarray(generator(i), dtype=np.int64)
-        if pos.size:
-            if pos.min() < 0 or pos.max() >= cols:
-                raise PreconditionError(f"bit position out of range in row {i}")
-            np.bitwise_or.at(m.data[i], pos >> 6,
-                             np.uint64(1) << (pos & 63).astype(np.uint64))
-    return m
-
-
-def build_stream(path: str, rows: int, cols: int,
-                 generator: Callable[[int], Iterable[int] | np.ndarray]) -> DiskBitMatrix:
-    """Stream a matrix to a flat file; only one row is held in memory."""
-    words = _words_for(cols)
-    row = np.zeros(words, dtype=np.uint64)
-    with open(path, "wb") as fh:
-        for i in range(rows):
-            row[:] = 0
-            pos = np.asarray(generator(i), dtype=np.int64)
-            if pos.size:
-                if pos.min() < 0 or pos.max() >= cols:
-                    raise PreconditionError(f"bit position out of range in row {i}")
-                np.bitwise_or.at(row, pos >> 6,
-                                 np.uint64(1) << (pos & 63).astype(np.uint64))
-            fh.write(row.tobytes())
-    return DiskBitMatrix(path, rows, cols)
 
 
 def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
@@ -240,14 +146,6 @@ def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
 # Incremental echelon basis
 
 
-def _have_numba() -> bool:
-    try:
-        from . import _kernels  # noqa: F401
-    except Exception:
-        return False
-    return _kernels.AVAILABLE
-
-
 class GF2Basis:
     """Growing echelon basis of a GF(2) row space.
 
@@ -258,17 +156,14 @@ class GF2Basis:
     survivors; the final ``rank`` equals the rank of everything absorbed.
     """
 
-    def __init__(self, cols: int, backend: str = "auto",
-                 budget: int | None = None):
+    #: Elimination backend, recorded by benchmark run metadata.
+    backend = "numpy"
+    #: Pivot rows per finished block, one 256-entry XOR table each.
+    block_size = 8
+
+    def __init__(self, cols: int, budget: int | None = None):
         if cols <= 0:
             raise PreconditionError("column count must be positive")
-        if backend not in ("auto", "numpy", "numba"):
-            raise PreconditionError(f"unknown backend {backend!r}")
-        if backend == "auto":
-            backend = "numba" if _have_numba() else "numpy"
-        if backend == "numba" and not _have_numba():
-            raise PreconditionError("numba backend requested but unavailable")
-        self.backend = backend
         self.cols = cols
         self.words = _words_for(cols)
         self._budget = mem_budget_bytes() if budget is None else budget
@@ -278,15 +173,7 @@ class GF2Basis:
         self._piv_word = np.zeros(cap, dtype=np.int64)
         self._piv_mask = np.zeros(cap, dtype=np.uint64)
         self.count = 0
-        if backend == "numba":
-            from . import _kernels
-            self._kernels = _kernels
-            self._t1 = np.zeros((256, self.words), dtype=np.uint64)
-            self._t2 = np.zeros((256, self.words), dtype=np.uint64)
-            self.block_size = 16
-        else:
-            self._table = np.zeros((256, self.words), dtype=np.uint64)
-            self.block_size = 8
+        self._table = np.zeros((256, self.words), dtype=np.uint64)
 
     @property
     def rank(self) -> int:
@@ -328,15 +215,8 @@ class GF2Basis:
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             chunk = np.array(rows[start: start + _CHUNK_ROWS], dtype=np.uint64)
             self._ensure_capacity(chunk.shape[0])
-            if self.backend == "numba":
-                self.count = int(self._kernels.absorb_chunk(
-                    chunk, self._rows, self._piv_col, self._piv_word,
-                    self._piv_mask, self.count, self._t1, self._t2))
-            else:
-                self._absorb_chunk_numpy(chunk)
+            self._absorb_chunk(chunk)
         return self.count - before
-
-    # -- numpy backend -------------------------------------------------------
 
     def _build_table8(self, base: int, nrows: int) -> np.ndarray:
         t = self._table
@@ -385,7 +265,7 @@ class GF2Basis:
                     if self._rows[base + k, w] & m:
                         self._rows[base + k] ^= self._rows[base + j]
 
-    def _absorb_chunk_numpy(self, chunk: np.ndarray) -> None:
+    def _absorb_chunk(self, chunk: np.ndarray) -> None:
         nblocks = self.count // 8
         for blk in range(nblocks):
             self._table_reduce(chunk, blk * 8)
@@ -402,46 +282,11 @@ class GF2Basis:
                 self._append(row, lead)
 
 
-def rank(matrix: BitMatrix | DiskBitMatrix | np.ndarray,
-         backend: str = "auto") -> int:
-    """Rank over GF(2).  Accepts packed matrices, disk row stores, or a dense
-    0/1 array."""
+def rank(matrix: BitMatrix | np.ndarray) -> int:
+    """Rank over GF(2) of a packed matrix or a dense 0/1 array."""
     if isinstance(matrix, np.ndarray):
         matrix = BitMatrix.from_dense01(matrix)
-    basis = GF2Basis(matrix.cols, backend=backend)
+    basis = GF2Basis(matrix.cols)
     for chunk in matrix.iter_chunks():
         basis.absorb(chunk)
     return basis.rank
-
-
-# ---------------------------------------------------------------------------
-# Text dumps
-
-
-def dump(matrix: BitMatrix) -> str:
-    """Serialize as ``"rows cols"`` then one hex string per row (LSB = column 0)."""
-    width = (matrix.cols + 3) // 4
-    out = io.StringIO()
-    out.write(f"{matrix.rows} {matrix.cols}\n")
-    for v in matrix.to_int_rows():
-        out.write(f"{v:0{width}x}\n")
-    return out.getvalue()
-
-
-def parse_dump(text: str) -> BitMatrix:
-    lines = text.strip().splitlines()
-    if not lines:
-        raise PreconditionError("empty matrix dump")
-    try:
-        rows, cols = (int(p) for p in lines[0].split())
-    except ValueError as exc:
-        raise PreconditionError(f"malformed dump header {lines[0]!r}") from exc
-    if len(lines) != rows + 1:
-        raise PreconditionError("dump row count mismatch")
-    vals = []
-    for ln in lines[1:]:
-        v = int(ln, 16)
-        if v >> cols:
-            raise PreconditionError("dump row exceeds column count")
-        vals.append(v)
-    return BitMatrix.from_int_rows(vals, cols)

@@ -111,8 +111,7 @@ def _cmd_ddt(args) -> dict:
 
 def _cmd_gamma_rank(args) -> dict:
     inst = build_from_descriptor(_read_descriptor(args.family))
-    method = "out-of-core" if args.out_of_core else "auto"
-    report = gamma_rank(inst.table, family=inst.id.tag, method=method)
+    report = gamma_rank(inst.table, family=inst.id.tag)
     _stderr(f"elapsed_seconds={report.elapsed:.2f}")
     return {"schema": "apnlab/gamma-rank/v1", **report.to_json_dict()}
 
@@ -134,7 +133,7 @@ def _parse_rows(spec: str | None, count: int) -> list[int]:
     return rows
 
 
-def _rank_one_row(n: int, row_index: int, out_of_core: bool,
+def _rank_one_row(n: int, row_index: int,
                   u_bits: int | None = None, v_bits: int | None = None) -> int:
     """Rank of one reference row, optionally under alternate primitives."""
     field = field_new(n)
@@ -142,8 +141,7 @@ def _rank_one_row(n: int, row_index: int, out_of_core: bool,
     v = field_new(4).element(v_bits) if v_bits is not None else None
     rows = representatives(n, u=u, v=v)
     inst = rows[row_index - 1]
-    method = "out-of-core" if out_of_core else "auto"
-    return gamma_rank(inst.table, family=inst.label, method=method).gamma_rank
+    return gamma_rank(inst.table, family=inst.label).gamma_rank
 
 
 def _primitive_class_reps(n: int) -> list[int]:
@@ -171,8 +169,7 @@ def _primitive_class_reps(n: int) -> list[int]:
     return reps
 
 
-def _sweep_row_primitives(n: int, row_index: int, want: int,
-                          out_of_core: bool) -> dict | None:
+def _sweep_row_primitives(n: int, row_index: int, want: int) -> dict | None:
     """Try alternate primitive pairs for one mismatching coefficient row.
 
     Returns {"u": bits, "v": bits|None, "gamma_rank": r} for the first pair
@@ -190,7 +187,7 @@ def _sweep_row_primitives(n: int, row_index: int, want: int,
                 + f" ({tried}/{len(u_reps) * len(v_reps)})"
             )
             try:
-                r = _rank_one_row(n, row_index, out_of_core, u_bits, v_bits)
+                r = _rank_one_row(n, row_index, u_bits, v_bits)
             except PreconditionError:
                 continue
             if r == want:
@@ -213,7 +210,7 @@ def _cmd_table(args) -> dict:
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futs = {
-                k: pool.submit(_rank_one_row, n, k, args.out_of_core)
+                k: pool.submit(_rank_one_row, n, k)
                 for k in selected
             }
             for k in selected:
@@ -223,8 +220,7 @@ def _cmd_table(args) -> dict:
         t0 = time.perf_counter()
         for k in selected:
             inst = reps[k - 1]
-            method = "out-of-core" if args.out_of_core else "auto"
-            rep = gamma_rank(inst.table, family=inst.label, method=method)
+            rep = gamma_rank(inst.table, family=inst.label)
             results[k] = rep.gamma_rank
             _stderr(
                 f"row {k}: gamma_rank={rep.gamma_rank} "
@@ -245,7 +241,7 @@ def _cmd_table(args) -> dict:
         if got != want and k in _COEFF_ROWS[which]:
             _stderr(f"row {k}: mismatch on a coefficient-bearing row; "
                     f"sweeping alternate primitives")
-            hit = _sweep_row_primitives(n, k, want, args.out_of_core)
+            hit = _sweep_row_primitives(n, k, want)
             if hit is not None:
                 row_doc.update(
                     gamma_rank=hit["gamma_rank"],
@@ -269,8 +265,7 @@ def _cmd_table(args) -> dict:
 def _cmd_search(args) -> dict:
     if not args.trinomial:
         raise PreconditionError("search requires --trinomial")
-    # the full s-range is the library default; --wide-s makes it explicit
-    found = search_trinomial_params(args.m, wide_s=True)
+    found = search_trinomial_params(args.m)
     field = field_new(3 * args.m)
     _, log = field._tables()
     by_s: dict[int, list[int]] = {}
@@ -309,6 +304,10 @@ def _cmd_verify(args) -> dict:
             "ok": not mism,
         }
     if args.lemma == "resultant":
+        # the factored identity is the bivariate family's lemma, which
+        # needs gcd(3,m)=1 (its side facts fail when 3 | m)
+        if math.gcd(3, args.m) != 1:
+            raise PreconditionError("condition violated: gcd(3,m)=1")
         report = verify_resultant_identity(args.m, mode="full-sweep")
         return {
             "schema": "apnlab/verify/v1",
@@ -390,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gamma-rank",
                        help="GF(2) rank of the graph-development matrix")
     g.add_argument("--family", required=True)
-    g.add_argument("--out-of-core", action="store_true",
-                   help="stream the incidence matrix from disk")
     g.set_defaults(fn=_cmd_gamma_rank)
 
     t = sub.add_parser("table", help="reproduce a published rank table")
@@ -399,14 +396,11 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--rows", help="comma-separated 1-based subset")
     t.add_argument("--jobs", type=int, default=1,
                    help="parallelism across independent rows")
-    t.add_argument("--out-of-core", action="store_true")
     t.set_defaults(fn=_cmd_table)
 
     s = sub.add_parser("search", help="search valid trinomial parameters")
     s.add_argument("--trinomial", action="store_true", required=True)
     s.add_argument("--m", type=int, required=True)
-    s.add_argument("--wide-s", action="store_true",
-                   help="search s over [1, 3m) (the default range)")
     s.set_defaults(fn=_cmd_search)
 
     v = sub.add_parser("verify", help="run an identity/classifier verifier")

@@ -12,33 +12,23 @@ Two GF(2) matrices are attached to a function ``f : GF(2^n) -> GF(2^n)``:
 The GF(2) rank of the incidence matrix is invariant under CCZ-equivalence,
 which makes it a practical tool for separating inequivalent functions.
 
-Ranks are computed either directly from the materialised incidence matrix or
-— much faster — by a translate-closure iteration that never materialises the
-matrix: every row is a coordinate-translate of the graph-indicator row, so
-the row space is the smallest translate-closed space containing that row,
-and it can be grown by absorbing translates of the current basis one
-index-bit at a time.
+The rank is computed by a translate-closure iteration that never
+materialises the incidence matrix: every row is a coordinate-translate of the
+graph-indicator row, so the row space is the smallest translate-closed space
+containing that row, and it can be grown by absorbing translates of the
+current basis one index-bit at a time.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlinalg import (
-    BitMatrix,
-    DiskBitMatrix,
-    GF2Basis,
-    build,
-    build_stream,
-    mem_budget_bytes,
-    xor_permute_columns,
-)
-from .errors import MemoryBudgetError, PreconditionError
+from .bitlinalg import BitMatrix, GF2Basis, rank, xor_permute_columns
+from .errors import PreconditionError
 from .gf2n import Field, field_from_header
 from .vbf import FunctionTable
 
@@ -48,7 +38,6 @@ __all__ = [
     "code_matrix_rank",
     "export_code",
     "gamma_rank",
-    "incidence_matrix",
     "parse_code_export",
 ]
 
@@ -81,42 +70,7 @@ def code_matrix(f: FunctionTable) -> BitMatrix:
 
 def code_matrix_rank(f: FunctionTable) -> int:
     """GF(2) rank of :func:`code_matrix` (at most ``2n+1``)."""
-    from .bitlinalg import rank
-
     return rank(code_matrix(f))
-
-
-def incidence_matrix(
-    f: FunctionTable,
-    out_of_core: bool = False,
-    path: str | None = None,
-    budget: int | None = None,
-) -> BitMatrix | DiskBitMatrix:
-    """Incidence matrix of the translate development of the graph of ``f``.
-
-    Row index ``(a << n) | b`` has ones exactly at the columns
-    ``((z ^ a) << n) | (f(z) ^ b)`` for ``z`` ranging over the field: the
-    indicator of the graph translated by ``(a, b)``.  The matrix is square
-    of side ``2^(2n)``; for n = 8 it already occupies 512 MiB, so callers
-    with tight budgets should prefer :func:`gamma_rank` which never builds
-    it.
-    """
-    fld = f.field
-    n = fld.n
-    side = 1 << (2 * n)
-    zs = np.arange(fld.order, dtype=np.int64)
-    lut = f.lut.astype(np.int64)
-
-    def row_positions(i: int) -> np.ndarray:
-        a = i >> n
-        b = i & (fld.order - 1)
-        return ((zs ^ a) << n) | (lut ^ b)
-
-    if out_of_core:
-        if path is None:
-            raise PreconditionError("out-of-core incidence matrix needs a path")
-        return build_stream(path, side, side, row_positions)
-    return build(side, side, row_positions, budget=budget)
 
 
 @dataclass
@@ -128,8 +82,6 @@ class GammaRankReport:
     gamma_rank: int
     matrix_dims: tuple[int, int]
     elapsed: float
-    method: str  # "in-core" or "out-of-core"
-    algorithm: str = dataclass_field(default="translate-closure")
 
     def to_json_dict(self) -> dict:
         return {
@@ -137,7 +89,7 @@ class GammaRankReport:
             "n": self.n,
             "gamma_rank": self.gamma_rank,
             "matrix_dims": list(self.matrix_dims),
-            "method": self.method,
+            "method": "in-core",
         }
 
 
@@ -153,9 +105,7 @@ def _graph_indicator_row(f: FunctionTable) -> np.ndarray:
     return row
 
 
-def _translate_closure_rank(
-    f: FunctionTable, backend: str, budget: int | None
-) -> int:
+def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     """Rank of the incidence matrix without materialising it.
 
     Every row of the matrix is ``sigma_t``-translates of the graph indicator
@@ -168,7 +118,7 @@ def _translate_closure_rank(
     """
     n = f.field.n
     side = 1 << (2 * n)
-    basis = GF2Basis(side, backend=backend, budget=budget)
+    basis = GF2Basis(side, budget=budget)
     basis.absorb(_graph_indicator_row(f))
     for t in range(2 * n):
         mask = 1 << t
@@ -188,64 +138,25 @@ def _translate_closure_rank(
     return basis.rank
 
 
-def _direct_rank(f: FunctionTable, backend: str, budget: int | None) -> int:
-    from .bitlinalg import rank
-
-    return rank(incidence_matrix(f, budget=budget), backend=backend)
-
-
-def _direct_rank_out_of_core(f: FunctionTable, backend: str) -> int:
-    import tempfile
-
-    from .bitlinalg import rank
-
-    with tempfile.NamedTemporaryFile(suffix=".bits", delete=True) as fh:
-        matrix = incidence_matrix(f, out_of_core=True, path=fh.name)
-        return rank(matrix, backend=backend)
-
-
 def gamma_rank(
-    f: FunctionTable,
-    family: str = "",
-    method: str = "auto",
-    backend: str = "auto",
-    budget: int | None = None,
+    f: FunctionTable, family: str = "", budget: int | None = None
 ) -> GammaRankReport:
     """GF(2) rank of the incidence matrix of the graph development of ``f``.
 
-    ``method``:
-
-    * ``"auto"`` / ``"translate"`` — translate-closure iteration, in-core,
-      memory ~ ``rank * 2^(2n) / 8`` bytes (the clear default);
-    * ``"direct"`` — materialise the incidence matrix and eliminate it
-      (useful for conformance checks at small n);
-    * ``"out-of-core"`` — stream the incidence matrix from a temporary file
-      through the eliminator, for when even the basis-plus-matrix of the
-      direct method does not fit.
+    Computed by translate-closure iteration, in-core, in memory of about
+    ``rank * 2^(2n) / 8`` bytes for the basis; ``budget`` (bytes, default
+    ``APNLAB_MEM_BUDGET_GIB``) caps that basis.
     """
     n = f.field.n
     side = 1 << (2 * n)
     t0 = time.perf_counter()
-    if method in ("auto", "translate"):
-        value = _translate_closure_rank(f, backend, budget)
-        how, algo = "in-core", "translate-closure"
-    elif method == "direct":
-        value = _direct_rank(f, backend, budget)
-        how, algo = "in-core", "direct"
-    elif method == "out-of-core":
-        value = _direct_rank_out_of_core(f, backend)
-        how, algo = "out-of-core", "direct"
-    else:
-        raise PreconditionError(f"unknown gamma-rank method {method!r}")
-    elapsed = time.perf_counter() - t0
+    value = _translate_closure_rank(f, budget)
     return GammaRankReport(
         family=family,
         n=n,
         gamma_rank=value,
         matrix_dims=(side, side),
-        elapsed=elapsed,
-        method=how,
-        algorithm=algo,
+        elapsed=time.perf_counter() - t0,
     )
 
 

@@ -26,6 +26,7 @@ from apnlab.analysis import (
     verify_subfield_scaled_permutations,
 )
 from apnlab.bitlinalg import BitMatrix, rank
+from apnlab.errors import PreconditionError
 from apnlab.families import (
     make_edel_pott,
     make_new_bivariate,
@@ -44,8 +45,7 @@ from apnlab.vbf import (
     to_table,
 )
 
-from conftest import get_field, requires_extended
-from test_bitlinalg import naive_rank
+from conftest import get_field, naive_rank, requires_extended
 
 GIB = 1 << 30
 
@@ -368,13 +368,22 @@ def test_criterion_11_quadratic_shortcut_agreement():
         t = to_table(UnivariatePoly(f, terms))
         if is_apn(t) != is_apn_quadratic(t):
             disagreements.append(("random", i))
-    for inst in representatives(8):
-        if is_apn(inst.table) != is_apn_quadratic(inst.table):
+    for k, inst in enumerate(representatives(8), 1):
+        if k == 3:
+            # z^57 has algebraic degree 4: the shortcut must refuse it
+            try:
+                is_apn_quadratic(inst.table)
+            except PreconditionError as exc:
+                if "algebraic degree <= 2" not in str(exc):
+                    disagreements.append(("row", inst.label, str(exc)))
+            else:
+                disagreements.append(("row", inst.label, "no degree error"))
+        elif is_apn(inst.table) != is_apn_quadratic(inst.table):
             disagreements.append(("row", inst.label))
     ok = not disagreements
-    report(11, ok, f"20 random quadratics over GF(2^6) plus all 12 "
-                   f"reference rows over GF(2^8); "
-                   f"disagreements={disagreements}")
+    report(11, ok, f"20 random quadratics over GF(2^6), the 11 quadratic "
+                   f"reference rows over GF(2^8) and the degree-4 row 3 "
+                   f"refused; disagreements={disagreements}")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from apnlab.analysis import (
+    algebraic_degree,
     brute_cubic_root_count,
     cubic_root_count,
     cubic_trinomial_has_root,
@@ -72,6 +73,25 @@ def test_is_apn_and_shortcut_agree_on_quadratics():
                  for e in rng.choice(quadratic_exponents, k, replace=False)]
         t = to_table(UnivariatePoly(f, terms))
         assert is_apn(t) == is_apn_quadratic(t)
+
+
+def test_algebraic_degree_of_monomials_is_exponent_weight():
+    f = get_field(6)
+    for d in range(1, 63):
+        t = to_table(UnivariatePoly.monomial(f, d))
+        assert algebraic_degree(t) == bin(d).count("1"), d
+    zero = FunctionTable(f, np.zeros(64, dtype=np.uint32))
+    assert algebraic_degree(zero) == 0
+
+
+def test_quadratic_shortcut_refuses_higher_degree():
+    # z^7 on GF(2^7) is cubic with delta 6; the two-solution count alone
+    # would call it APN
+    t = to_table(UnivariatePoly.monomial(get_field(7), 7))
+    assert algebraic_degree(t) == 3
+    assert ddt(t).delta == 6
+    with pytest.raises(PreconditionError, match=r"algebraic degree <= 2"):
+        is_apn_quadratic(t)
 
 
 def test_is_apn_rejects_differentially_4_uniform():

@@ -42,6 +42,16 @@ def test_check_quadratic_shortcut(capsys):
     assert out["apn"] is True
 
 
+def test_check_quadratic_shortcut_refuses_non_quadratic(capsys):
+    # Welch on GF(2^7) is z^11, of algebraic degree 3
+    code, out, err = run(capsys, "check", "--family", '{tag:"Welch", n:7}',
+                         "--quadratic-shortcut")
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert "algebraic degree <= 2" in out["error"]
+    assert "algebraic degree <= 2" in err
+
+
 def test_check_precondition_failure_exits_2(capsys):
     code, out, err = run(capsys, "check", "--family", '{tag:"Gold", n:8, i:2}')
     assert code == 2
@@ -141,6 +151,21 @@ def test_verify_resultant(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "2")
     assert code == 0
     assert out["ok"] is True and out["identity_holds"] is True
+
+
+def test_verify_resultant_requires_m_coprime_to_3(capsys):
+    code, out, err = run(capsys, "verify", "--lemma", "resultant", "--m", "3")
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert "gcd(3,m)=1" in out["error"] and "gcd(3,m)=1" in err
+
+
+def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
+    # the m=5 sweep needs 32768 points x ~200 B, above 1 MiB
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
+    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
+    assert code == 3
+    assert out["status"] == "resource-limit"
 
 
 def test_verify_key_with_pinned_s(capsys):

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from apnlab.analysis import ddt, is_apn, is_apn_quadratic
+from apnlab.analysis import algebraic_degree, ddt, is_apn, is_apn_quadratic
 from apnlab.errors import PreconditionError
 from apnlab.families import (
     KNOWN_TAGS,
@@ -109,10 +109,11 @@ def test_build_from_descriptor_equals_make_known():
 def test_cataloged_members_are_apn(tag, n, params):
     inst = make_known(FamilyId(tag, params), get_field(n))
     assert inst.table.field.n == n
-    if tag in ("Inverse", "Dobbertin", "Kasami"):
-        assert ddt(inst.table).delta == 2
-    else:
+    # the two-solution shortcut is valid only for quadratics
+    if algebraic_degree(inst.table) <= 2:
         assert is_apn_quadratic(inst.table)
+    else:
+        assert ddt(inst.table).delta == 2
 
 
 @pytest.mark.parametrize(
