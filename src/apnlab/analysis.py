@@ -58,6 +58,8 @@ __all__ = [
 _DDT_MAX_N = 16
 _DDT_WARN_N = 14
 _WITNESS_CAP = 16
+#: DDT cells tallied per vectorised pass (whole rows of the table).
+_DDT_CELLS_PER_PASS = 1 << 16
 
 #: Peak bytes per (a, b, x) point of the full resultant sweep: the int64
 #: index (8 B); 4 B for each uint32 array live at the determinant's widest
@@ -119,16 +121,25 @@ def ddt(f: FunctionTable) -> DdtSummary:
     hist = np.zeros(order + 1, dtype=np.int64)
     delta = 0
     witnesses: list[tuple[int, int]] = []
-    for a in range(1, order):
-        counts = np.bincount(lut[zs ^ a] ^ lut, minlength=order)
-        hist += np.bincount(counts, minlength=order + 1)
-        row_max = int(counts.max())
-        if row_max > delta:
-            delta = row_max
-            witnesses = [(a, int(b)) for b in np.flatnonzero(counts == row_max)[:_WITNESS_CAP]]
-        elif row_max == delta and len(witnesses) < _WITNESS_CAP:
-            extra = np.flatnonzero(counts == row_max)[: _WITNESS_CAP - len(witnesses)]
-            witnesses.extend((a, int(b)) for b in extra)
+    step = max(1, _DDT_CELLS_PER_PASS // order)
+    for a0 in range(1, order, step):
+        a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)
+        # DDT cell (a, b) of this pass at flat index (a - a0) * order + b
+        cells = (lut[zs ^ a[:, None]] ^ lut).astype(np.int64)
+        cells += np.arange(0, a.size * order, order, dtype=np.int64)[:, None]
+        block = np.bincount(cells.ravel(), minlength=a.size * order)
+        hist += np.bincount(block, minlength=order + 1)
+        block = block.reshape(a.size, order)
+        block_max = block.max(axis=1)
+        for i in np.flatnonzero(block_max >= delta):
+            counts, row_max = block[i], int(block_max[i])
+            if row_max > delta:
+                delta = row_max
+                witnesses = [(a0 + int(i), int(b)) for b in
+                             np.flatnonzero(counts == row_max)[:_WITNESS_CAP]]
+            elif row_max == delta and len(witnesses) < _WITNESS_CAP:
+                extra = np.flatnonzero(counts == row_max)[: _WITNESS_CAP - len(witnesses)]
+                witnesses.extend((a0 + int(i), int(b)) for b in extra)
     histogram = {int(v): int(c) for v, c in enumerate(hist) if c}
     return DdtSummary(field=f.field, delta=delta, histogram=histogram, witnesses=witnesses)
 

@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 _CHUNK_ROWS = 2048
+# Bytes of chunk rows per table gather: a slice stays in cache while it is
+# XORed in (64 rows of a GF(2^8) incidence row).
+_SLICE_BYTES = 1 << 19
 
 # Butterfly masks: bit positions whose t-th index bit is 0.
 _BFLY = (
@@ -218,23 +221,26 @@ class GF2Basis:
             self._absorb_chunk(chunk)
         return self.count - before
 
-    def _build_table8(self, base: int, nrows: int) -> np.ndarray:
+    def _build_table8(self, base: int) -> np.ndarray:
+        """Entry ``idx`` is the XOR of the block rows whose bit is set in
+        ``idx``; built by doubling, one vector XOR per row."""
         t = self._table
         t[0] = 0
-        for idx in range(1, 1 << nrows):
-            low = idx & (-idx)
-            t[idx] = t[idx ^ low] ^ self._rows[base + low.bit_length() - 1]
+        for k in range(8):
+            np.bitwise_xor(t[: 1 << k], self._rows[base + k],
+                           out=t[1 << k: 2 << k])
         return t
 
     def _table_reduce(self, chunk: np.ndarray, base: int) -> None:
         """Clear 8 pivot columns (block at row ``base``) from all chunk rows."""
-        t = self._build_table8(base, 8)
-        idx = np.zeros(chunk.shape[0], dtype=np.int64)
-        for k in range(8):
-            w = self._piv_word[base + k]
-            m = self._piv_mask[base + k]
-            idx |= ((chunk[:, w] & m) != 0).astype(np.int64) << k
-        chunk ^= t[idx]
+        t = self._build_table8(base)
+        hit = (chunk[:, self._piv_word[base: base + 8]]
+               & self._piv_mask[base: base + 8]) != 0
+        idx = np.packbits(hit, axis=1, bitorder="little")[:, 0]
+        # gather into cache-sized row slices, not one chunk-sized temporary
+        step = max(1, _SLICE_BYTES // (8 * self.words))
+        for r0 in range(0, chunk.shape[0], step):
+            chunk[r0: r0 + step] ^= t[idx[r0: r0 + step]]
 
     def _row_reduce_tail(self, row: np.ndarray, lo: int, hi: int) -> None:
         for t in range(lo, hi):

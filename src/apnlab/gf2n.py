@@ -379,8 +379,14 @@ class Field:
         return acc
 
 
+@lru_cache(maxsize=32)
 def field_new(n: int, modulus: int | None = None) -> Field:
-    """Construct GF(2^n); with no modulus, use the shipped default table."""
+    """GF(2^n); with no modulus, use the shipped default table.
+
+    Fields are immutable, so one instance per (n, modulus) is shared: family
+    builders and sweeps ask for the same field thousands of times, and each
+    fresh instance would redo the primitive search and the exp/log tables.
+    """
     return Field(n, modulus)
 
 
