@@ -55,6 +55,39 @@ def test_ddt_counts_are_even_and_rows_sum():
     assert all(v % 2 == 0 for v in s.histogram)
 
 
+def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
+    """Textbook DDT tally, one derivative direction a at a time, with the
+    witnesses (a, b) attaining delta taken in scan order up to 16."""
+    order = lut.size
+    zs = np.arange(order)
+    hist: dict[int, int] = {}
+    delta, witnesses = 0, []
+    for a in range(1, order):
+        counts = np.bincount(lut[zs ^ a] ^ lut, minlength=order)
+        for v in counts.tolist():
+            hist[v] = hist.get(v, 0) + 1
+        top = int(counts.max())
+        if top > delta:
+            delta, witnesses = top, []
+        if top == delta:
+            for b in np.flatnonzero(counts == top)[: 16 - len(witnesses)]:
+                witnesses.append((a, int(b)))
+    return delta, hist, witnesses
+
+
+@pytest.mark.parametrize("n", [3, 7, 10])
+def test_ddt_matches_row_by_row_tally(n):
+    # n=10 takes several vectorised passes over the rows of the table
+    f = get_field(n)
+    rng = np.random.default_rng(n)
+    luts = [rng.integers(0, f.order, f.order).astype(np.uint32)
+            for _ in range(2)]
+    luts.append(to_table(UnivariatePoly.monomial(f, 3)).lut)
+    for lut in luts:
+        s = ddt(FunctionTable(f, lut))
+        assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
+
+
 def test_ddt_json_schema():
     f = get_field(4)
     d = ddt(to_table(UnivariatePoly.monomial(f, 3))).to_json_dict()

@@ -14,7 +14,7 @@ from apnlab.bitlinalg import (
     rank,
     xor_permute_columns,
 )
-from apnlab.errors import PreconditionError
+from apnlab.errors import MemoryBudgetError, PreconditionError
 
 from conftest import naive_rank
 
@@ -116,6 +116,18 @@ def test_rank_wide_matrix_multiword():
     assert rank(BitMatrix.from_dense01(d)) == naive_rank(d)
 
 
+def test_rank_matches_naive_across_row_slices():
+    # at 8192 columns a table gather covers 512 rows: 2600 rows of rank 40
+    # take several slices in the first absorb chunk and two in the second
+    rng = np.random.default_rng(9)
+    left = random_dense(rng, 2600, 40, 0.5)
+    right = random_dense(rng, 40, 8192, 0.5)
+    d = np.zeros((2600, 8192), dtype=np.uint8)
+    for k in range(40):
+        d[left[:, k] == 1] ^= right[k]
+    assert rank(BitMatrix.from_dense01(d)) == naive_rank(d) == 40
+
+
 # ---------------------------------------------------------------------------
 # incremental basis
 # ---------------------------------------------------------------------------
@@ -133,6 +145,13 @@ def test_basis_incremental_absorb():
     piv = basis.pivot_cols()
     assert len(piv) == basis.rank
     assert len(set(piv)) == len(piv)
+
+
+def test_basis_respects_budget():
+    # 300 independent rows of 8 words outgrow the first 256-row allocation
+    basis = GF2Basis(512, budget=1024)
+    with pytest.raises(MemoryBudgetError):
+        basis.absorb(BitMatrix.from_dense01(np.eye(300, 512, dtype=np.uint8)).data)
 
 
 def test_basis_rejects_width_mismatch():

@@ -348,3 +348,11 @@ def test_cross_field_default_moduli_and_orders():
         f = get_field(n)
         assert f.order == 1 << n
         assert f.mult_order == (1 << n) - 1
+
+
+def test_field_new_shares_one_instance_per_modulus():
+    f = field_new(8)
+    assert field_new(8) is f
+    other = field_new(8, 0x11D)
+    assert other is field_new(8, 0x11D)
+    assert other != f and other.primitive == 2

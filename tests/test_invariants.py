@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from apnlab.bitlinalg import rank
-from apnlab.errors import PreconditionError
+from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.invariants import (
     code_matrix,
     code_matrix_rank,
@@ -84,6 +84,13 @@ def test_incidence_matrix_definition_spot_checks():
         for z in range(8):
             expect[((z ^ a) << n) | (int(lut[z]) ^ b)] = 1
         assert np.array_equal(row, expect)
+
+
+def test_incidence_budget_guard():
+    # the basis of the incidence row space (rank 1102 rows of 512 B) must
+    # not outgrow the budget
+    with pytest.raises(MemoryBudgetError):
+        gamma_rank(gold_table(6), budget=1024)
 
 
 # ---------------------------------------------------------------------------
