@@ -26,7 +26,7 @@ __all__ = [
 
 _CHUNK_ROWS = 2048
 # Bytes of chunk rows per table gather: a slice stays in cache while it is
-# XORed in (64 rows of a GF(2^8) incidence row).
+# XORed in (64 rows of the GF(2^8) incidence matrix).
 _SLICE_BYTES = 1 << 19
 
 # Butterfly masks: bit positions whose t-th index bit is 0.
