@@ -23,7 +23,6 @@ sampling unless a pointwise mode is explicitly requested.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -31,7 +30,7 @@ import numpy as np
 
 from .bitlinalg import mem_budget_bytes
 from .errors import MemoryBudgetError, PreconditionError
-from .gf2n import Field, FieldElement, cube_class, field_new, subfield_embedding
+from .gf2n import Field, cube_class, field_new, subfield_embedding
 from .vbf import FunctionTable
 
 __all__ = [
@@ -311,17 +310,18 @@ def _sylvester_rows(u: list, v: list, zero) -> list[list]:
     return rows
 
 
-def _det_masked(rows: list[list], mul, add, one, is_zero) -> object:
+def _det_masked(rows: list[list], mul, add, is_zero) -> object:
     """Division-free determinant via DP over column subsets.
 
     In characteristic 2 the determinant equals the permanent, so the usual
     sign bookkeeping disappears: D[mask] accumulates the permanent of the
-    first popcount(mask) rows against the column set ``mask``.
+    first popcount(mask) rows against the column set ``mask``.  The DP
+    starts from the first row's entries, so no multiplication by one is
+    made; entries may be scalars, polynomials or arrays (elementwise).
     """
     k = len(rows)
-    prev = {0: one}
-    for i in range(k):
-        row = rows[i]
+    prev = {1 << j: e for j, e in enumerate(rows[0]) if not is_zero(e)}
+    for row in rows[1:]:
         nxt: dict[int, object] = {}
         for mask, val in prev.items():
             for j in range(k):
@@ -371,7 +371,6 @@ def resultant(field: Field, u, v, formal_degrees: tuple[int, int] | None = None)
         rows,
         mul=field.mul,
         add=lambda x, y: x ^ y,
-        one=1,
         is_zero=lambda x: x == 0,
     )
     return 0 if det is None else det
@@ -383,7 +382,6 @@ class _XPolyRing:
     def __init__(self, field: Field):
         self.field = field
         self.zero: tuple[int, ...] = ()
-        self.one: tuple[int, ...] = (1,)
 
     def trim(self, p: tuple[int, ...]) -> tuple[int, ...]:
         n = len(p)
@@ -464,7 +462,7 @@ def resultant_bivariate(
         )
     ring = _XPolyRing(field)
     rows = _sylvester_rows(fu, gu, ring.zero)
-    det = _det_masked(rows, mul=ring.mul, add=ring.add, one=ring.one, is_zero=ring.is_zero)
+    det = _det_masked(rows, mul=ring.mul, add=ring.add, is_zero=ring.is_zero)
     return () if det is None else det
 
 
@@ -505,37 +503,6 @@ class ResultantIdentityReport:
             "denominator_nonzero_ok": self.denominator_nonzero_ok,
             "mismatches": [list(w) for w in self.mismatches],
         }
-
-
-def _det6_vec(field: Field, rows: list[list[np.ndarray | None]]) -> np.ndarray:
-    """Vectorized 6x6 determinant over column-subset DP (entries: arrays/None)."""
-    k = len(rows)
-    size = None
-    for row in rows:
-        for e in row:
-            if e is not None:
-                size = e.shape
-                break
-        if size:
-            break
-    prev: dict[int, np.ndarray] = {0: None}  # None stands for the constant 1
-    for i in range(k):
-        nxt: dict[int, np.ndarray] = {}
-        for mask, val in prev.items():
-            for j in range(k):
-                if mask >> j & 1 or rows[i][j] is None:
-                    continue
-                term = rows[i][j] if val is None else field.mul_vec(val, rows[i][j])
-                m2 = mask | (1 << j)
-                if m2 in nxt:
-                    nxt[m2] = nxt[m2] ^ term
-                else:
-                    nxt[m2] = term.copy() if term is rows[i][j] else term
-        prev = nxt
-        if not prev:
-            return np.zeros(size, dtype=np.uint32)
-    full = prev.get((1 << k) - 1)
-    return np.zeros(size, dtype=np.uint32) if full is None else full
 
 
 def verify_resultant_identity(
@@ -606,7 +573,8 @@ def verify_resultant_identity(
         [g4, zero, g2, g1, g0, zero],
         [zero, g4, zero, g2, g1, g0],
     ]
-    lhs = _det6_vec(field, rows)
+    lhs = _det_masked(rows, mul=mul, add=lambda x, y: x ^ y,
+                      is_zero=lambda x: x is None)
 
     h_lin = a2 ^ mul(a, b) ^ a ^ b2 ^ b ^ 1
     h_const = a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1
@@ -689,61 +657,30 @@ class KeyLemmaReport:
     factorization_failures: list[str] = dataclass_field(default_factory=list)
 
     @property
+    def claim_results(self) -> tuple[bool, bool, bool, bool, bool]:
+        """The five claims, in :func:`_key_claims` order."""
+        q = {k: getattr(self, k) for k in _KEY_QUANTITIES}
+        return tuple(bool(c) for c in _key_claims(self.field, self.s, q, vec=False))
+
+    @property
     def claim_sum_and_nonzero(self) -> bool:
-        """A+B+C+D+E = 0 with every summand nonzero and C+E nonzero."""
-        vals = (self.A, self.B, self.C, self.D, self.E)
-        return (
-            self.A ^ self.B ^ self.C ^ self.D ^ self.E == 0
-            and all(vals)
-            and self.C ^ self.E != 0
-        )
+        return self.claim_results[0]
 
     @property
     def claim_products_nonzero(self) -> bool:
-        """U_i V_i != 0 for i = 1, 2, 3."""
-        f = self.field
-        return all(
-            f.mul(u, v) != 0
-            for u, v in ((self.U1, self.V1), (self.U2, self.V2), (self.U3, self.V3))
-        )
+        return self.claim_results[1]
 
     @property
     def claim_fourth_vanishes(self) -> bool:
-        """U4 = V4 = 0."""
-        return self.U4 == 0 and self.V4 == 0
+        return self.claim_results[2]
 
     @property
     def claim_cross_sum_vanishes(self) -> bool:
-        """U2 V1^(2^s) + U1 V2^(2^s) + U3 V1^(2^s) + U1 V3^(2^s) = 0."""
-        f = self.field
-        e = 1 << self.s
-        return (
-            f.mul(self.U2, f.pow(self.V1, e))
-            ^ f.mul(self.U1, f.pow(self.V2, e))
-            ^ f.mul(self.U3, f.pow(self.V1, e))
-            ^ f.mul(self.U1, f.pow(self.V3, e))
-            == 0
-        )
+        return self.claim_results[3]
 
     @property
     def claim_leading_pair_nonzero(self) -> bool:
-        """U2 V1^(2^s) + U1 V2^(2^s) != 0."""
-        f = self.field
-        e = 1 << self.s
-        return (
-            f.mul(self.U2, f.pow(self.V1, e)) ^ f.mul(self.U1, f.pow(self.V2, e))
-            != 0
-        )
-
-    @property
-    def claim_results(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (
-            self.claim_sum_and_nonzero,
-            self.claim_products_nonzero,
-            self.claim_fourth_vanishes,
-            self.claim_cross_sum_vanishes,
-            self.claim_leading_pair_nonzero,
-        )
+        return self.claim_results[4]
 
     @property
     def all_claims_hold(self) -> bool:
@@ -848,6 +785,40 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
         "V1": V1, "V2": V2, "V3": V3, "V4": V4,
         "U": U, "V": V, "T": T, "P": P, "la": la,
     }
+
+
+#: The displayed quantities a :class:`KeyLemmaReport` stores.
+_KEY_QUANTITIES = ("A", "B", "C", "D", "E", "U1", "U2", "U3", "U4",
+                   "V1", "V2", "V3", "V4", "U", "V", "T", "P", "la")
+
+
+def _key_claims(field: Field, s: int, q: dict, vec: bool) -> list:
+    """The lemma's five claims on the quantities ``q``, in order:
+
+    1. A+B+C+D+E = 0 with every summand nonzero and C+E nonzero;
+    2. U_i V_i != 0 for i = 1, 2, 3;
+    3. U4 = V4 = 0;
+    4. U2 V1^(2^s) + U1 V2^(2^s) + U3 V1^(2^s) + U1 V3^(2^s) = 0;
+    5. U2 V1^(2^s) + U1 V2^(2^s) != 0.
+
+    Each is a bool (scalar mode) or a boolean array (vector mode).
+    """
+    mul = field.mul_vec if vec else field.mul
+    pw = field.pow_vec if vec else field.pow
+    A, B, C, D, E = (q[k] for k in "ABCDE")
+    U1, U2, U3, U4 = (q[f"U{i}"] for i in range(1, 5))
+    V1, V2, V3, V4 = (q[f"V{i}"] for i in range(1, 5))
+    e = 1 << s
+    v1e = pw(V1, e)
+    leading = mul(U2, v1e) ^ mul(U1, pw(V2, e))
+    return [
+        ((A ^ B ^ C ^ D ^ E) == 0) & (A != 0) & (B != 0) & (C != 0)
+        & (D != 0) & (E != 0) & ((C ^ E) != 0),
+        (U1 != 0) & (V1 != 0) & (U2 != 0) & (V2 != 0) & (U3 != 0) & (V3 != 0),
+        (U4 == 0) & (V4 == 0),
+        (leading ^ mul(U3, v1e) ^ mul(U1, pw(V3, e))) == 0,
+        leading != 0,
+    ]
 
 
 def _key_factorization_checks(field: Field, m: int, s: int, mu_bits: int,
@@ -979,29 +950,7 @@ def sweep_key_lemma(m: int, s: int, mu, v) -> KeyLemmaSweep:
     a = field.all_elements_vec()[1:]
     la = L.eval_vec(a)
     q = _key_point_values(field, m, s, mu_bits, v_bits, a, la, vec=True)
-    e = 1 << s
-    mulv, pwv = field.mul_vec, field.pow_vec
-
-    nonzero_sum = (
-        (q["A"] ^ q["B"] ^ q["C"] ^ q["D"] ^ q["E"] == 0)
-        & (q["A"] != 0) & (q["B"] != 0) & (q["C"] != 0)
-        & (q["D"] != 0) & (q["E"] != 0)
-        & (q["C"] ^ q["E"] != 0)
-    )
-    products = (
-        (q["U1"] != 0) & (q["V1"] != 0)
-        & (q["U2"] != 0) & (q["V2"] != 0)
-        & (q["U3"] != 0) & (q["V3"] != 0)
-    )
-    fourth = (q["U4"] == 0) & (q["V4"] == 0)
-    u2v1 = mulv(q["U2"], pwv(q["V1"], e))
-    u1v2 = mulv(q["U1"], pwv(q["V2"], e))
-    cross = (
-        u2v1 ^ u1v2
-        ^ mulv(q["U3"], pwv(q["V1"], e)) ^ mulv(q["U1"], pwv(q["V3"], e))
-    ) == 0
-    leading = (u2v1 ^ u1v2) != 0
-    claims_ok = nonzero_sum & products & fourth & cross & leading
+    claims_ok = np.logical_and.reduce(_key_claims(field, s, q, vec=True))
 
     fact_ok = np.ones(a.shape, dtype=bool)
     for _, ok in _key_factorization_checks(
@@ -1031,25 +980,11 @@ def verify_subfield_scaled_permutations(m: int, s: int, mu) -> bool:
     Returns True when the full beta sweep agrees; raises when the beta = 1
     preconditions fail.
     """
+    from .families import validate_trinomial_params
     from .vbf import LinearizedPoly, is_linearized_permutation
 
-    field = field_new(3 * m)
-    if isinstance(mu, FieldElement):
-        if mu.field != field:
-            raise PreconditionError(f"mu must live in GF(2^{field.n})")
-        mu_bits = mu.bits
-    else:
-        mu_bits = field.primitive_power(int(mu))
-    if math.gcd(s, m) != 1:
-        raise PreconditionError("condition violated: gcd(s,m)=1")
-    norm_exp = (1 << (2 * m)) + (1 << m) + 1
-    if field.pow(mu_bits, norm_exp) == 1:
-        raise PreconditionError("condition violated: mu^(2^(2m)+2^m+1) != 1")
-    base = LinearizedPoly.from_exponent_terms(
-        field, [(1, m + s), (mu_bits, s), (1, 0)]
-    )
-    if not is_linearized_permutation(base):
-        raise PreconditionError("condition violated: L is a permutation")
+    # v = u^0 = 1 lies in GF(2^m)*, so only the conditions on s and mu bite
+    field, _, mu_bits, _ = validate_trinomial_params(m, s, mu, 0)
     lift = subfield_embedding(field, field_new(m))
     for beta_small in range(1 << m):
         beta = int(lift[beta_small])

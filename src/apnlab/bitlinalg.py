@@ -9,6 +9,7 @@ columns from a work chunk with one gather (four-Russians style).
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Iterator
 
@@ -42,7 +43,14 @@ _BFLY = (
 
 def mem_budget_bytes() -> int:
     """Memory budget in bytes, from APNLAB_MEM_BUDGET_GIB (default 12 GiB)."""
-    gib = float(os.environ.get("APNLAB_MEM_BUDGET_GIB", "12"))
+    text = os.environ.get("APNLAB_MEM_BUDGET_GIB", "12")
+    try:
+        gib = float(text)
+    except ValueError:
+        gib = math.nan
+    if not (math.isfinite(gib) and gib >= 0):
+        raise PreconditionError(
+            f"APNLAB_MEM_BUDGET_GIB must be a finite number >= 0, got {text!r}")
     return int(gib * (1 << 30))
 
 

