@@ -564,15 +564,7 @@ def verify_resultant_identity(
     g1 = a4 ^ a ^ b4
     g0 = mul(a ^ b, sq(x2)) ^ mul(b2, x2) ^ mul(a4 ^ b, x)
 
-    zero = None
-    rows: list[list[np.ndarray | None]] = [
-        [f2, f1, f0, zero, zero, zero],
-        [zero, f2, f1, f0, zero, zero],
-        [zero, zero, f2, f1, f0, zero],
-        [zero, zero, zero, f2, f1, f0],
-        [g4, zero, g2, g1, g0, zero],
-        [zero, g4, zero, g2, g1, g0],
-    ]
+    rows = _sylvester_rows([f0, f1, f2], [g0, g1, g2, None, g4], None)
     lhs = _det_masked(rows, mul=mul, add=lambda x, y: x ^ y,
                       is_zero=lambda x: x is None)
 
@@ -626,8 +618,8 @@ class KeyLemmaReport:
     """All displayed quantities of the trinomial proof, recomputed at one point.
 
     Stores the five primary values A..E, the two derived quadruples U1..U4
-    and V1..V4, and the diagnostics U, V, T, P; every claim is a property
-    recomputed from these stored values on access.
+    and V1..V4, and the diagnostics U, V, T, P; ``claim_results`` recomputes
+    the five claims from these stored values on access.
     """
 
     field: Field
@@ -661,26 +653,6 @@ class KeyLemmaReport:
         """The five claims, in :func:`_key_claims` order."""
         q = {k: getattr(self, k) for k in _KEY_QUANTITIES}
         return tuple(bool(c) for c in _key_claims(self.field, self.s, q, vec=False))
-
-    @property
-    def claim_sum_and_nonzero(self) -> bool:
-        return self.claim_results[0]
-
-    @property
-    def claim_products_nonzero(self) -> bool:
-        return self.claim_results[1]
-
-    @property
-    def claim_fourth_vanishes(self) -> bool:
-        return self.claim_results[2]
-
-    @property
-    def claim_cross_sum_vanishes(self) -> bool:
-        return self.claim_results[3]
-
-    @property
-    def claim_leading_pair_nonzero(self) -> bool:
-        return self.claim_results[4]
 
     @property
     def all_claims_hold(self) -> bool:

@@ -2,16 +2,17 @@
 
 Matrices are stored as numpy uint64 arrays, 64 columns per word, column j in
 word ``j >> 6`` at bit ``j & 63`` (LSB first).  Rank is computed by absorbing
-rows into an incremental echelon basis; finished pivot blocks are internally
-pivot-reduced so a 256-entry XOR table per block clears a whole block of pivot
-columns from a work chunk with one gather (four-Russians style).
+rows into an incremental echelon basis.  A stored row is written once and
+never rewritten; each finished block of 8 rows carries a 256-entry index map
+from pivot bits to table entries, so one 256-entry XOR table per block clears
+the block's pivot columns from a work chunk with one gather (four-Russians
+style).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from typing import Iterator
 
 import numpy as np
 
@@ -113,10 +114,6 @@ class BitMatrix:
     def copy(self) -> "BitMatrix":
         return BitMatrix(self.rows, self.cols, self.data.copy())
 
-    def iter_chunks(self, chunk_rows: int = _CHUNK_ROWS) -> Iterator[np.ndarray]:
-        for i in range(0, self.rows, chunk_rows):
-            yield self.data[i: i + chunk_rows]
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, BitMatrix) and self.rows == other.rows
                 and self.cols == other.cols and bool(np.array_equal(self.data, other.data)))
@@ -161,16 +158,16 @@ class GF2Basis:
     """Growing echelon basis of a GF(2) row space.
 
     Invariants: every stored row was fully reduced against the rows stored
-    before it; each finished block of rows is additionally pivot-reduced
-    internally so its rows carry unit vectors on the block's own pivot
-    columns.  ``absorb`` reduces incoming rows in chunks and appends the
-    survivors; the final ``rank`` equals the rank of everything absorbed.
+    before it, and a stored row is never rewritten, so ``rows_view`` of a
+    past moment stays valid.  Each finished block of 8 rows carries an index
+    map: entry ``h`` is the combination of block rows whose pivot bits are
+    ``h`` (the inverse of the block's unitriangular pivot-bit map).
+    ``absorb`` reduces incoming rows in chunks and appends the survivors; the
+    final ``rank`` equals the rank of everything absorbed.
     """
 
     #: Elimination backend, recorded by benchmark run metadata.
     backend = "numpy"
-    #: Pivot rows per finished block, one 256-entry XOR table each.
-    block_size = 8
 
     def __init__(self, cols: int, budget: int | None = None):
         if cols <= 0:
@@ -183,6 +180,7 @@ class GF2Basis:
         self._piv_col = np.zeros(cap, dtype=np.int64)
         self._piv_word = np.zeros(cap, dtype=np.int64)
         self._piv_mask = np.zeros(cap, dtype=np.uint64)
+        self._index_map = np.zeros((cap // 8, 256), dtype=np.uint8)
         self.count = 0
         self._table = np.zeros((256, self.words), dtype=np.uint64)
 
@@ -194,7 +192,8 @@ class GF2Basis:
         return sorted(int(c) for c in self._piv_col[: self.count])
 
     def rows_view(self) -> np.ndarray:
-        """Read-only view of the stored basis rows (do not mutate)."""
+        """Read-only view of the stored rows (do not mutate); rows are never
+        rewritten, so the view keeps its values while the basis grows."""
         return self._rows[: self.count]
 
     def _ensure_capacity(self, extra: int) -> None:
@@ -214,6 +213,7 @@ class GF2Basis:
         self._piv_col = np.resize(self._piv_col, cap)
         self._piv_word = np.resize(self._piv_word, cap)
         self._piv_mask = np.resize(self._piv_mask, cap)
+        self._index_map = np.resize(self._index_map, (cap // 8, 256))
 
     def absorb(self, rows: np.ndarray) -> int:
         """Absorb packed rows (k, words); return the number of new pivots."""
@@ -239,12 +239,16 @@ class GF2Basis:
                            out=t[1 << k: 2 << k])
         return t
 
+    def _pivot_bits(self, rows: np.ndarray, base: int) -> np.ndarray:
+        """Bit k of entry i: row i has the pivot column of block row k set."""
+        hit = (rows[:, self._piv_word[base: base + 8]]
+               & self._piv_mask[base: base + 8]) != 0
+        return np.packbits(hit, axis=1, bitorder="little")[:, 0]
+
     def _table_reduce(self, chunk: np.ndarray, base: int) -> None:
         """Clear 8 pivot columns (block at row ``base``) from all chunk rows."""
         t = self._build_table8(base)
-        hit = (chunk[:, self._piv_word[base: base + 8]]
-               & self._piv_mask[base: base + 8]) != 0
-        idx = np.packbits(hit, axis=1, bitorder="little")[:, 0]
+        idx = self._index_map[base >> 3][self._pivot_bits(chunk, base)]
         # gather into cache-sized row slices, not one chunk-sized temporary
         step = max(1, _SLICE_BYTES // (8 * self.words))
         for r0 in range(0, chunk.shape[0], step):
@@ -271,13 +275,13 @@ class GF2Basis:
         self._piv_mask[c] = np.uint64(1) << np.uint64(lead & 63)
         self.count = c + 1
         if self.count % 8 == 0:
+            # table entry e has pivot bits bits[e]; the map inverts that
             base = self.count - 8
-            for j in range(1, 8):
-                w = self._piv_word[base + j]
-                m = self._piv_mask[base + j]
-                for k in range(j):
-                    if self._rows[base + k, w] & m:
-                        self._rows[base + k] ^= self._rows[base + j]
+            own = self._pivot_bits(self._rows[base: self.count], base)
+            bits = np.zeros(256, dtype=np.uint8)
+            for k in range(8):
+                np.bitwise_xor(bits[: 1 << k], own[k], out=bits[1 << k: 2 << k])
+            self._index_map[base >> 3, bits] = np.arange(256, dtype=np.uint8)
 
     def _absorb_chunk(self, chunk: np.ndarray) -> None:
         nblocks = self.count // 8
@@ -301,6 +305,5 @@ def rank(matrix: BitMatrix | np.ndarray) -> int:
     if isinstance(matrix, np.ndarray):
         matrix = BitMatrix.from_dense01(matrix)
     basis = GF2Basis(matrix.cols)
-    for chunk in matrix.iter_chunks():
-        basis.absorb(chunk)
+    basis.absorb(matrix.data)
     return basis.rank

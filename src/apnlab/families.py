@@ -1011,7 +1011,9 @@ def build_from_descriptor(text: str | dict) -> FamilyInstance:
 
 
 def descriptor_for(inst: FamilyInstance) -> str:
-    """Descriptor text for a constructible instance (its id plus size)."""
+    """Descriptor text for a constructible instance (its id plus size); an id
+    without the tag's exact parameters, which would not build, raises."""
+    inst.id.require_exact()
     key, per_unit = _size_rule(inst.id.tag)
     doc = {"tag": inst.id.tag, key: inst.field.n // per_unit, **inst.id.params}
     return json.dumps(doc, sort_keys=True, separators=(", ", ": "))

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bitlinalg
 from .bitlinalg import BitMatrix, GF2Basis, rank, xor_permute_columns
 from .errors import PreconditionError
 from .gf2n import Field, field_from_header
@@ -40,8 +41,6 @@ __all__ = [
     "gamma_rank",
     "parse_code_export",
 ]
-
-_TRANSLATE_CHUNK = 2048
 
 
 def code_matrix(f: FunctionTable) -> BitMatrix:
@@ -114,27 +113,18 @@ def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     closure is reached by absorbing, for each bit, the translates of the
     basis accumulated so far; translating by a processed bit keeps landing
     inside the span, so one pass over the bits suffices even though the
-    basis keeps growing.
+    basis keeps growing.  Stored rows are never rewritten, so the round-start
+    ``rows_view`` is the round's snapshot.
     """
     n = f.field.n
     side = 1 << (2 * n)
     basis = GF2Basis(side, budget=budget)
     basis.absorb(_graph_indicator_row(f))
     for t in range(2 * n):
-        mask = 1 << t
-        count0 = basis.count
-        src_arr = basis.rows_view()  # round-start array object
-        safe = (count0 // basis.block_size) * basis.block_size
-        tail = src_arr[safe:count0].copy()  # the straddling partial block
-        for start in range(0, count0, _TRANSLATE_CHUNK):
-            end = min(start + _TRANSLATE_CHUNK, count0)
-            if end <= safe:
-                src = src_arr[start:end]
-            elif start >= safe:
-                src = tail[start - safe : end - safe]
-            else:
-                src = np.concatenate([src_arr[start:safe], tail[: end - safe]])
-            basis.absorb(xor_permute_columns(src, mask, side))
+        src = basis.rows_view()
+        step = bitlinalg._CHUNK_ROWS
+        for start in range(0, src.shape[0], step):
+            basis.absorb(xor_permute_columns(src[start : start + step], 1 << t, side))
     return basis.rank
 
 

@@ -147,6 +147,26 @@ def test_basis_incremental_absorb():
     assert len(set(piv)) == len(piv)
 
 
+def test_basis_never_rewrites_stored_rows():
+    # row 0 has the pivot column of row 5 set; completing the block must
+    # leave it as stored, and the block's index map must still clear a
+    # combination whose pivot bits differ from its table index
+    def bits(*cols):
+        d = np.zeros((1, 64), dtype=np.uint8)
+        d[0, list(cols)] = 1
+        return BitMatrix.from_dense01(d).data
+
+    basis = GF2Basis(64)
+    for row in ([0, 5], [1], [2], [3], [4]):
+        assert basis.absorb(bits(*row)) == 1
+    before = basis.rows_view().copy()
+    for col in (5, 6, 7):
+        assert basis.absorb(bits(col)) == 1
+    assert np.array_equal(basis.rows_view()[:5], before)
+    assert basis.absorb(bits(0, 6)) == 0  # rows 0, 5 and 6
+    assert basis.rank == 8
+
+
 @pytest.mark.parametrize("text,want", [("12", 12 << 30), ("0", 0),
                                        ("0.5", 1 << 29)])
 def test_mem_budget_reads_the_environment(monkeypatch, text, want):

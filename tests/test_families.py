@@ -89,6 +89,12 @@ def test_descriptor_for_round_trips(text):
     assert np.array_equal(again.table.lut, inst.table.lut)
 
 
+def test_descriptor_for_refuses_an_id_that_would_not_build():
+    # representatives rows carry FamilyId(tag, {}): no descriptor builds them
+    with pytest.raises(PreconditionError, match=r"missing \['i'\]"):
+        descriptor_for(representatives(8)[0])
+
+
 def test_edel_pott_descriptor_defaults_to_gf256_and_canonical_u():
     want = make_edel_pott(get_field(8))
     for text in ('{tag:"EdelPottP"}', '{tag:"EdelPottP", n:8}',

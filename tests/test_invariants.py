@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from apnlab.bitlinalg import rank
+from apnlab import bitlinalg, invariants
+from apnlab.bitlinalg import rank, xor_permute_columns
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.invariants import (
     code_matrix,
@@ -108,6 +109,25 @@ def test_translate_closure_equals_direct_elimination(n):
     # the oracle shares no code with the packed eliminator
     t = gold_table(n)
     assert gamma_rank(t).gamma_rank == naive_rank(dense_incidence(t))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("e", [3, 7, 11])
+def test_translate_closure_across_chunks_equals_direct_elimination(
+        monkeypatch, n, e):
+    # with 64-row chunks the later rounds span several chunks and end in a
+    # partial block; at the default 2048 rows every round here fits in one
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 64)
+    chunk_rows = []
+
+    def recording(data, mask, cols):
+        chunk_rows.append(data.shape[0])
+        return xor_permute_columns(data, mask, cols)
+
+    monkeypatch.setattr(invariants, "xor_permute_columns", recording)
+    t = to_table(UnivariatePoly.monomial(get_field(n), e))
+    assert gamma_rank(t).gamma_rank == naive_rank(dense_incidence(t))
+    assert max(chunk_rows) == 64 and len(chunk_rows) > 2 * n
 
 
 def test_gamma_rank_report_shape():
