@@ -14,13 +14,14 @@ precondition (the message names the condition), 3 on a memory/size limit.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import sys
 import time
 
 from .errors import MemoryBudgetError, PreconditionError
-from .gf2n import field_new, primitive_elements
+from .gf2n import field_new
 from .vbf import read_lut
 from .analysis import (
     brute_cubic_root_count,
@@ -31,7 +32,6 @@ from .analysis import (
     verify_resultant_identity,
 )
 from .families import (
-    _COEFF_ROWS,
     TABLE_RANKS,
     build_from_descriptor,
     descriptor_for,
@@ -56,12 +56,18 @@ def _stderr(msg: str) -> None:
     sys.stderr.flush()
 
 
+def _read_file(path: str) -> str:
+    """Text of ``path``; an unreadable file is a violated precondition."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from None
+
+
 def _read_descriptor(arg: str) -> str:
     """Inline descriptor text, or ``@path`` to read it from a file."""
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
-            return fh.read()
-    return arg
+    return _read_file(arg[1:]) if arg.startswith("@") else arg
 
 
 def _cmd_check(args) -> dict:
@@ -88,8 +94,7 @@ def _cmd_check(args) -> dict:
 
 def _cmd_ddt(args) -> dict:
     if args.lut:
-        with open(args.lut, "r", encoding="utf-8") as fh:
-            table = read_lut(fh)
+        table = read_lut(io.StringIO(_read_file(args.lut)))
         source = {"lut": args.lut}
     else:
         inst = build_from_descriptor(_read_descriptor(args.family))
@@ -114,7 +119,11 @@ def _parse_rows(spec: str | None, count: int) -> list[int]:
         part = part.strip()
         if not part:
             continue
-        k = int(part)
+        try:
+            k = int(part)
+        except ValueError:
+            raise PreconditionError(
+                f"row index is not an integer: {part!r}") from None
         if not 1 <= k <= count:
             raise PreconditionError(f"row index out of range 1..{count}: {k}")
         if k in rows:
@@ -125,121 +134,34 @@ def _parse_rows(spec: str | None, count: int) -> list[int]:
     return rows
 
 
-def _rank_one_row(n: int, row_index: int,
-                  u_bits: int | None = None, v_bits: int | None = None) -> int:
-    """Rank of one reference row, optionally under alternate primitives."""
-    field = field_new(n)
-    u = field.element(u_bits) if u_bits is not None else None
-    v = field_new(4).element(v_bits) if v_bits is not None else None
-    rows = representatives(n, u=u, v=v)
-    inst = rows[row_index - 1]
-    return gamma_rank(inst.table, family=inst.label).gamma_rank
-
-
-def _primitive_class_reps(n: int) -> list[int]:
-    """One primitive element per Frobenius-conjugacy class of GF(2^n).
-
-    Conjugate primitives generate linearly equivalent rows (same rank), so
-    a sweep needs only one representative of each class.
-    """
-    field = field_new(n)
-    seen: set[int] = set()
-    reps: list[int] = []
-    for p in primitive_elements(field):
-        if p.bits not in seen:
-            seen.update(field.pow(p.bits, 1 << i) for i in range(n))
-            reps.append(p.bits)
-    return reps
-
-
-def _sweep_row_primitives(n: int, row_index: int, want: int) -> dict | None:
-    """Try alternate primitive pairs for one mismatching coefficient row.
-
-    Returns {"u": bits, "v": bits|None, "gamma_rank": r} for the first pair
-    matching the published value, or None when the sweep is exhausted.
-    """
-    u_reps = _primitive_class_reps(n)
-    v_reps = _primitive_class_reps(4) if n == 8 else [None]
-    tried = 0
-    for u_bits in u_reps:
-        for v_bits in v_reps:
-            tried += 1
-            _stderr(
-                f"sweep row {row_index}: u=0x{u_bits:x}"
-                + (f" v=0x{v_bits:x}" if v_bits is not None else "")
-                + f" ({tried}/{len(u_reps) * len(v_reps)})"
-            )
-            try:
-                r = _rank_one_row(n, row_index, u_bits, v_bits)
-            except PreconditionError:
-                continue
-            if r == want:
-                return {"u": u_bits, "v": v_bits, "gamma_rank": r}
-    return None
-
-
 def _cmd_table(args) -> dict:
     which = args.paper_table
     ranks = TABLE_RANKS[which]
     n = 8 if which == 4 else 9
-    field = field_new(n)
+    selected = _parse_rows(args.rows, len(ranks))
     reps = representatives(n)
-    selected = _parse_rows(args.rows, len(reps))
-    jobs = max(1, args.jobs)
-
-    results: dict[int, int] = {}
-    if jobs > 1 and len(selected) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {
-                k: pool.submit(_rank_one_row, n, k)
-                for k in selected
-            }
-            for k in selected:
-                results[k] = futs[k].result()
-                _stderr(f"row {k}: gamma_rank={results[k]}")
-    else:
-        t0 = time.perf_counter()
-        for k in selected:
-            inst = reps[k - 1]
-            rep = gamma_rank(inst.table, family=inst.label)
-            results[k] = rep.gamma_rank
-            _stderr(
-                f"row {k}: gamma_rank={rep.gamma_rank} "
-                f"({rep.elapsed:.1f}s, total {time.perf_counter() - t0:.0f}s)"
-            )
 
     rows_payload = []
+    t0 = time.perf_counter()
     for k in selected:
-        want = ranks[k - 1]
-        got = results[k]
-        row_doc = {
+        inst = reps[k - 1]
+        rep = gamma_rank(inst.table, family=inst.label)
+        _stderr(
+            f"row {k}: gamma_rank={rep.gamma_rank} "
+            f"({rep.elapsed:.1f}s, total {time.perf_counter() - t0:.0f}s)"
+        )
+        rows_payload.append({
             "row": k,
-            "function": reps[k - 1].label,
-            "gamma_rank": got,
-            "paper_value": want,
-            "match": got == want,
-        }
-        if got != want and k in _COEFF_ROWS[which]:
-            _stderr(f"row {k}: mismatch on a coefficient-bearing row; "
-                    f"sweeping alternate primitives")
-            hit = _sweep_row_primitives(n, k, want)
-            if hit is not None:
-                row_doc.update(
-                    gamma_rank=hit["gamma_rank"],
-                    match=True,
-                    swept_primitive={
-                        "u": hit["u"],
-                        **({"v": hit["v"]} if hit["v"] is not None else {}),
-                    },
-                )
-        rows_payload.append(row_doc)
+            "function": inst.label,
+            "gamma_rank": rep.gamma_rank,
+            "paper_value": ranks[k - 1],
+            "match": rep.gamma_rank == ranks[k - 1],
+        })
     return {
         "schema": "apnlab/table/v1",
         "paper_table": which,
         "n": n,
-        "modulus": field.modulus,
+        "modulus": field_new(n).modulus,
         "rows": rows_payload,
         "all_match": all(r["match"] for r in rows_payload),
     }
@@ -377,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="reproduce a published rank table")
     t.add_argument("--paper-table", type=int, choices=(4, 5), required=True)
     t.add_argument("--rows", help="comma-separated 1-based subset")
-    t.add_argument("--jobs", type=int, default=1,
-                   help="parallelism across independent rows")
     t.set_defaults(fn=_cmd_table)
 
     s = sub.add_parser("search", help="search valid trinomial parameters")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -173,6 +174,13 @@ class FamilyInstance:
         return self.table.field
 
 
+def _as_int(value, name: str) -> int:
+    """An integer parameter; bools and non-integers raise PreconditionError."""
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise PreconditionError(f"parameter {name} must be an integer, got {value!r}")
+
+
 def _as_bits(field: Field, value, name: str) -> int:
     """Resolve a coefficient parameter to raw element bits.
 
@@ -187,19 +195,15 @@ def _as_bits(field: Field, value, name: str) -> int:
                 f"coefficient {name} must live in GF(2^{field.n})"
             )
         return value.bits
-    return field.primitive_power(int(value))
+    return field.primitive_power(_as_int(value, name))
 
 
-def _as_exponent(field: Field, value) -> int | None:
-    """Store-form of a coefficient: primitive-power exponent or None."""
-    if value is None:
+def _as_exponent(field: Field, bits: int) -> int | None:
+    """Store-form of a coefficient: primitive-power exponent, None for zero."""
+    if bits == 0:
         return None
-    if isinstance(value, FieldElement):
-        if value.bits == 0:
-            return None
-        _, log = field._tables()
-        return int(log[value.bits])
-    return int(value)
+    _, log = field._tables()
+    return int(log[bits])
 
 
 def _require(cond: bool, condition_name: str) -> None:
@@ -210,12 +214,7 @@ def _require(cond: bool, condition_name: str) -> None:
 def _primitive_bits(field: Field, value: FieldElement | None, default: int,
                     name: str) -> int:
     """Bits of ``value`` (``default`` when None), checked to be primitive."""
-    if value is None:
-        bits = default
-    else:
-        if value.field != field:
-            raise PreconditionError(f"{name} must live in GF(2^{field.n})")
-        bits = value.bits
+    bits = default if value is None else _as_bits(field, value, name)
     _require(bits in {p.bits for p in primitive_elements(field)},
              f"{name} primitive")
     return bits
@@ -245,11 +244,11 @@ def _instance_biv(
 def _monomial_exponent(tag: str, field: Field, params: dict) -> int:
     n = field.n
     if tag == "Gold":
-        i = int(params["i"])
+        i = _as_int(params["i"], "i")
         _require(math.gcd(i, n) == 1, "gcd(i,n)=1")
         return (1 << i) + 1
     if tag == "Kasami":
-        i = int(params["i"])
+        i = _as_int(params["i"], "i")
         _require(math.gcd(i, n) == 1, "gcd(i,n)=1")
         return (1 << (2 * i)) - (1 << i) + 1
     # the remaining monomials need odd n = 2t+1 (Dobbertin needs n = 5i)
@@ -279,7 +278,7 @@ def _monomial_exponent(tag: str, field: Field, params: dict) -> int:
 def _build_f1_f2(tag: str, field: Field, params: dict) -> UnivariatePoly:
     n = field.n
     p = 3 if tag == "F1" else 4
-    k, s = int(params["k"]), int(params["s"])
+    k, s = _as_int(params["k"], "k"), _as_int(params["s"], "s")
     _require(n == p * k, f"n={p}k")
     _require(math.gcd(k, 3) == 1, "gcd(k,3)=1")
     _require(math.gcd(s, 3 * k) == 1, "gcd(s,3k)=1")
@@ -301,7 +300,7 @@ def _build_f3(field: Field, params: dict) -> UnivariatePoly:
     _require(n % 2 == 0, "n=2m")
     m = n // 2
     q = 1 << m
-    i = int(params["i"])
+    i = _as_int(params["i"], "i")
     _require(math.gcd(i, m) == 1, "gcd(i,m)=1")
     s_bits = _as_bits(field, params["s"], "s")
     c_bits = _as_bits(field, params["c"], "c")
@@ -371,7 +370,7 @@ def _build_f7_f8_f9(field: Field, params: dict) -> UnivariatePoly:
     n = field.n
     _require(n % 3 == 0, "n=3m")
     m = n // 3
-    s = int(params["s"])
+    s = _as_int(params["s"], "s")
     _require(math.gcd(m, 3) == 1, "gcd(m,3)=1")
     _require(math.gcd(s, 3 * m) == 1, "gcd(s,3m)=1")
     _require((m + s) % 3 == 0, "3 | m+s")
@@ -432,7 +431,7 @@ def _build_f11(field: Field, params: dict) -> UnivariatePoly:
     m = n // 2
     _require(m % 2 == 1, "m odd")
     _require(m % 3 != 0, "3 does not divide m")
-    i = int(params["i"])
+    i = _as_int(params["i"], "i")
     valid = _f11_valid_i(m, n)
     _require(i in valid, f"i in {sorted(valid)} (i = m-2 or its inverse mod n)")
     from .gf2n import subfield_embedding
@@ -503,7 +502,7 @@ def _build_bivariate_known(
         _require(math.gcd(3, m) == 1, "gcd(3,m)=1")
         return _new_bivariate_form(component)
     if tag == "F13":
-        k, i = int(params["k"]), int(params["i"])
+        k, i = _as_int(params["k"], "k"), _as_int(params["i"], "i")
         alpha = _as_bits(component, params["alpha"], "alpha")
         _require(math.gcd(k, m) == 1, "gcd(k,m)=1")
         _require(m % 2 == 0, "m even")
@@ -514,7 +513,7 @@ def _build_bivariate_known(
             [(1, (1 << k) + 1, 0), (alpha, 0, ((1 << k) + 1) * (1 << i))],
         )
     if tag == "F14":
-        k = int(params["k"])
+        k = _as_int(params["k"], "k")
         a = _as_bits(component, params["a"], "a")
         b = _as_bits(component, params["b"], "b")
         _require(math.gcd(k, m) == 1, "gcd(k,m)=1")
@@ -538,7 +537,7 @@ def _build_bivariate_known(
             ],
         )
     if tag == "F15":
-        i = int(params["i"])
+        i = _as_int(params["i"], "i")
         b = _as_bits(component, params["b"], "b")
         c = _as_bits(component, params["c"], "c")
         _require(m % 2 == 0, "m even")
@@ -572,7 +571,7 @@ def _build_bivariate_known(
             ],
         )
     if tag in ("F16", "F17"):
-        i = int(params["i"])
+        i = _as_int(params["i"], "i")
         _require(math.gcd(3 * i, m) == 1, "gcd(3i,m)=1")
         first = [
             (1, (1 << i) + 1, 0),
@@ -611,10 +610,11 @@ def make_known(fid: FamilyId, field: Field) -> FamilyInstance:
     p = fid.params
     key, per_unit = _size_rule(tag)
     if key in p:  # NewBivariate and NewTrinomial: m fixes the field degree
-        _require(field.n == per_unit * int(p[key]), f"n = {per_unit}m")
+        _require(field.n == per_unit * _as_int(p[key], key), f"n = {per_unit}m")
     if tag == "NewTrinomial":
         _require(field == field_new(field.n), "default modulus")
-        return make_new_trinomial(int(p["m"]), int(p["s"]), p["mu"], p["v"])
+        return make_new_trinomial(_as_int(p["m"], "m"), _as_int(p["s"], "s"),
+                                  p["mu"], p["v"])
     if tag == "EdelPottP":
         return make_edel_pott(field, field.element(_as_bits(field, p["u"], "u")))
     if tag in ("Gold", "Kasami", "Welch", "Niho1", "Niho2", "Inverse", "Dobbertin"):
@@ -666,12 +666,8 @@ def validate_trinomial_params(
     and L(z) = z^(2^(m+s)) + mu z^(2^s) + z being a permutation.
     """
     field = field_new(3 * m)
-    if isinstance(mu, FieldElement) and mu.field != field:
-        raise PreconditionError(f"mu must live in GF(2^{field.n})")
-    if isinstance(v, FieldElement) and v.field != field:
-        raise PreconditionError(f"v must live in GF(2^{field.n})")
-    mu_bits = mu.bits if isinstance(mu, FieldElement) else _as_bits(field, mu, "mu")
-    v_bits = v.bits if isinstance(v, FieldElement) else _as_bits(field, v, "v")
+    mu_bits = _as_bits(field, mu, "mu")
+    v_bits = _as_bits(field, v, "v")
     _require(math.gcd(s, m) == 1, "gcd(s,m)=1")
     _require(v_bits != 0 and _in_subfield(field, v_bits, m), "v in GF(2^m)*")
     norm_exp = (1 << (2 * m)) + (1 << m) + 1
@@ -701,8 +697,8 @@ def make_new_trinomial(
         {
             "m": m,
             "s": s,
-            "mu": _as_exponent(field, field.element(mu_bits)),
-            "v": _as_exponent(field, field.element(v_bits)),
+            "mu": _as_exponent(field, mu_bits),
+            "v": _as_exponent(field, v_bits),
         },
     )
     label = (
@@ -769,7 +765,7 @@ def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstanc
         for c, e in _trace_expanded_terms(field, 1, [(c3, 3), (c9, 9)]):
             terms.append((field.mul(outer, c), e))
     poly = UnivariatePoly(field, terms)
-    fid = FamilyId("EdelPottP", {"u": _as_exponent(field, field.element(u_bits))})
+    fid = FamilyId("EdelPottP", {"u": _as_exponent(field, u_bits)})
     return _instance_uni(
         fid,
         poly,
@@ -789,11 +785,6 @@ TABLE_RANKS = {
     5: (38470, 41494, 38470, 58676, 61726, 60894, 130816, 47890, 48428,
         48460, 48596, 48558),
 }
-
-#: Rows of each table whose printed forms carry representation-dependent
-#: coefficients (candidates for a primitive-element sweep on mismatch).
-_COEFF_ROWS = {4: (4, 6, 9, 11), 5: (11, 12)}
-
 
 def _rep_rows_8(
     field: Field, component: Field, u: int, v: int
@@ -935,8 +926,7 @@ def representatives(
 
     Rows are constructed literally from their printed forms, with ``u`` the
     ambient field's primitive element and (for n=8 bivariate rows) ``v`` the
-    GF(2^4) primitive.  Alternate primitives may be supplied to sweep
-    representation-dependent coefficients.
+    GF(2^4) primitive.  Alternate primitives may be supplied.
 
     Defaults: over GF(2^8) the canonical primitive (bits 0x3) makes every
     row APN.  Over GF(2^9) the printed coefficients of the quintic row
@@ -1007,7 +997,7 @@ def build_from_descriptor(text: str | dict) -> FamilyInstance:
     size = doc.get(key) if key in _REQUIRED_PARAMS[tag] else doc.pop(key, None)
     if size is None:
         raise PreconditionError(f"{tag} descriptor needs {key}")
-    return make_known(FamilyId(tag, doc), field_new(per_unit * int(size)))
+    return make_known(FamilyId(tag, doc), field_new(per_unit * _as_int(size, key)))
 
 
 def descriptor_for(inst: FamilyInstance) -> str:

@@ -386,10 +386,18 @@ def read_lut(fh: IO[str]) -> FunctionTable:
     header = fh.readline()
     field = field_from_header(header)
     vals = []
-    for line in fh:
+    for lineno, line in enumerate(fh, start=2):
         line = line.strip()
-        if line:
-            vals.append(int(line, 16))
+        if not line:
+            continue
+        try:
+            v = int(line, 16)
+        except ValueError:
+            v = -1
+        if not 0 <= v < field.order:
+            raise PreconditionError(
+                f"LUT line {lineno}: {line!r} is not a hex element of GF(2^{field.n})")
+        vals.append(v)
     if len(vals) != field.order:
         raise PreconditionError(
             f"LUT file must carry 2^{field.n} entries, found {len(vals)}")

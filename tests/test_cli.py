@@ -8,9 +8,11 @@ import json
 import numpy as np
 import pytest
 
+from apnlab import cli
 from apnlab.cli import main
-from apnlab.families import build_from_descriptor
-from apnlab.invariants import parse_code_export
+from apnlab.families import TABLE_RANKS, build_from_descriptor, representatives
+from apnlab.gf2n import field_new
+from apnlab.invariants import GammaRankReport, parse_code_export
 from apnlab.vbf import write_lut
 
 
@@ -68,11 +70,34 @@ def test_check_edel_pott_outside_gf256_exits_2(capsys):
     assert "n = 8" in out["error"] and "n = 8" in err
 
 
+@pytest.mark.parametrize("descriptor, name", [
+    ('{tag:"Gold", n:8, i:1.7}', "i"),
+    ('{tag:"F4", n:8, a:1.5}', "a"),
+    ('{tag:"Gold", n:8, i:"a"}', "i"),
+    ('{tag:"Gold", n:8, i:null}', "i"),
+    ('{tag:"F4", n:8, a:[1]}', "a"),
+    ('{tag:"Gold", n:8.5, i:1}', "n"),
+])
+def test_check_rejects_non_integer_parameters(capsys, descriptor, name):
+    code, out, _ = run(capsys, "check", "--family", descriptor)
+    assert code == 2
+    assert out["schema"] == "apnlab/error/v1"
+    assert f"parameter {name} must be an integer" in out["error"]
+
+
 def test_check_descriptor_from_file(tmp_path, capsys):
     p = tmp_path / "desc.json"
     p.write_text('{tag:"Welch", n:5}')
     code, out, _ = run(capsys, "check", "--family", f"@{p}")
     assert code == 0 and out["apn"] is True
+
+
+def test_check_unreadable_descriptor_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, out, _ = run(capsys, "check", "--family", f"@{missing}")
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert str(missing) in out["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +120,19 @@ def test_ddt_lut_file(tmp_path, capsys):
     code, out, _ = run(capsys, "ddt", "--lut", str(p))
     assert code == 0 and out["delta"] == 2
     assert out["n"] == 5
+
+
+def test_ddt_lut_file_with_non_hex_entry_exits_2(tmp_path, capsys):
+    buf = io.StringIO()
+    write_lut(build_from_descriptor('{tag:"Gold", n:5, i:1}').table, buf)
+    lines = buf.getvalue().splitlines()
+    lines[3] = "zz"
+    p = tmp_path / "bad.lut"
+    p.write_text("\n".join(lines) + "\n")
+    code, out, _ = run(capsys, "ddt", "--lut", str(p))
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert "LUT line 4: 'zz'" in out["error"]
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +166,59 @@ def test_gamma_rank_rejects_malformed_memory_budget(capsys, monkeypatch):
         assert "APNLAB_MEM_BUDGET_GIB" in out["error"] and repr(bad) in err
 
 
-def test_table_single_row(capsys):
+def fake_gamma_rank(monkeypatch, offset: int) -> list:
+    """Stand in for the CLI's ``gamma_rank``: each Table 4 row ranks as its
+    published value plus ``offset``, any other function as ``offset``.
+    Returns the list of recorded ``(table, family)`` calls."""
+    published = dict(zip((r.table for r in representatives(8)), TABLE_RANKS[4]))
+    calls = []
+
+    def fake(table, family="", **_):
+        calls.append((table, family))
+        rank = published.get(table, 0) + offset
+        return GammaRankReport(family, 8, rank, (1 << 16, 1 << 16), 0.0)
+
+    monkeypatch.setattr(cli, "gamma_rank", fake)
+    return calls
+
+
+def test_table_single_row(capsys, monkeypatch):
+    calls = fake_gamma_rank(monkeypatch, offset=0)
     code, out, _ = run(capsys, "table", "--paper-table", "4", "--rows", "1")
     assert code == 0
-    assert out["schema"] == "apnlab/table/v1"
-    assert out["n"] == 8
-    row = out["rows"][0]
-    assert row["gamma_rank"] == 11818 and row["match"] is True
-    assert out["all_match"] is True
+    assert calls == [(representatives(8)[0].table, "z^3")]
+    assert out == {
+        "schema": "apnlab/table/v1",
+        "paper_table": 4,
+        "n": 8,
+        "modulus": field_new(8).modulus,
+        "rows": [{"row": 1, "function": "z^3", "gamma_rank": 11818,
+                  "paper_value": 11818, "match": True}],
+        "all_match": True,
+    }
+
+
+def test_table_reports_mismatch_and_ranks_nothing_else(capsys, monkeypatch):
+    # row 4 carries printed u-power coefficients; a wrong rank there is
+    # reported as it is, not replaced by another primitive's rank
+    calls = fake_gamma_rank(monkeypatch, offset=1)
+    code, out, _ = run(capsys, "table", "--paper-table", "4", "--rows", "4")
+    assert code == 0
+    assert len(calls) == 1
+    assert calls[0][0] == representatives(8)[3].table
+    (row,) = out["rows"]
+    assert row["gamma_rank"] == TABLE_RANKS[4][3] + 1
+    assert row["match"] is False and out["all_match"] is False
+    assert "swept_primitive" not in row
 
 
 def test_table_rejects_bad_rows(capsys):
-    code, out, _ = run(capsys, "table", "--paper-table", "4", "--rows", "0,13")
-    assert code == 2
+    for spec, named in (("0,13", ": 0"), ("x", "'x'"), ("1,,x", "'x'")):
+        code, out, _ = run(capsys, "table", "--paper-table", "4",
+                           "--rows", spec)
+        assert code == 2, spec
+        assert out["status"] == "precondition-failed"
+        assert out["error"].endswith(named)
 
 
 def test_table_rejects_repeated_rows(capsys):
