@@ -123,7 +123,7 @@ class BitMatrix:
 
 
 def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
-    """Return a copy with column j holding the old column j XOR mask.
+    """Return a C-ordered copy with column j holding the old column j XOR mask.
 
     The column count must be a power of two covering the mask (the operation
     is translation by a group element of (F_2^k, +)).
@@ -132,22 +132,20 @@ def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
         raise PreconditionError("xor-permute needs a power-of-two column count")
     if not 0 <= mask < cols:
         raise PreconditionError("mask out of range")
+    data = np.ascontiguousarray(data)
     out = data
     hi = mask >> 6
     if hi:
-        words = data.shape[1]
-        out = out[:, np.arange(words) ^ hi]
+        # np.take returns a new C-ordered array; fancy indexing on axis 1
+        # would return an F-ordered one that needs a second copy
+        out = np.take(out, np.arange(data.shape[1]) ^ hi, axis=1)
     lo = mask & 63
-    if lo:
-        out = out.copy() if out is data else out
-        for t in range(6):
-            if (lo >> t) & 1:
-                s = np.uint64(1 << t)
-                m = _BFLY[t]
-                out = ((out >> s) & m) | ((out & m) << s)
-    elif out is data:
-        out = out.copy()
-    return np.ascontiguousarray(out)
+    for t in range(6):
+        if (lo >> t) & 1:
+            s = np.uint64(1 << t)
+            m = _BFLY[t]
+            out = ((out >> s) & m) | ((out & m) << s)
+    return data.copy() if out is data else out
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +213,26 @@ class GF2Basis:
         self._piv_mask = np.resize(self._piv_mask, cap)
         self._index_map = np.resize(self._index_map, (cap // 8, 256))
 
-    def absorb(self, rows: np.ndarray) -> int:
-        """Absorb packed rows (k, words); return the number of new pivots."""
+    def absorb(self, rows: np.ndarray, out: np.ndarray | None = None) -> int:
+        """Absorb packed rows (k, words); return the number of new pivots.
+
+        If ``out`` (a boolean array of length k) is given, ``out[i]`` is set
+        to whether row i gave a pivot, i.e. was appended to the basis.
+        """
         rows = np.asarray(rows, dtype=np.uint64)
         if rows.ndim == 1:
             rows = rows.reshape(1, -1)
         if rows.shape[1] != self.words:
             raise PreconditionError("row width mismatch")
+        if out is not None and out.shape != (rows.shape[0],):
+            raise PreconditionError("out must hold one flag per row")
         before = self.count
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             chunk = np.array(rows[start: start + _CHUNK_ROWS], dtype=np.uint64)
             self._ensure_capacity(chunk.shape[0])
-            self._absorb_chunk(chunk)
+            gave = self._absorb_chunk(chunk)
+            if out is not None:
+                out[start: start + chunk.shape[0]] = gave
         return self.count - before
 
     def _build_table8(self, base: int) -> np.ndarray:
@@ -283,12 +289,14 @@ class GF2Basis:
                 np.bitwise_xor(bits[: 1 << k], own[k], out=bits[1 << k: 2 << k])
             self._index_map[base >> 3, bits] = np.arange(256, dtype=np.uint8)
 
-    def _absorb_chunk(self, chunk: np.ndarray) -> None:
+    def _absorb_chunk(self, chunk: np.ndarray) -> np.ndarray:
+        """Reduce and append the chunk; return which rows gave pivots."""
         nblocks = self.count // 8
         for blk in range(nblocks):
             self._table_reduce(chunk, blk * 8)
         applied = nblocks
         nrows = chunk.shape[0]
+        gave = np.zeros(nrows, dtype=bool)
         for i in range(nrows):
             while applied < self.count // 8:
                 self._table_reduce(chunk[i:], applied * 8)
@@ -298,6 +306,8 @@ class GF2Basis:
             lead = self._find_lead(row)
             if lead >= 0:
                 self._append(row, lead)
+                gave[i] = True
+        return gave
 
 
 def rank(matrix: BitMatrix | np.ndarray) -> int:

@@ -256,8 +256,11 @@ def _cmd_verify(args) -> dict:
 def _cmd_export_code(args) -> dict:
     inst = build_from_descriptor(_read_descriptor(args.family))
     text = export_code(inst.table, format=args.format)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {args.out}: {exc}") from None
     n = inst.field.n
     return {
         "schema": "apnlab/export-code/v1",

@@ -181,6 +181,14 @@ def _as_int(value, name: str) -> int:
     raise PreconditionError(f"parameter {name} must be an integer, got {value!r}")
 
 
+def _as_shift(value, name: str) -> int:
+    """A Frobenius shift parameter (an exponent of 2): an integer >= 0."""
+    shift = _as_int(value, name)
+    if shift < 0:
+        raise PreconditionError(f"parameter {name} must be >= 0, got {shift}")
+    return shift
+
+
 def _as_bits(field: Field, value, name: str) -> int:
     """Resolve a coefficient parameter to raw element bits.
 
@@ -244,11 +252,11 @@ def _instance_biv(
 def _monomial_exponent(tag: str, field: Field, params: dict) -> int:
     n = field.n
     if tag == "Gold":
-        i = _as_int(params["i"], "i")
+        i = _as_shift(params["i"], "i")
         _require(math.gcd(i, n) == 1, "gcd(i,n)=1")
         return (1 << i) + 1
     if tag == "Kasami":
-        i = _as_int(params["i"], "i")
+        i = _as_shift(params["i"], "i")
         _require(math.gcd(i, n) == 1, "gcd(i,n)=1")
         return (1 << (2 * i)) - (1 << i) + 1
     # the remaining monomials need odd n = 2t+1 (Dobbertin needs n = 5i)
@@ -278,7 +286,7 @@ def _monomial_exponent(tag: str, field: Field, params: dict) -> int:
 def _build_f1_f2(tag: str, field: Field, params: dict) -> UnivariatePoly:
     n = field.n
     p = 3 if tag == "F1" else 4
-    k, s = _as_int(params["k"], "k"), _as_int(params["s"], "s")
+    k, s = _as_shift(params["k"], "k"), _as_shift(params["s"], "s")
     _require(n == p * k, f"n={p}k")
     _require(math.gcd(k, 3) == 1, "gcd(k,3)=1")
     _require(math.gcd(s, 3 * k) == 1, "gcd(s,3k)=1")
@@ -300,7 +308,7 @@ def _build_f3(field: Field, params: dict) -> UnivariatePoly:
     _require(n % 2 == 0, "n=2m")
     m = n // 2
     q = 1 << m
-    i = _as_int(params["i"], "i")
+    i = _as_shift(params["i"], "i")
     _require(math.gcd(i, m) == 1, "gcd(i,m)=1")
     s_bits = _as_bits(field, params["s"], "s")
     c_bits = _as_bits(field, params["c"], "c")
@@ -370,7 +378,7 @@ def _build_f7_f8_f9(field: Field, params: dict) -> UnivariatePoly:
     n = field.n
     _require(n % 3 == 0, "n=3m")
     m = n // 3
-    s = _as_int(params["s"], "s")
+    s = _as_shift(params["s"], "s")
     _require(math.gcd(m, 3) == 1, "gcd(m,3)=1")
     _require(math.gcd(s, 3 * m) == 1, "gcd(s,3m)=1")
     _require((m + s) % 3 == 0, "3 | m+s")
@@ -431,7 +439,7 @@ def _build_f11(field: Field, params: dict) -> UnivariatePoly:
     m = n // 2
     _require(m % 2 == 1, "m odd")
     _require(m % 3 != 0, "3 does not divide m")
-    i = _as_int(params["i"], "i")
+    i = _as_shift(params["i"], "i")
     valid = _f11_valid_i(m, n)
     _require(i in valid, f"i in {sorted(valid)} (i = m-2 or its inverse mod n)")
     from .gf2n import subfield_embedding
@@ -502,7 +510,7 @@ def _build_bivariate_known(
         _require(math.gcd(3, m) == 1, "gcd(3,m)=1")
         return _new_bivariate_form(component)
     if tag == "F13":
-        k, i = _as_int(params["k"], "k"), _as_int(params["i"], "i")
+        k, i = _as_shift(params["k"], "k"), _as_shift(params["i"], "i")
         alpha = _as_bits(component, params["alpha"], "alpha")
         _require(math.gcd(k, m) == 1, "gcd(k,m)=1")
         _require(m % 2 == 0, "m even")
@@ -513,7 +521,7 @@ def _build_bivariate_known(
             [(1, (1 << k) + 1, 0), (alpha, 0, ((1 << k) + 1) * (1 << i))],
         )
     if tag == "F14":
-        k = _as_int(params["k"], "k")
+        k = _as_shift(params["k"], "k")
         a = _as_bits(component, params["a"], "a")
         b = _as_bits(component, params["b"], "b")
         _require(math.gcd(k, m) == 1, "gcd(k,m)=1")
@@ -537,7 +545,7 @@ def _build_bivariate_known(
             ],
         )
     if tag == "F15":
-        i = _as_int(params["i"], "i")
+        i = _as_shift(params["i"], "i")
         b = _as_bits(component, params["b"], "b")
         c = _as_bits(component, params["c"], "c")
         _require(m % 2 == 0, "m even")
@@ -571,7 +579,7 @@ def _build_bivariate_known(
             ],
         )
     if tag in ("F16", "F17"):
-        i = _as_int(params["i"], "i")
+        i = _as_shift(params["i"], "i")
         _require(math.gcd(3 * i, m) == 1, "gcd(3i,m)=1")
         first = [
             (1, (1 << i) + 1, 0),
@@ -613,7 +621,7 @@ def make_known(fid: FamilyId, field: Field) -> FamilyInstance:
         _require(field.n == per_unit * _as_int(p[key], key), f"n = {per_unit}m")
     if tag == "NewTrinomial":
         _require(field == field_new(field.n), "default modulus")
-        return make_new_trinomial(_as_int(p["m"], "m"), _as_int(p["s"], "s"),
+        return make_new_trinomial(_as_int(p["m"], "m"), _as_shift(p["s"], "s"),
                                   p["mu"], p["v"])
     if tag == "EdelPottP":
         return make_edel_pott(field, field.element(_as_bits(field, p["u"], "u")))

@@ -104,6 +104,13 @@ def _graph_indicator_row(f: FunctionTable) -> np.ndarray:
     return row
 
 
+def _close_upward(dead: np.ndarray, bits: int) -> None:
+    """Set every entry whose index contains the index of a set entry."""
+    for i in range(bits):
+        pairs = dead.reshape(-1, 2, 1 << i)
+        pairs[:, 1] |= pairs[:, 0]
+
+
 def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     """Rank of the incidence matrix without materialising it.
 
@@ -115,16 +122,44 @@ def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     inside the span, so one pass over the bits suffices even though the
     basis keeps growing.  Stored rows are never rewritten, so the round-start
     ``rows_view`` is the round's snapshot.
+
+    Each stored row carries a label, the bitmask of the translate bits that
+    made it: the indicator has label 0, and the row that round ``t`` stores
+    from a snapshot row labelled ``A`` has label ``A | 1 << t``.  Labels are
+    visited in increasing order (colex order of bit sets).  With
+    ``s_i = 1 + sigma_i`` and ``f`` the indicator, the rows absorbed before
+    the candidate labelled ``L`` span the ``s^B f`` over all labels
+    ``B < L``.  If the candidate ``L = A | 1 << t`` reduces to zero,
+    ``s^L f`` lies in that span; multiplying by ``s^C`` for a ``C``
+    disjoint from ``L`` keeps it there, since ``s_i^2 = 0`` and a disjoint
+    ``C`` keeps the order.  So the round skips every later snapshot row
+    whose label contains ``A``: each would reduce to zero (the Groebner
+    staircase criterion: multiples of a non-standard monomial are
+    non-standard).  Skips are decided between chunks of
+    ``bitlinalg._CHUNK_ROWS`` live snapshot rows.
     """
     n = f.field.n
     side = 1 << (2 * n)
     basis = GF2Basis(side, budget=budget)
     basis.absorb(_graph_indicator_row(f))
+    labels = np.zeros(basis.count, dtype=np.int64)
     for t in range(2 * n):
         src = basis.rows_view()
-        step = bitlinalg._CHUNK_ROWS
-        for start in range(0, src.shape[0], step):
-            basis.absorb(xor_permute_columns(src[start : start + step], 1 << t, side))
+        dead = np.zeros(1 << t, dtype=bool)
+        grown = [labels]
+        pos = 0
+        while True:
+            live = np.flatnonzero(~dead[labels[pos:]])[: bitlinalg._CHUNK_ROWS]
+            if live.size == 0:
+                break
+            take = pos + live
+            pos = int(take[-1]) + 1
+            gave = np.zeros(take.size, dtype=bool)
+            basis.absorb(xor_permute_columns(src[take], 1 << t, side), out=gave)
+            grown.append(labels[take[gave]] | (1 << t))
+            dead[labels[take[~gave]]] = True
+            _close_upward(dead, t)
+        labels = np.concatenate(grown)
     return basis.rank
 
 

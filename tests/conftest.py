@@ -1,5 +1,5 @@
-"""Shared fixtures: cached small fields, the textbook GF(2) rank oracle and an
-extended-run gate."""
+"""Shared fixtures: cached small fields, the textbook GF(2) rank oracle, the
+unskipped translate closure and an extended-run gate."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ import os
 import numpy as np
 import pytest
 
+from apnlab.bitlinalg import GF2Basis, xor_permute_columns
 from apnlab.gf2n import Field, field_new
+from apnlab.invariants import _graph_indicator_row
+from apnlab.vbf import FunctionTable
 
 _FIELDS: dict[int, Field] = {}
 
@@ -38,6 +41,30 @@ def naive_rank(dense: np.ndarray) -> int:
         if r == rows:
             break
     return r
+
+
+def unskipped_closure(t: FunctionTable, chunk_rows: int):
+    """The translate closure with no skip: every round translates and absorbs
+    every row of its snapshot, ``chunk_rows`` at a time.  Returns the basis,
+    the label of each basis row (the bitmask of the translate bits that made
+    it), the new pivots of each round and the number of rows absorbed."""
+    side = 1 << (2 * t.field.n)
+    basis = GF2Basis(side)
+    absorbed = 1
+    basis.absorb(_graph_indicator_row(t))
+    labels = [0]
+    pivots = []
+    for r in range(2 * t.field.n):
+        src = basis.rows_view()
+        before = basis.count
+        for start in range(0, src.shape[0], chunk_rows):
+            chunk = src[start: start + chunk_rows]
+            gave = np.zeros(chunk.shape[0], dtype=bool)
+            basis.absorb(xor_permute_columns(chunk, 1 << r, side), out=gave)
+            labels += [a | 1 << r for a, g in zip(labels[start:], gave) if g]
+            absorbed += chunk.shape[0]
+        pivots.append(basis.count - before)
+    return basis, labels, pivots, absorbed
 
 
 @pytest.fixture

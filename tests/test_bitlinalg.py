@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apnlab import bitlinalg
 from apnlab.bitlinalg import (
     BitMatrix,
     GF2Basis,
@@ -147,6 +148,25 @@ def test_basis_incremental_absorb():
     assert len(set(piv)) == len(piv)
 
 
+def test_basis_absorb_reports_which_rows_gave_pivots(monkeypatch):
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 16)  # flags span 3 chunks
+    rng = np.random.default_rng(9)
+    d = random_dense(rng, 40, 70, 0.3)
+    d[[7, 20]] = d[[3, 5]]  # repeats give no pivot
+    d[30] = 0
+    data = BitMatrix.from_dense01(d).data
+    basis = GF2Basis(70)
+    gave = np.zeros(40, dtype=bool)
+    assert basis.absorb(data, out=gave) == gave.sum() == basis.rank
+    # row i gives a pivot exactly when it raises the rank of rows 0..i
+    want = [naive_rank(d[: i + 1]) > naive_rank(d[:i]) if i else d[0].any()
+            for i in range(40)]
+    assert gave.tolist() == [bool(w) for w in want]
+    assert not gave[[7, 20, 30]].any()
+    with pytest.raises(PreconditionError, match="one flag per row"):
+        basis.absorb(data, out=np.zeros(39, dtype=bool))
+
+
 def test_basis_never_rewrites_stored_rows():
     # row 0 has the pivot column of row 5 set; completing the block must
     # leave it as stored, and the block's index map must still clear a
@@ -207,6 +227,10 @@ def test_xor_permute_columns_is_involution():
         once = xor_permute_columns(m.data, mask, cols)
         twice = xor_permute_columns(once, mask, cols)
         assert np.array_equal(twice, m.data)
+        # word moves come out C-ordered, with no second copy to get there
+        assert once.flags.c_contiguous
+        fortran = xor_permute_columns(np.asfortranarray(m.data), mask, cols)
+        assert fortran.flags.c_contiguous and np.array_equal(fortran, once)
         # column j of the permuted matrix is column j ^ mask of the original
         moved = BitMatrix(10, cols, once).to_dense01()
         assert np.array_equal(moved, d[:, np.arange(cols) ^ mask])

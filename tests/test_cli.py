@@ -85,6 +85,28 @@ def test_check_rejects_non_integer_parameters(capsys, descriptor, name):
     assert f"parameter {name} must be an integer" in out["error"]
 
 
+@pytest.mark.parametrize("descriptor, name", [
+    ('{tag:"Gold", n:8, i:-1}', "i"),
+    ('{tag:"Kasami", n:7, i:-2}', "i"),
+    ('{tag:"F1", n:12, k:4, s:-1}', "s"),
+    ('{tag:"F2", n:12, k:-3, s:1}', "k"),
+    ('{tag:"F3", n:6, i:-1, s:1, c:1}', "i"),
+    ('{tag:"F7", n:12, s:-1, v:0, w:0}', "s"),
+    ('{tag:"F11", n:10, i:-1}', "i"),
+    ('{tag:"F13", m:4, k:1, i:-1, alpha:1}', "i"),
+    ('{tag:"F13", m:4, k:-1, i:0, alpha:1}', "k"),
+    ('{tag:"F14", m:3, k:-1, a:1, b:1}', "k"),
+    ('{tag:"F15", m:4, i:-1, b:1, c:1}', "i"),
+    ('{tag:"F16", m:4, i:-1}', "i"),
+    ('{tag:"NewTrinomial", m:3, s:-1, mu:1, v:0}', "s"),
+])
+def test_check_rejects_negative_shift_parameters(capsys, descriptor, name):
+    code, out, _ = run(capsys, "check", "--family", descriptor)
+    assert code == 2
+    assert out["schema"] == "apnlab/error/v1"
+    assert f"parameter {name} must be >= 0" in out["error"]
+
+
 def test_check_descriptor_from_file(tmp_path, capsys):
     p = tmp_path / "desc.json"
     p.write_text('{tag:"Welch", n:5}')
@@ -299,6 +321,17 @@ def test_export_code_round_trip(tmp_path, capsys):
     assert out["rows"] == 11 and out["cols"] == 32
     fld, mat = parse_code_export(out_path.read_text())
     assert fld.n == 5 and mat.rows == 11
+
+
+def test_export_code_unwritable_path_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.m"
+    code, out, err = run(capsys, "export-code", "--family",
+                         '{tag:"Gold", n:4, i:1}', "--format", "script",
+                         "--out", str(out_path))
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert f"cannot write {out_path}" in out["error"]
+    assert "Traceback" not in err and not out_path.parent.exists()
 
 
 def test_export_code_script(tmp_path, capsys):

@@ -17,7 +17,7 @@ from apnlab.invariants import (
 )
 from apnlab.vbf import FunctionTable, UnivariatePoly, to_table
 
-from conftest import get_field, naive_rank
+from conftest import get_field, naive_rank, unskipped_closure
 
 
 def gold_table(n: int) -> FunctionTable:
@@ -104,7 +104,7 @@ def test_gamma_rank_frozen_values():
     assert gamma_rank(gold_table(6)).gamma_rank == 1102
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_translate_closure_equals_direct_elimination(n):
     # the oracle shares no code with the packed eliminator
     t = gold_table(n)
@@ -128,6 +128,86 @@ def test_translate_closure_across_chunks_equals_direct_elimination(
     t = to_table(UnivariatePoly.monomial(get_field(n), e))
     assert gamma_rank(t).gamma_rank == naive_rank(dense_incidence(t))
     assert max(chunk_rows) == 64 and len(chunk_rows) > 2 * n
+
+
+def _traced_closure(monkeypatch, t: FunctionTable):
+    """Run ``gamma_rank`` on ``t``; return its basis and, for each call of
+    ``xor_permute_columns``, the mask, a copy of the rows it translated and
+    the pivots they gave."""
+    bases, calls = [], []
+
+    class Recording(invariants.GF2Basis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            bases.append(self)
+
+        def absorb(self, rows, out=None):
+            got = super().absorb(rows, out)
+            if calls:
+                calls[-1][2] = got
+            return got
+
+    def recording(data, mask, cols):
+        calls.append([mask, data.copy(), None])
+        return xor_permute_columns(data, mask, cols)
+
+    monkeypatch.setattr(invariants, "GF2Basis", Recording)
+    monkeypatch.setattr(invariants, "xor_permute_columns", recording)
+    rank_value = gamma_rank(t).gamma_rank
+    (basis,) = bases
+    assert basis.rank == rank_value
+    return basis, calls
+
+
+def _staircase_chunks(labels: list[int], pivots: list[int], chunk_rows: int):
+    """The (mask, snapshot indices) of each chunk the skipping closure should
+    translate, from the unskipped closure's labels: a round skips a row whose
+    label contains the label of a row that reduced to zero in an earlier
+    chunk of the same round.  Sets and subset tests; no code shared with the
+    closure."""
+    stored = set(labels)
+    chunks = []
+    size = 1
+    for r, new in enumerate(pivots):
+        zero: list[int] = []
+        pos = 0
+        while True:
+            take = [i for i in range(pos, size)
+                    if not any(labels[i] & a == a for a in zero)][:chunk_rows]
+            if not take:
+                break
+            chunks.append((1 << r, take))
+            zero += [labels[i] for i in take if labels[i] | 1 << r not in stored]
+            pos = take[-1] + 1
+        size += new
+    return chunks
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("e", ["3", "7", "inverse"])
+def test_translate_closure_skip_matches_unskipped_closure(monkeypatch, n, e):
+    # A skipped row must be one that reduces to zero where it stands, so the
+    # basis is the unskipped closure's, row for row, and every round adds
+    # the same pivots; a lost pivot row that a later round recovers would
+    # leave the final rank alone but not the rounds.  The rows translated
+    # must be exactly those the staircase rule leaves, so dropping a row that
+    # would have reduced to zero fails too.  With 64-row chunks the skip
+    # fires at these sizes.
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 64)
+    exponent = (1 << n) - 2 if e == "inverse" else int(e)
+    t = to_table(UnivariatePoly.monomial(get_field(n), exponent))
+    ref_basis, labels, ref_pivots, ref_absorbed = unskipped_closure(t, 64)
+    basis, calls = _traced_closure(monkeypatch, t)
+
+    pivots = [sum(got for mask, _, got in calls if mask == 1 << r)
+              for r in range(2 * n)]
+    assert pivots == ref_pivots
+    assert np.array_equal(basis.rows_view(), ref_basis.rows_view())
+    index = {row.tobytes(): i for i, row in enumerate(ref_basis.rows_view())}
+    chunks = [(mask, [index[row.tobytes()] for row in rows])
+              for mask, rows, _ in calls]
+    assert chunks == _staircase_chunks(labels, ref_pivots, 64)
+    assert 1 + sum(len(take) for _, take in chunks) < ref_absorbed
 
 
 def test_gamma_rank_report_shape():

@@ -1,5 +1,6 @@
-"""Public names: every ``__all__`` entry resolves, and every attribute the
-benchmark in ``apnbench/`` patches or reads still exists."""
+"""Public names: every ``__all__`` entry resolves, every attribute the
+benchmark in ``apnbench/`` patches or reads still exists, and its tracer
+still sees the translate closure's calls."""
 
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ from pathlib import Path
 import pytest
 
 import apnlab
+from apnlab import bitlinalg, invariants
+from apnlab.gf2n import field_new
+from apnlab.vbf import UnivariatePoly, to_table
+
+from conftest import unskipped_closure
 
 APNBENCH = Path(__file__).resolve().parent.parent / "apnbench"
 MODULES = sorted(f"apnlab.{m.name}" for m in pkgutil.iter_modules(apnlab.__path__))
@@ -51,3 +57,30 @@ def test_span_tracer_patches_existing_attributes():
 def test_worker_metadata_reads_existing_attributes():
     meta = _load("worker")._meta()
     assert meta["gf2basis_backend"] == "numpy"
+
+
+def test_span_tracer_sees_the_translate_closure(monkeypatch):
+    # the benchmark's per-layer evidence reads the closure's xor_permute and
+    # absorb calls; with 64-row chunks the skip fires on Gold n=5
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 64)
+    absorbed = []
+
+    class Counting(bitlinalg.GF2Basis):
+        def absorb(self, rows, out=None):
+            absorbed.append(rows.shape[0])
+            return super().absorb(rows, out)
+
+    monkeypatch.setattr(invariants, "GF2Basis", Counting)
+    spans = _load("spans")
+    table = to_table(UnivariatePoly.monomial(field_new(5), 3))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rank_value = invariants.gamma_rank(table).gamma_rank
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, 0.0)
+    assert metrics["invariants.rounds"] == 2 * 5
+    assert metrics["bitlinalg.absorb_rows"] == sum(absorbed)
+    assert metrics["bitlinalg.absorb_pivots"] == rank_value
+    assert sum(absorbed) < unskipped_closure(table, 64)[3]
