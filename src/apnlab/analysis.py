@@ -3,7 +3,7 @@
 Four groups of tools:
 
 * difference-distribution statistics (:func:`ddt`, :func:`is_apn`, and the
-  two-solution shortcut :func:`is_apn_quadratic` valid for quadratic
+  derivative-rank test :func:`is_apn_quadratic` valid for quadratic
   functions, whose degree :func:`algebraic_degree` checks);
 * root classification of cubics ``z^3 + az + b`` over GF(2^m) via the
   quadratic resolvent ``t^2 + bt + a^3`` (:func:`cubic_root_count`),
@@ -14,8 +14,9 @@ Four groups of tools:
   the bivariate APN family's derivative system
   (:func:`verify_resultant_identity`);
 * the algebraic identity suite behind the trinomial family's APN proof
-  (:func:`verify_key_lemma` and :func:`sweep_key_lemma`), which recomputes
-  every displayed quantity and factorization from scratch at each point.
+  (:func:`verify_key_lemma`, :func:`sweep_key_lemma` and its batched form
+  :func:`sweep_key_lemmas`), which recomputes every displayed quantity and
+  factorization from scratch at each point.
 
 Everything here is exact GF(2^m) arithmetic; no floating point, no
 sampling unless a pointwise mode is explicitly requested.
@@ -48,6 +49,7 @@ __all__ = [
     "resultant",
     "resultant_bivariate",
     "sweep_key_lemma",
+    "sweep_key_lemmas",
     "verify_adjoint_permutation_agreement",
     "verify_key_lemma",
     "verify_resultant_identity",
@@ -57,16 +59,20 @@ __all__ = [
 _DDT_MAX_N = 16
 _DDT_WARN_N = 14
 _WITNESS_CAP = 16
-#: DDT cells tallied per vectorised pass (whole rows of the table).
+#: Cells per vectorised pass: DDT cells (whole rows of the table), and the
+#: n basis images per direction of the quadratic rank test.
 _DDT_CELLS_PER_PASS = 1 << 16
+#: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
+_KEY_ELEMS_PER_PASS = 1 << 18
 
-#: Peak bytes per (a, b, x) point of the full resultant sweep: the int64
-#: index (8 B); 4 B for each uint32 array live at the determinant's widest
-#: step, i.e. 15 inputs (a, b, x, a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the
-#: Sylvester entries f2, f1, f0, g1, g0) and 25 partial minors; and 33 B of
-#: one ``mul_vec`` call's scratch (a 1 B mask, three int64 log/index arrays
-#: and two uint32 gathers).  Measured peak: 197 B/point at m = 4..6.
-_RESULTANT_BYTES_PER_POINT = 8 + 4 * (15 + 25) + 33
+#: Peak bytes per (a, b, x) point of the full resultant sweep: 4 B for each
+#: uint32 array live at the determinant's widest step, i.e. 15 inputs (a, b,
+#: x, a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the Sylvester entries f2, f1, f0,
+#: g1, g0) and 25 partial minors; 12 B of one ``mul_vec`` call's scratch (two
+#: int32 log gathers and their int32 sum); and 4 B for the arrays that do not
+#: grow with the points (tables, the (a, b) side sweep), 1.8 B/point at m = 4.
+#: Measured peak (tracemalloc): 173.8 B/point at m = 4, 172.0 at m = 5..7.
+_RESULTANT_BYTES_PER_POINT = 4 * (15 + 25) + 12 + 4
 
 
 # ----------------------------------------------------------------------
@@ -179,23 +185,45 @@ def algebraic_degree(f: FunctionTable) -> int:
 
 
 def is_apn_quadratic(f: FunctionTable) -> bool:
-    """Two-solution shortcut: every f(z+a)+f(z)+f(a)+f(0) vanishes only at {0, a}.
+    """APN test for quadratic ``f`` by the ranks of its derivatives.
 
-    Agrees with :func:`is_apn` whenever ``f`` is quadratic (each derivative
-    is then affine, so its value is taken equally often everywhere it is
-    taken at all); raises :class:`PreconditionError` above degree 2.
+    For quadratic ``f`` and a != 0 the map x -> f(x+a)+f(x)+f(a)+f(0) is
+    GF(2)-linear and vanishes at a, so ``f`` is APN iff every such map has
+    rank n-1, i.e. kernel {0, a}.  The ranks come from the images of the n
+    basis vectors, for a whole block of directions a at once.  Raises
+    :class:`PreconditionError` above degree 2, where the maps are not linear.
     """
     if algebraic_degree(f) > 2:
         raise PreconditionError("condition violated: algebraic degree <= 2")
-    order = f.field.order
+    n, order = f.field.n, f.field.order
     lut = f.lut
-    zs = np.arange(order, dtype=np.uint32)
-    f0 = int(lut[0])
-    for a in range(1, order):
-        vals = lut[zs ^ a] ^ lut ^ int(lut[a]) ^ f0
-        if int((vals == 0).sum()) != 2:
+    basis = np.uint32(1) << np.arange(n, dtype=np.uint32)
+    step = max(1, _DDT_CELLS_PER_PASS // n)
+    for a0 in range(1, order, step):
+        a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)[:, None]
+        images = lut[a ^ basis] ^ lut[basis] ^ lut[a] ^ lut[0]
+        if np.any(_row_ranks(images, n) != n - 1):
             return False
     return order > 1
+
+
+def _row_ranks(vectors: np.ndarray, n: int) -> np.ndarray:
+    """GF(2) rank of the n-bit vectors in each row of ``vectors``.
+
+    Gaussian elimination on every row at once: for each bit, the first
+    vector of a row with that bit set is its pivot and is XORed into every
+    vector of the row with the bit set, itself included.
+    """
+    vectors = vectors.copy()
+    rows = np.arange(vectors.shape[0])
+    ranks = np.zeros(vectors.shape[0], dtype=np.int64)
+    for bit in range(n):
+        has = (vectors >> bit) & 1
+        pivot = vectors[rows, has.argmax(axis=1)]
+        pivot *= (pivot >> bit) & 1  # rows with no vector carrying the bit
+        vectors ^= has * pivot[:, None]
+        ranks += pivot != 0
+    return ranks
 
 
 # ----------------------------------------------------------------------
@@ -535,10 +563,7 @@ def verify_resultant_identity(
             raise MemoryBudgetError(
                 f"full resultant sweep at m={m} needs {need} bytes, "
                 f"budget is {limit}")
-        idx = np.arange(order**3, dtype=np.int64)
-        a = (idx // (order * order)).astype(np.uint32)
-        b = ((idx // order) % order).astype(np.uint32)
-        x = (idx % order).astype(np.uint32)
+        a, b, x = np.indices((order,) * 3, dtype=np.uint32).reshape(3, -1)
     elif mode == "pointwise":
         rng = np.random.default_rng(seed)
         a = rng.integers(0, order, samples).astype(np.uint32)
@@ -663,9 +688,11 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
                       a, la, vec: bool) -> dict:
     """The proof's displayed quantities at ``a`` (scalar or elementwise).
 
-    With ``vec`` false, ``a``/``la`` are ints and every value is an int;
-    with ``vec`` true they are uint32 arrays and every value is an array of
-    the same shape.  One body serves both so the exhaustive sweep cannot
+    With ``vec`` false, every argument is an int and every value is an int.
+    With ``vec`` true, ``a`` is a uint32 array of points, ``la`` holds L(a)
+    for each tuple, and ``mu_bits``/``v_bits`` are ints or per-tuple
+    ``(T, 1)`` columns; every value is an array of the broadcast shape,
+    one row per tuple.  One body serves both so the exhaustive sweep cannot
     drift from the single-point report.
     """
     mul = field.mul_vec if vec else field.mul
@@ -677,7 +704,7 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
     cv = la ^ mul(v_bits, a)
 
     A = mul(la, pw(a, 1 << (2 * m + s)))
-    B = mul(lam ^ mul(field.pow(mu_bits, qm), la), pw(a, 1 << (m + s)))
+    B = mul(lam ^ mul(pw(mu_bits, qm), la), pw(a, 1 << (m + s)))
     C = mul(cv, pw(a, qm))
     D = mul(mu_bits, mul(lam, pw(a, qs)))
     E = mul(pw(cv, qm), a)
@@ -723,8 +750,8 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
         pw(A, q2 + 1) ^ mul(B, pw(D, q2)), pw(A, qm + 1) ^ mul(pw(B, qm), D)
     )
 
-    mum = field.pow(mu_bits, qm)
-    mu2 = field.pow(mu_bits, q2)
+    mum = pw(mu_bits, qm)
+    mu2 = pw(mu_bits, q2)
 
     def ap(e: int):
         return pw(a, e)
@@ -733,8 +760,8 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
         mul(mum, ap((1 << (m + s)) + 1))
         ^ ap((1 << (2 * m + s)) + 1)
         ^ ap((1 << (m + s)) + qm)
-        ^ mul(field.pow(mu_bits, qm + 1), ap(q2 + (1 << (m + s))))
-        ^ mul(field.pow(mu_bits, q2 + 1), ap((1 << (2 * m + s)) + qm))
+        ^ mul(pw(mu_bits, qm + 1), ap(q2 + (1 << (m + s))))
+        ^ mul(pw(mu_bits, q2 + 1), ap((1 << (2 * m + s)) + qm))
         ^ mul(mu_bits, ap((1 << (2 * m + s)) + q2))
     )
     V = (
@@ -744,8 +771,8 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
         ^ ap((1 << (2 * m + s)) + q2)
     )
     T = (
-        mul(field.pow(mu_bits, q2 + qm + 1) ^ 1, ap(qs))
-        ^ mul(field.pow(mu_bits, q2 + qm), a)
+        mul(pw(mu_bits, q2 + qm + 1) ^ 1, ap(qs))
+        ^ mul(pw(mu_bits, q2 + qm), a)
         ^ mul(mu2, ap(qm))
         ^ ap(q2)
     )
@@ -914,28 +941,66 @@ def sweep_key_lemma(m: int, s: int, mu, v) -> KeyLemmaSweep:
 
     Equivalent to folding :func:`verify_key_lemma` over the whole field
     (the two share one quantity-evaluation body) but computed elementwise
-    on arrays, which keeps exhaustive parameter sweeps inside test budgets.
+    on arrays; a one-tuple call of :func:`sweep_key_lemmas`.
+    """
+    return sweep_key_lemmas(m, [(s, mu, v)])[0]
+
+
+def sweep_key_lemmas(m: int, params) -> list[KeyLemmaSweep]:
+    """:func:`sweep_key_lemma` for each ``(s, mu, v)`` of ``params``, in order.
+
+    Consecutive tuples that share ``s`` are evaluated in one pass, with mu
+    and v as per-tuple columns against the row of points, up to
+    ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs per pass.  Each tuple is
+    validated as :func:`sweep_key_lemma` validates it, and its sweep comes
+    out the same.
     """
     from .families import validate_trinomial_params
 
-    field, L, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
+    cap = max(1, _KEY_ELEMS_PER_PASS // ((1 << (3 * m)) - 1))
+    out: list[KeyLemmaSweep] = []
+    group_s, group = None, []
+    for s, mu, v in params:
+        checked = validate_trinomial_params(m, s, mu, v)
+        if group and (s != group_s or len(group) == cap):
+            out += _sweep_key_group(m, group_s, group)
+            group = []
+        group_s = s
+        group.append(checked)
+    if group:
+        out += _sweep_key_group(m, group_s, group)
+    return out
+
+
+def _sweep_key_group(m: int, s: int, group: list[tuple]) -> list[KeyLemmaSweep]:
+    """One pass over validated tuples ``(field, L, mu_bits, v_bits)``."""
+    fields, maps, mus, vs = zip(*group)
+    field = fields[0]
     a = field.all_elements_vec()[1:]
-    la = L.eval_vec(a)
-    q = _key_point_values(field, m, s, mu_bits, v_bits, a, la, vec=True)
-    claims_ok = np.logical_and.reduce(_key_claims(field, s, q, vec=True))
-
-    fact_ok = np.ones(a.shape, dtype=bool)
-    for _, ok in _key_factorization_checks(
-        field, m, s, mu_bits, v_bits, a, q, vec=True
-    ):
+    mu = np.array(mus, dtype=np.uint32)[:, None]
+    v = np.array(vs, dtype=np.uint32)[:, None]
+    la = np.stack([L.eval_vec(a) for L in maps])
+    q = _key_point_values(field, m, s, mu, v, a, la, vec=True)
+    claims_ok = np.ones(la.shape, dtype=bool)
+    for ok in _key_claims(field, s, q, vec=True):
+        claims_ok &= ok
+    fact_ok = np.ones(la.shape, dtype=bool)
+    for _, ok in _key_factorization_checks(field, m, s, mu, v, a, q, vec=True):
         fact_ok &= ok
+    claims_all = claims_ok.all(axis=1)
+    fact_all = fact_ok.all(axis=1)
 
-    claim_bad = [int(x) for x in a[~claims_ok][:_WITNESS_CAP]]
-    fact_bad = [int(x) for x in a[~fact_ok][:_WITNESS_CAP]]
-    return KeyLemmaSweep(
-        m=m, s=s, mu=mu_bits, v=v_bits, total=int(a.size),
-        claim_failures=claim_bad, factorization_failures=fact_bad,
-    )
+    def bad(ok_row: np.ndarray) -> list[int]:
+        return [int(x) for x in a[~ok_row][:_WITNESS_CAP]]
+
+    return [
+        KeyLemmaSweep(
+            m=m, s=s, mu=mu_bits, v=v_bits, total=int(a.size),
+            claim_failures=[] if claims_all[t] else bad(claims_ok[t]),
+            factorization_failures=[] if fact_all[t] else bad(fact_ok[t]),
+        )
+        for t, (mu_bits, v_bits) in enumerate(zip(mus, vs))
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -953,19 +1018,16 @@ def verify_subfield_scaled_permutations(m: int, s: int, mu) -> bool:
     preconditions fail.
     """
     from .families import validate_trinomial_params
-    from .vbf import LinearizedPoly, is_linearized_permutation
+    from .vbf import LinearizedPoly
 
     # v = u^0 = 1 lies in GF(2^m)*, so only the conditions on s and mu bite
     field, _, mu_bits, _ = validate_trinomial_params(m, s, mu, 0)
-    lift = subfield_embedding(field, field_new(m))
-    for beta_small in range(1 << m):
-        beta = int(lift[beta_small])
-        L = LinearizedPoly.from_exponent_terms(
-            field, [(1, m + s), (mu_bits, s), (beta, 0)]
-        )
-        if not is_linearized_permutation(L):
-            return False
-    return True
+    betas = subfield_embedding(field, field_new(m))
+    head = LinearizedPoly.from_exponent_terms(field, [(1, m + s), (mu_bits, s)])
+    basis = np.uint32(1) << np.arange(field.n, dtype=np.uint32)
+    # images of the basis under head(z) + beta z, one row per beta
+    images = head.eval_vec(basis) ^ field.mul_vec(betas[:, None], basis)
+    return bool(np.all(_row_ranks(images, field.n) == field.n))
 
 
 def verify_adjoint_permutation_agreement(L) -> bool:

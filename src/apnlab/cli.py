@@ -28,7 +28,7 @@ from .analysis import (
     cubic_root_count,
     ddt,
     is_apn_quadratic,
-    sweep_key_lemma,
+    sweep_key_lemmas,
     verify_resultant_identity,
 )
 from .families import (
@@ -233,20 +233,15 @@ def _cmd_verify(args) -> dict:
     sub_step = field.mult_order // ((1 << m) - 1)
     vs = [field.element(field.primitive_power(sub_step * j))
           for j in range((1 << m) - 1)]
-    failures = []
-    checked = 0
-    for s, mu in tuples:
-        for v in vs:
-            sweep = sweep_key_lemma(m, s, mu, v)
-            checked += 1
-            if not sweep.all_pass and len(failures) < 16:
-                failures.append(sweep.to_json_dict())
+    params = [(s, mu, v) for s, mu in tuples for v in vs]
+    failures = [sweep.to_json_dict() for sweep in sweep_key_lemmas(m, params)
+                if not sweep.all_pass][:16]
     return {
         "schema": "apnlab/verify/v1",
         "lemma": "key",
         "m": m,
         "s": args.s,
-        "tuples_checked": checked,
+        "tuples_checked": len(params),
         "points_per_tuple": field.order - 1,
         "failures": failures,
         "ok": not failures,
@@ -285,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--family", required=True,
                    help="JSON descriptor, inline or @file")
     c.add_argument("--quadratic-shortcut", action="store_true",
-                   help="use the two-solution test valid for quadratics")
+                   help="use the derivative-rank test valid for quadratics")
     c.set_defaults(fn=_cmd_check)
 
     d = sub.add_parser("ddt", help="full difference-distribution summary")

@@ -206,12 +206,24 @@ class Field:
                 a ^= m
         return r
 
+    def _mul_raw_vec(self, a: np.ndarray, c: int) -> np.ndarray:
+        """Elementwise c * a by shift-and-add, without the tables."""
+        m, n = np.uint32(self.modulus), self.n
+        a = np.array(a, dtype=np.uint32)
+        r = np.zeros_like(a)
+        while c:
+            if c & 1:
+                r ^= a
+            c >>= 1
+            a <<= 1
+            a ^= (a >> n) * m
+        return r
+
     def mul(self, a: int, b: int) -> int:
         if self._log is not None:
             if a == 0 or b == 0:
                 return 0
-            return int(self._exp[(int(self._log[a]) + int(self._log[b]))
-                                 % self.mult_order])
+            return int(self._exp[int(self._log[a]) + int(self._log[b])])
         return self._mul_raw(a, b)
 
     def sqr(self, a: int) -> int:
@@ -294,21 +306,32 @@ class Field:
     # -- tables and bulk operations -------------------------------------------
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The exp/log tables of the canonical primitive element g.
+
+        ``exp`` holds g^0..g^(2m-1) for m = 2^n - 1, so a sum of two logs
+        needs no reduction, then a zero tail of 2m + 1 entries; ``log[0]``
+        is 2m, so any sum with a zero operand lands in that tail and reads
+        0.  Logs are int32: a sum of two is at most 4m < 2^26 for n <= 24.
+        """
         if self._exp is None:
             if self.n > _MAX_TABLE_N:
                 raise PreconditionError(
                     f"log/exp tables unsupported beyond n={_MAX_TABLE_N}")
             m = self.mult_order
-            exp = np.empty(2 * m, dtype=np.uint32)
-            log = np.empty(self.order, dtype=np.int64)
-            log[0] = -1  # sentinel; bulk paths mask zeros before gathering
-            x = 1
-            for i in range(m):
-                exp[i] = x
-                log[x] = i
-                x = self._mul_raw(x, self.primitive)
-            assert x == 1, "primitive does not have full order"
-            exp[m:] = exp[:m]
+            exp = np.zeros(4 * m + 1, dtype=np.uint32)
+            exp[0] = 1
+            k = 1
+            while k < m:  # g^(k..2k-1) = g^(0..k-1) * g^k
+                step = min(k, m - k)
+                g_k = self._mul_raw(int(exp[k - 1]), self.primitive)
+                exp[k:k + step] = self._mul_raw_vec(exp[:step], g_k)
+                k += step
+            assert self._mul_raw(int(exp[m - 1]), self.primitive) == 1, \
+                "primitive does not have full order"
+            exp[m:2 * m] = exp[:m]
+            log = np.empty(self.order, dtype=np.int32)
+            log[0] = 2 * m
+            log[exp[:m]] = np.arange(m, dtype=np.int32)
             self._exp, self._log = exp, log
         return self._exp, self._log
 
@@ -316,32 +339,13 @@ class Field:
         return np.arange(self.order, dtype=np.uint32)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements."""
+        """Elementwise product of two arrays of field elements (broadcasting)."""
         exp, log = self._tables()
-        a = np.asarray(a, dtype=np.uint32)
-        b = np.asarray(b, dtype=np.uint32)
-        nz = (a != 0) & (b != 0)
-        la = log[a]
-        lb = log[b]
-        idx = np.where(nz, la + lb, 0)  # la+lb < 2*mult_order: exp is doubled
-        out = exp[idx].astype(np.uint32)
-        out[~nz] = 0
-        return out
+        return exp.take(log.take(a) + log.take(b))
 
     def mul_scalar_vec(self, c: int, a: np.ndarray) -> np.ndarray:
         """Elementwise c * a for a scalar field element c."""
-        a = np.asarray(a, dtype=np.uint32)
-        if c == 0:
-            return np.zeros_like(a)
-        if c == 1:
-            return a.copy()
-        exp, log = self._tables()
-        lc = int(log[c])
-        nz = a != 0
-        idx = np.where(nz, log[a] + lc, 0)
-        out = exp[idx].astype(np.uint32)
-        out[~nz] = 0
-        return out
+        return self.mul_vec(c, a)
 
     def pow_vec(self, a: np.ndarray, e: int) -> np.ndarray:
         """Elementwise a**e (scalar integer e; 0^0 = 1, 0^e = 0 for e > 0)."""
@@ -350,13 +354,16 @@ class Field:
         if e == 0:
             return np.ones_like(a)
         m = self.mult_order
-        nz = a != 0
-        idx = np.where(nz, (log[a] * (e % m)) % m, 0)
-        out = exp[idx].astype(np.uint32)
-        if e < 0 and not nz.all():
+        la = log.take(a.ravel())
+        zero = la == 2 * m
+        if e < 0 and zero.any():
             raise ZeroDivisionError("inverse of 0 in " + repr(self))
-        out[~nz] = 0
-        return out
+        # int64 before the product: log * e overflows int32 from n = 16 on
+        idx = la.astype(np.int64)
+        idx *= e % m
+        idx %= m
+        idx[zero] = 2 * m
+        return exp.take(idx).reshape(a.shape)
 
     def inv_vec(self, a: np.ndarray) -> np.ndarray:
         return self.pow_vec(a, -1)

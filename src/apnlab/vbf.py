@@ -220,14 +220,10 @@ class LinearizedPoly:
 
     def matrix_rows(self) -> list[int]:
         """The map as an n x n GF(2) matrix, one int bit-row per output bit."""
-        n = self.field.n
-        rows = [0] * n
-        for j in range(n):
-            img = self.eval(1 << j)
-            for i in range(n):
-                if (img >> i) & 1:
-                    rows[i] |= 1 << j
-        return rows
+        bits = np.arange(self.field.n, dtype=np.uint32)
+        images = self.eval_vec(np.uint32(1) << bits)  # column j is L(x^j)
+        entries = (images >> bits[:, None]) & 1       # (i, j): bit i of L(x^j)
+        return [int(r) for r in (entries << bits).sum(axis=1)]
 
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         if other.field != self.field:

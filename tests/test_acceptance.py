@@ -20,7 +20,7 @@ from apnlab.analysis import (
     ddt,
     is_apn,
     is_apn_quadratic,
-    sweep_key_lemma,
+    sweep_key_lemmas,
     verify_adjoint_permutation_agreement,
     verify_resultant_identity,
     verify_subfield_scaled_permutations,
@@ -210,14 +210,14 @@ def test_criterion_06_key_lemma_exhaustive():
     tuples_checked = 0
     bad = []
     for m in (2, 3):
-        for s, mu in search_trinomial_params(m):
-            for v_exp in subfield_unit_exponents(m):
-                sweep = sweep_key_lemma(m, s, mu, v_exp)
-                tuples_checked += 1
-                if not sweep.all_pass:
-                    bad.append((m, s, mu.bits, v_exp,
-                                sweep.claim_failures[:2],
-                                sweep.factorization_failures[:2]))
+        params = [(s, mu, v_exp) for s, mu in search_trinomial_params(m)
+                  for v_exp in subfield_unit_exponents(m)]
+        for (s, mu, v_exp), sweep in zip(params, sweep_key_lemmas(m, params)):
+            tuples_checked += 1
+            if not sweep.all_pass:
+                bad.append((m, s, mu.bits, v_exp,
+                            sweep.claim_failures[:2],
+                            sweep.factorization_failures[:2]))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed <= budget_s
     report(6, ok,

@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from apnlab import analysis
 from apnlab.analysis import (
     _KEY_QUANTITIES,
+    KeyLemmaSweep,
     _key_claims,
     _key_point_values,
+    _row_ranks,
     algebraic_degree,
     brute_cubic_root_count,
     cubic_root_count,
@@ -21,6 +25,7 @@ from apnlab.analysis import (
     resultant,
     resultant_bivariate,
     sweep_key_lemma,
+    sweep_key_lemmas,
     verify_adjoint_permutation_agreement,
     verify_key_lemma,
     verify_resultant_identity,
@@ -30,12 +35,13 @@ from apnlab.errors import PreconditionError
 from apnlab.families import (
     FamilyId,
     make_known,
+    make_new_bivariate,
     search_trinomial_params,
     validate_trinomial_params,
 )
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
-from conftest import get_field
+from conftest import get_field, naive_rank
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +141,47 @@ def test_quadratic_shortcut_refuses_higher_degree():
     assert ddt(t).delta == 6
     with pytest.raises(PreconditionError, match=r"algebraic degree <= 2"):
         is_apn_quadratic(t)
+
+
+def test_quadratic_shortcut_rejects_non_apn_quadratics():
+    # z^(2^i+1) is APN on GF(2^n) exactly when gcd(i, n) = 1
+    assert not is_apn_quadratic(to_table(UnivariatePoly.monomial(get_field(6), 5)))
+    assert not is_apn_quadratic(to_table(UnivariatePoly.monomial(get_field(6), 9)))
+    assert is_apn_quadratic(to_table(UnivariatePoly.monomial(get_field(9), 3)))
+    # affine and constant maps have derivatives of rank 0
+    f = get_field(5)
+    assert not is_apn_quadratic(to_table(UnivariatePoly(f, [(3, 2), (1, 0)])))
+    assert not is_apn_quadratic(FunctionTable(f, np.full(32, 7, dtype=np.uint32)))
+    # every Gold exponent and random two-term quadratics, against the DDT
+    rng = np.random.default_rng(11)
+    for n in (5, 6, 7, 8):
+        f = get_field(n)
+        for i in range(1, n):
+            t = to_table(UnivariatePoly.monomial(f, (1 << i) + 1))
+            assert is_apn_quadratic(t) == (math.gcd(i, n) == 1) == is_apn(t)
+        weight2 = [e for e in range(1, f.order) if bin(e).count("1") == 2]
+        for _ in range(6):
+            terms = [(int(rng.integers(1, f.order)), int(e))
+                     for e in rng.choice(weight2, 2, replace=False)]
+            t = to_table(UnivariatePoly(f, terms))
+            assert is_apn_quadratic(t) == is_apn(t), (n, terms)
+
+
+def test_quadratic_shortcut_reaches_past_the_ddt():
+    # the DDT stops at n = 16; the rank test is 2^n (n x n) eliminations
+    for m in (8, 10):
+        assert is_apn_quadratic(make_new_bivariate(m).table), m
+
+
+def test_row_ranks_match_textbook_elimination():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9, 14):
+        vectors = rng.integers(0, 1 << n, (50, n), dtype=np.uint32)
+        vectors[::3, 1:] = vectors[::3, :1]  # some rank-deficient rows
+        got = _row_ranks(vectors, n)
+        for row, r in zip(vectors, got):
+            dense = (row[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+            assert r == naive_rank(dense)
 
 
 def test_is_apn_rejects_differentially_4_uniform():
@@ -345,6 +392,60 @@ def test_key_lemma_sweep_verdict_matches_every_single_point():
         assert all(getattr(rep, k) == q[k][i] for k in _KEY_QUANTITIES), point
 
 
+def _key_tuples(m: int) -> list[tuple]:
+    """Every (s, mu, v) the key verifier sweeps at this m, in its order."""
+    step = ((1 << (3 * m)) - 1) // ((1 << m) - 1)
+    return [(s, mu, step * j) for s, mu in search_trinomial_params(m)
+            for j in range((1 << m) - 1)]
+
+
+def _fold_key_lemma(m, s, mu, v) -> tuple[KeyLemmaSweep, list]:
+    """:func:`verify_key_lemma` at every a != 0, folded into a sweep report."""
+    field, _, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
+    reps = [verify_key_lemma(m, s, mu, v, a) for a in range(1, field.order)]
+    sweep = KeyLemmaSweep(
+        m=m, s=s, mu=mu_bits, v=v_bits, total=len(reps),
+        claim_failures=[r.a for r in reps if not all(r.claim_results)][:16],
+        factorization_failures=[r.a for r in reps if r.factorization_failures][:16])
+    return sweep, reps
+
+
+def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
+    params = _key_tuples(2)
+    assert len(params) == 72
+    folds = [_fold_key_lemma(2, *p) for p in params]
+    passes = []
+
+    def recorded(*args, **kwargs):
+        q = _key_point_values(*args, **kwargs)
+        passes.append(q)
+        return q
+
+    monkeypatch.setattr(analysis, "_key_point_values", recorded)
+    assert sweep_key_lemmas(2, params) == [sweep for sweep, _ in folds]
+    assert [q["A"].shape for q in passes] == [(36, 63), (36, 63)]  # one per shift
+    # passes of five tuples split each shift's group, and give the same reports
+    monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", 5 * 63)
+    assert sweep_key_lemmas(2, params) == [sweep for sweep, _ in folds]
+    # every quantity of every row of the five-tuple passes is the value the
+    # single-point report computes for that tuple
+    rows = [{k: q[k][t].tolist() for k in _KEY_QUANTITIES}
+            for q in passes[2:] for t in range(q["A"].shape[0])]
+    assert len(passes) == 2 + 16 and len(rows) == 72
+    for row, (_, reports) in zip(rows, folds):
+        for k in _KEY_QUANTITIES:
+            assert row[k] == [getattr(rep, k) for rep in reports], k
+
+
+def test_batched_key_sweep_equals_per_tuple_fold_m3_sample():
+    params = _key_tuples(3)
+    rng = np.random.default_rng(2014)
+    sample = [params[i] for i in sorted(rng.choice(len(params), 5, replace=False))]
+    assert len({p[0] for p in sample}) > 1
+    assert sweep_key_lemmas(3, sample) == [_fold_key_lemma(3, *p)[0] for p in sample]
+    assert sweep_key_lemma(3, *sample[0]) == _fold_key_lemma(3, *sample[0])[0]
+
+
 @pytest.mark.parametrize("name,bend,claim", [
     ("A", lambda x: 0 * x, 0),   # a zero summand
     ("U2", lambda x: 0 * x, 1),  # a vanishing product U2 V2
@@ -371,6 +472,24 @@ def test_scaled_permutation_family_sweep():
         assert verify_subfield_scaled_permutations(2, s, mu)
     with pytest.raises(PreconditionError, match="gcd"):
         verify_subfield_scaled_permutations(2, 2, 3)
+
+
+def test_scaled_permutation_sweep_matches_one_rank_per_beta(monkeypatch):
+    # one beta at a time, from the whole field, so that some L_beta are
+    # singular: the batched ranks must give each beta's own verdict
+    field = get_field(6)
+    for s, mu in search_trinomial_params(2)[:3]:
+        verdicts = []
+        for beta in range(field.order):
+            monkeypatch.setattr(analysis, "subfield_embedding",
+                                lambda parent, component, beta=beta:
+                                np.array([beta], dtype=np.uint32))
+            L = LinearizedPoly.from_exponent_terms(
+                field, [(1, 2 + s), (mu.bits, s), (beta, 0)])
+            want = is_linearized_perm(L)
+            assert verify_subfield_scaled_permutations(2, s, mu) == want, beta
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
 
 def test_adjoint_permutation_agreement_random():

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
 import numpy as np
 import pytest
 
-from apnlab import cli
+from apnlab import analysis, cli
+from apnlab.analysis import sweep_key_lemmas
 from apnlab.cli import main
-from apnlab.families import TABLE_RANKS, build_from_descriptor, representatives
+from apnlab.families import (
+    TABLE_RANKS,
+    build_from_descriptor,
+    representatives,
+    search_trinomial_params,
+)
 from apnlab.gf2n import field_new
 from apnlab.invariants import GammaRankReport, parse_code_export
 from apnlab.vbf import write_lut
@@ -265,6 +272,21 @@ def test_search_trinomial(capsys):
         assert p["mu_exponents"] == sorted(p["mu_exponents"])
 
 
+def test_search_trinomial_listing_is_pinned(capsys):
+    # the mu exponents are read from the log table; the m=3 listing (756
+    # pairs, 126 per shift) is pinned byte for byte
+    code = main(["search", "--trinomial", "--m", "3"])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6603eecb2bc7626e7f836167b6c07ef9b4b271a354b9cce21c9fdd1ddf587294")
+    out = json.loads(text)
+    field = field_new(9)
+    found = {(s, mu.bits) for s, mu in search_trinomial_params(3)}
+    assert {(p["s"], field.primitive_power(k)) for p in out["params"]
+            for k in p["mu_exponents"]} == found
+
+
 def test_verify_cubic(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "cubic", "--m", "3")
     assert code == 0
@@ -300,6 +322,51 @@ def test_verify_key_with_pinned_s(capsys):
     assert out["ok"] is True
     assert out["points_per_tuple"] == 63
     assert out["tuples_checked"] == 36  # 12 mu values x 3 subfield v
+
+
+@pytest.mark.parametrize("pass_elems", [None, 4 * 63])
+def test_verify_key_failures_keep_tuple_order_and_cap(capsys, monkeypatch,
+                                                      pass_elems):
+    # claim 1 forced false at chosen (tuple, a) points: 20 tuples fail, one
+    # of them at 20 points, so both caps of 16 bite
+    if pass_elems is not None:
+        monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", pass_elems)
+    rng = np.random.default_rng(9)
+    forced = {int(t): sorted(int(a) for a in rng.choice(np.arange(1, 64), 3,
+                                                        replace=False))
+              for t in rng.choice(72, 20, replace=False)}
+    heavy = min(forced)
+    forced[heavy] = list(range(3, 63, 3))
+    claims, seen = analysis._key_claims, [0]
+
+    def forced_claims(field, s, q, vec):
+        out = claims(field, s, q, vec)
+        if vec:
+            first = out[0].copy()
+            for row in range(first.shape[0]):
+                for a in forced.get(seen[0] + row, ()):
+                    first[row, a - 1] = False
+            seen[0] += first.shape[0]
+            out[0] = first
+        return out
+
+    code, clean, _ = run(capsys, "verify", "--lemma", "key", "--m", "2")
+    assert code == 0 and clean["ok"] is True and clean["tuples_checked"] == 72
+    field = field_new(6)
+    step = field.mult_order // 3
+    params = [(s, mu, field.element(field.primitive_power(step * j)))
+              for s, mu in search_trinomial_params(2) for j in range(3)]
+    sweeps = sweep_key_lemmas(2, params)
+    want = [dict(sweeps[t].to_json_dict(), all_pass=False,
+                 claim_failures=forced[t][:16])
+            for t in sorted(forced)][:16]
+    monkeypatch.setattr(analysis, "_key_claims", forced_claims)
+    code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "2")
+    assert code == 0 and out["ok"] is False and out["tuples_checked"] == 72
+    assert seen[0] == 72
+    assert out["failures"] == want
+    assert len(out["failures"]) == 16
+    assert len(out["failures"][0]["claim_failures"]) == 16
 
 
 def test_verify_key_rejects_empty_s(capsys):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from apnlab.errors import PreconditionError
 from apnlab.gf2n import (
     DEFAULT_MODULI,
+    Field,
     cube_class,
     field_from_header,
     field_new,
@@ -178,6 +179,55 @@ def test_vector_ops_match_scalar(n):
     c = int(b[0])
     assert all(int(x) == f.mul(c, int(p))
                for x, p in zip(f.mul_scalar_vec(c, a), a))
+
+
+@pytest.mark.parametrize("n", [1, 8, 21, 24])
+def test_vector_kernels_match_table_free_scalar_ops(n):
+    # the oracle field never builds tables, so its mul/pow run shift-and-add
+    oracle, f = Field(n), Field(n)
+    m = f.mult_order
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, f.order, 400, dtype=np.uint32)
+    b = rng.integers(0, f.order, 400, dtype=np.uint32)
+    a[::5] = 0
+    b[::7] = 0
+    a[:4] = b[:4] = [0, 1, m, f.primitive]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert f.mul_vec(a, b).tolist() == [oracle.mul(p, q) for p, q in pairs]
+    assert f.sqr_vec(a).tolist() == [oracle.mul(p, p) for p in a.tolist()]
+    for c in {0, 1, m, int(b[-1])}:
+        assert f.mul_scalar_vec(c, a).tolist() == [oracle.mul(c, p)
+                                                   for p in a.tolist()]
+    # one row per left operand, broadcast against the whole right operand
+    grid = f.mul_vec(a[:6, None], b)
+    assert grid.shape == (6, b.size)
+    assert all(np.array_equal(grid[i], f.mul_vec(np.full_like(b, a[i]), b))
+               for i in range(6))
+    for e in {0, 1, 2, 3, m - 1, m, m + 1, max(0, f.order - 3), f.order - 2,
+              5 * m + 3, (1 << 40) + 1}:
+        assert f.pow_vec(a, e).tolist() == [oracle.pow(p, e) for p in a.tolist()], e
+    nz = a[a != 0]
+    for e in {-1, -2, -(m - 1), -(1 << 40)}:
+        assert f.pow_vec(nz, e).tolist() == [oracle.pow(p, e) for p in nz.tolist()], e
+    assert f.inv_vec(nz).tolist() == [oracle.inv(p) for p in nz.tolist()]
+    assert f.pow_vec(np.zeros(3, dtype=np.uint32), 0).tolist() == [1, 1, 1]
+    with pytest.raises(ZeroDivisionError):
+        f.pow_vec(a, -1)
+    assert oracle._exp is None and oracle._log is None
+
+
+def test_log_readers_keep_their_output():
+    from apnlab.families import _as_exponent
+    from apnlab.vbf import _format_coeff
+
+    f = field_new(9)
+    _, log = f._tables()
+    assert log.dtype == np.int32
+    for k in (0, 1, 2, 255, f.mult_order - 1):
+        bits = f.primitive_power(k)
+        assert _as_exponent(f, bits) == k == int(log[bits])
+        assert _format_coeff(f, bits, "exp") == ("" if k == 0 else f"u^{k}")
+    assert _as_exponent(f, 0) is None
 
 
 def test_all_elements_vec_is_identity_ramp():

@@ -194,6 +194,19 @@ def test_to_univariate_agrees():
         assert p.eval(z) == L.eval(z)
 
 
+@pytest.mark.parametrize("n", [6, 9, 12])
+def test_matrix_rows_match_scalar_definition(n):
+    # row i, bit j is bit i of L(x^j), with L evaluated one point at a time
+    f = get_field(n)
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        L = LinearizedPoly(f, [int(c) for c in rng.integers(0, f.order, n)])
+        images = [L.eval(1 << j) for j in range(n)]
+        want = [sum(((images[j] >> i) & 1) << j for j in range(n))
+                for i in range(n)]
+        assert L.matrix_rows() == want
+
+
 def test_matrix_rows_rank_iff_permutation():
     f = get_field(6)
     perm = LinearizedPoly(f, [0, 1, 0, 0, 0, 0])  # Frobenius, always bijective
