@@ -57,7 +57,8 @@ __all__ = [
 ]
 
 _DDT_MAX_N = 16
-_DDT_WARN_N = 14
+#: First n whose DDT takes over 30 s (n = 16: 42 s on a 2-core x86-64 host).
+_DDT_WARN_N = 16
 _WITNESS_CAP = 16
 #: Cells per vectorised pass: DDT cells (whole rows of the table), and the
 #: n basis images per direction of the quadratic rank test.
@@ -65,13 +66,15 @@ _DDT_CELLS_PER_PASS = 1 << 16
 #: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
 _KEY_ELEMS_PER_PASS = 1 << 18
 
-#: Peak bytes per (a, b, x) point of the full resultant sweep: 4 B for each
-#: uint32 array live at the determinant's widest step, i.e. 15 inputs (a, b,
-#: x, a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the Sylvester entries f2, f1, f0,
+#: Points per pass of the full resultant sweep (2^14..2^16 fastest at m = 7).
+_RESULTANT_POINTS_PER_PASS = 1 << 16
+#: Peak bytes per (a, b, x) point of one resultant pass: 4 B for each uint32
+#: array live at the determinant's widest step, i.e. 15 inputs (a, b, x,
+#: a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the Sylvester entries f2, f1, f0,
 #: g1, g0) and 25 partial minors; 12 B of one ``mul_vec`` call's scratch (two
 #: int32 log gathers and their int32 sum); and 4 B for the arrays that do not
-#: grow with the points (tables, the (a, b) side sweep), 1.8 B/point at m = 4.
-#: Measured peak (tracemalloc): 173.8 B/point at m = 4, 172.0 at m = 5..7.
+#: grow with the pass (the field tables), 2.1 B/point at m = 4.  Measured
+#: peak (tracemalloc): 174.1 B/point at m = 4, 172.2 at m = 5 and 7.
 _RESULTANT_BYTES_PER_POINT = 4 * (15 + 25) + 12 + 4
 
 
@@ -104,10 +107,32 @@ def _ddt_guard(n: int) -> None:
         )
     if n >= _DDT_WARN_N:
         warnings.warn(
-            f"DDT at n={n} walks 2^{2 * n} pairs; expect minutes",
+            f"DDT at n={n} walks 2^{2 * n - 1} (a, z) pairs; expect a minute",
             RuntimeWarning,
             stacklevel=3,
         )
+
+
+def _half_derivative_passes(f: FunctionTable):
+    """Yield ``(a0, block)`` for the directions a != 0 in ascending order:
+    ``block[i, b]`` is DDT[a0 + i][b] / 2.
+
+    A pass holds directions of one top bit h.  Each pair {z, z+a} of such
+    a direction meets the half {z : bit h of z = 0} exactly once, so
+    counting f(z+a)+f(z) over that half counts each pair of solutions once.
+    """
+    order, lut = f.field.order, f.lut
+    zs = np.arange(order, dtype=np.uint32)
+    step = max(1, _DDT_CELLS_PER_PASS // order)
+    for h in range(f.field.n):
+        half = zs[(zs >> h) & 1 == 0]
+        for a0 in range(1 << h, 2 << h, step):
+            a = np.arange(a0, min(a0 + step, 2 << h), dtype=np.uint32)
+            # cell (a, b) of this pass at flat index (a - a0) * order + b
+            cells = (lut[half ^ a[:, None]] ^ lut[half]).astype(np.int64)
+            cells += np.arange(0, a.size * order, order, dtype=np.int64)[:, None]
+            block = np.bincount(cells.ravel(), minlength=a.size * order)
+            yield a0, block.reshape(a.size, order)
 
 
 def ddt(f: FunctionTable) -> DdtSummary:
@@ -118,53 +143,34 @@ def ddt(f: FunctionTable) -> DdtSummary:
     maximum count, and up to 16 (a, b) cells achieving it are recorded in
     scan order.
     """
-    n = f.field.n
-    _ddt_guard(n)
-    order = f.field.order
-    lut = f.lut
-    zs = np.arange(order, dtype=np.uint32)
-    hist = np.zeros(order + 1, dtype=np.int64)
-    delta = 0
+    _ddt_guard(f.field.n)
+    hist = np.zeros(f.field.order // 2 + 1, dtype=np.int64)
+    half_delta = 0
     witnesses: list[tuple[int, int]] = []
-    step = max(1, _DDT_CELLS_PER_PASS // order)
-    for a0 in range(1, order, step):
-        a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)
-        # DDT cell (a, b) of this pass at flat index (a - a0) * order + b
-        cells = (lut[zs ^ a[:, None]] ^ lut).astype(np.int64)
-        cells += np.arange(0, a.size * order, order, dtype=np.int64)[:, None]
-        block = np.bincount(cells.ravel(), minlength=a.size * order)
-        hist += np.bincount(block, minlength=order + 1)
-        block = block.reshape(a.size, order)
+    for a0, block in _half_derivative_passes(f):
+        hist += np.bincount(block.ravel(), minlength=hist.size)
         block_max = block.max(axis=1)
-        for i in np.flatnonzero(block_max >= delta):
+        for i in np.flatnonzero(block_max >= half_delta):
             counts, row_max = block[i], int(block_max[i])
-            if row_max > delta:
-                delta = row_max
+            if row_max > half_delta:
+                half_delta = row_max
                 witnesses = [(a0 + int(i), int(b)) for b in
                              np.flatnonzero(counts == row_max)[:_WITNESS_CAP]]
-            elif row_max == delta and len(witnesses) < _WITNESS_CAP:
+            elif row_max == half_delta and len(witnesses) < _WITNESS_CAP:
                 extra = np.flatnonzero(counts == row_max)[: _WITNESS_CAP - len(witnesses)]
                 witnesses.extend((a0 + int(i), int(b)) for b in extra)
-    histogram = {int(v): int(c) for v, c in enumerate(hist) if c}
-    return DdtSummary(field=f.field, delta=delta, histogram=histogram, witnesses=witnesses)
+    histogram = {2 * v: int(c) for v, c in enumerate(hist) if c}
+    return DdtSummary(f.field, 2 * half_delta, histogram, witnesses)
 
 
 def is_apn(f: FunctionTable) -> bool:
     """True iff the differential uniformity of ``f`` is exactly 2.
 
-    Aborts at the first derivative direction exceeding two solutions, so
-    non-APN inputs return quickly.
+    Aborts at the first pass with a count above two, so non-APN inputs
+    return quickly.
     """
-    n = f.field.n
-    _ddt_guard(n)
-    order = f.field.order
-    lut = f.lut
-    zs = np.arange(order, dtype=np.uint32)
-    for a in range(1, order):
-        counts = np.bincount(lut[zs ^ a] ^ lut, minlength=order)
-        if int(counts.max()) != 2:
-            return False
-    return order > 1
+    _ddt_guard(f.field.n)
+    return all(block.max() <= 1 for _, block in _half_derivative_passes(f))
 
 
 def algebraic_degree(f: FunctionTable) -> int:
@@ -557,21 +563,59 @@ def verify_resultant_identity(
     field = field_new(m)
     order = field.order
     if mode == "full-sweep":
-        need = order**3 * _RESULTANT_BYTES_PER_POINT
+        checked = order**3
+        per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
+        need = per_pass * _RESULTANT_BYTES_PER_POINT
         limit = mem_budget_bytes()
         if need > limit:
             raise MemoryBudgetError(
-                f"full resultant sweep at m={m} needs {need} bytes, "
+                f"full resultant sweep at m={m} needs {need} bytes per pass, "
                 f"budget is {limit}")
-        a, b, x = np.indices((order,) * 3, dtype=np.uint32).reshape(3, -1)
+        passes = (_sweep_points(m, start, min(start + per_pass, checked))
+                  for start in range(0, checked, per_pass))
     elif mode == "pointwise":
         rng = np.random.default_rng(seed)
-        a = rng.integers(0, order, samples).astype(np.uint32)
-        b = rng.integers(0, order, samples).astype(np.uint32)
-        x = rng.integers(0, order, samples).astype(np.uint32)
+        checked = samples
+        passes = [tuple(rng.integers(0, order, samples).astype(np.uint32)
+                        for _ in range(3))]
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
+    mismatches: list[tuple[int, int, int]] = []
+    for a, b, x in passes:
+        for i in _resultant_mismatches(field, a, b, x)[: _WITNESS_CAP - len(mismatches)]:
+            mismatches.append((int(a[i]), int(b[i]), int(x[i])))
 
+    # side facts over all (a, b) pairs regardless of mode
+    mul, sq = field.mul_vec, field.sqr_vec
+    _, pa, pb = _sweep_points(m, 0, order**2)
+    pa2, pb2 = sq(pa), sq(pb)
+    pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
+    const = pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1
+    zero_set = set(zip((pa[const == 0]).tolist(), (pb[const == 0]).tolist()))
+    b_ok = zero_set == {(1, 1)}
+    denom = pa3 ^ mul(pa, pb2) ^ pb3
+    denom_zero = set(zip((pa[denom == 0]).tolist(), (pb[denom == 0]).tolist()))
+    den_ok = denom_zero == {(0, 0)}
+
+    return ResultantIdentityReport(
+        m=m,
+        mode=mode,
+        checked=checked,
+        mismatches=mismatches,
+        b_coeff_zero_set_ok=b_ok,
+        denominator_nonzero_ok=den_ok,
+    )
+
+
+def _sweep_points(m: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
+    """uint32 a, b, x at the flat indices (a 2^m + b) 2^m + x in start..stop-1."""
+    idx = np.arange(start, stop, dtype=np.int64)
+    return tuple(((idx >> shift) & ((1 << m) - 1)).astype(np.uint32)
+                 for shift in (2 * m, m, 0))
+
+
+def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
+    """Indices i where the determinant at (a[i], b[i], x[i]) != its factors."""
     mul, sq = field.mul_vec, field.sqr_vec
     a2, b2 = sq(a), sq(b)
     a3, b3 = mul(a2, a), mul(b2, b)
@@ -603,35 +647,7 @@ def verify_resultant_identity(
     lead = a3 ^ mul(a, b2) ^ b3
     rhs = mul(mul(mul(sq(lead), mul(x, xa)), h_at(x)), h_at(xa))
 
-    bad = np.flatnonzero(lhs ^ rhs)
-    mismatches = [
-        (int(a[i]), int(b[i]), int(x[i])) for i in bad[:_WITNESS_CAP]
-    ]
-
-    # side facts over all (a, b) pairs regardless of mode
-    pa, pb = np.meshgrid(
-        np.arange(order, dtype=np.uint32),
-        np.arange(order, dtype=np.uint32),
-        indexing="ij",
-    )
-    pa, pb = pa.ravel(), pb.ravel()
-    pa2, pb2 = sq(pa), sq(pb)
-    pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
-    const = pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1
-    zero_set = set(zip((pa[const == 0]).tolist(), (pb[const == 0]).tolist()))
-    b_ok = zero_set == {(1, 1)}
-    denom = pa3 ^ mul(pa, pb2) ^ pb3
-    denom_zero = set(zip((pa[denom == 0]).tolist(), (pb[denom == 0]).tolist()))
-    den_ok = denom_zero == {(0, 0)}
-
-    return ResultantIdentityReport(
-        m=m,
-        mode=mode,
-        checked=int(a.size),
-        mismatches=mismatches,
-        b_coeff_zero_set_ok=b_ok,
-        denominator_nonzero_ok=den_ok,
-    )
+    return np.flatnonzero(lhs ^ rhs)
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,11 @@ _BFLY = (
 
 
 def mem_budget_bytes() -> int:
-    """Memory budget in bytes, from APNLAB_MEM_BUDGET_GIB (default 12 GiB)."""
-    text = os.environ.get("APNLAB_MEM_BUDGET_GIB", "12")
+    """Memory budget in bytes, from APNLAB_MEM_BUDGET_GIB; unset, the smaller
+    of 12 GiB and 0.8 x the MemAvailable of ``/proc/meminfo``."""
+    text = os.environ.get("APNLAB_MEM_BUDGET_GIB")
+    if text is None:
+        return int(min(12 << 30, 0.8 * _mem_available_bytes()))
     try:
         gib = float(text)
     except ValueError:
@@ -53,6 +56,16 @@ def mem_budget_bytes() -> int:
         raise PreconditionError(
             f"APNLAB_MEM_BUDGET_GIB must be a finite number >= 0, got {text!r}")
     return int(gib * (1 << 30))
+
+
+def _mem_available_bytes(path: str = "/proc/meminfo") -> float:
+    """MemAvailable in bytes, or infinity where ``path`` does not give it."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            fields = dict(line.split(":", 1) for line in fh)
+        return int(fields["MemAvailable"].split()[0]) << 10
+    except (OSError, ValueError, KeyError, IndexError):
+        return math.inf
 
 
 def _words_for(cols: int) -> int:

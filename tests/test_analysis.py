@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,9 +93,10 @@ def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
     return delta, hist, witnesses
 
 
-@pytest.mark.parametrize("n", [3, 7, 10])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
 def test_ddt_matches_row_by_row_tally(n):
-    # n=10 takes several vectorised passes over the rows of the table
+    # at n=1 and 2 each top-bit group holds one direction; n=10 takes
+    # several vectorised passes over the directions of one top bit
     f = get_field(n)
     rng = np.random.default_rng(n)
     luts = [rng.integers(0, f.order, f.order).astype(np.uint32)
@@ -102,6 +105,59 @@ def test_ddt_matches_row_by_row_tally(n):
     for lut in luts:
         s = ddt(FunctionTable(f, lut))
         assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
+def test_is_apn_matches_row_by_row_tally(n):
+    f = get_field(n)
+    rng = np.random.default_rng(100 + n)
+    luts = [rng.integers(0, f.order, f.order).astype(np.uint32)
+            for _ in range(3)]
+    luts.append(to_table(UnivariatePoly.monomial(f, 3)).lut)
+    verdicts = [is_apn(FunctionTable(f, lut)) for lut in luts]
+    assert verdicts == [row_by_row_ddt(lut)[0] == 2 for lut in luts]
+    assert verdicts[-1]  # z^3 is APN for every n
+
+
+def test_ddt_guard_warns_from_n16_with_the_pairs_walked():
+    with pytest.warns(RuntimeWarning, match=r"n=16 walks 2\^31 \(a, z\) pairs"):
+        analysis._ddt_guard(16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        analysis._ddt_guard(15)
+    with pytest.raises(PreconditionError, match="up to n=16"):
+        analysis._ddt_guard(17)
+
+
+#: Over GF(2^4): z^3 with its value at 0 changed by 1, each composed with a
+#: GF(2)-linear bijection of the input.  Directions whose DDT row exceeds 2
+#: come in triples {a, c, a+c} (solutions z, z+a, z+c, z+a+c of direction a
+#: are solutions of direction c too), so a triple is the smallest failure a
+#: LUT can carry: these put one at a = 1 and the last two directions, and
+#: one in the last two top-bit groups, ending at a = 15.
+PLANTED_LUTS = {
+    (1, 14, 15): [1, 1, 8, 15, 10, 15, 15, 12, 8, 10, 8, 12, 12, 10, 1, 1],
+    (7, 8, 15): [1, 8, 10, 15, 12, 15, 15, 1, 1, 12, 8, 8, 10, 12, 10, 1],
+}
+
+
+@pytest.mark.parametrize("cells", [16, 32, 1 << 16])
+@pytest.mark.parametrize("failing", sorted(PLANTED_LUTS))
+def test_planted_failures_are_found_in_every_pass_layout(monkeypatch, cells,
+                                                         failing):
+    # one, two or all directions of a top-bit group per pass
+    monkeypatch.setattr(analysis, "_DDT_CELLS_PER_PASS", cells)
+    f = get_field(4)
+    lut = np.array(PLANTED_LUTS[failing], dtype=np.uint32)
+    zs = np.arange(16)
+    bad = [a for a in range(1, 16)
+           if np.bincount(lut[zs ^ a] ^ lut, minlength=16).max() > 2]
+    assert tuple(bad) == failing
+    t = FunctionTable(f, lut)
+    assert is_apn(t) is False
+    s = ddt(t)
+    assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
+    assert {a for a, _ in s.witnesses} == set(failing)
 
 
 def test_ddt_json_schema():
@@ -319,6 +375,50 @@ def test_resultant_identity_pointwise_mode():
     rep = verify_resultant_identity(3, mode="pointwise", samples=64, seed=1)
     assert rep.identity_holds
     assert rep.checked == 64
+
+
+def test_resultant_sweep_in_short_passes_matches_one_pass(monkeypatch):
+    one_pass = verify_resultant_identity(4)  # 4096 points, one pass
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    assert verify_resultant_identity(4) == one_pass
+
+
+def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
+    # a stand-in check flags 40 fixed points spread over the five passes;
+    # the report keeps the first 16 by flat index (a 2^m + b) 2^m + x
+    m, order = 4, 16
+    flagged = np.random.default_rng(3).choice(order**3, 40, replace=False)
+    seen = []
+
+    def flag(field, a, b, x):
+        flat = (a.astype(np.int64) * order + b) * order + x
+        seen.append(flat)
+        return np.flatnonzero(np.isin(flat, flagged))
+
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
+    rep = verify_resultant_identity(m)
+    assert np.array_equal(np.concatenate(seen), np.arange(order**3))
+    first = np.sort(flagged)[:16]
+    assert len({int(i) // 1000 for i in first}) > 1
+    assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
+                              for i in first]
+    assert not rep.identity_holds and rep.checked == order**3
+
+
+def test_resultant_sweep_memory_stays_within_two_passes():
+    # m=7 has 2^21 points, 32 passes; the (a, b) side facts hold about 44 B
+    # for each of the 2^14 pairs
+    m = 7
+    tracemalloc.start()
+    try:
+        rep = verify_resultant_identity(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok and rep.checked == 1 << 21
+    per_pass = analysis._RESULTANT_POINTS_PER_PASS * analysis._RESULTANT_BYTES_PER_POINT
+    assert peak <= 2 * per_pass + 64 * 4**m
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +201,31 @@ def test_mem_budget_rejects_malformed_values(monkeypatch, text):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", text)
     with pytest.raises(PreconditionError, match="APNLAB_MEM_BUDGET_GIB"):
         mem_budget_bytes()
+
+
+@pytest.mark.parametrize("avail,want", [(math.inf, 12 << 30), (5 << 30, 4 << 30),
+                                         (100 << 30, 12 << 30)])
+def test_default_mem_budget_is_capped_by_available_memory(monkeypatch, avail,
+                                                          want):
+    monkeypatch.delenv("APNLAB_MEM_BUDGET_GIB", raising=False)
+    monkeypatch.setattr(bitlinalg, "_mem_available_bytes", lambda: avail)
+    assert mem_budget_bytes() == want
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "12")
+    assert mem_budget_bytes() == 12 << 30  # a set budget is taken as given
+
+
+@pytest.mark.parametrize("text,want", [
+    ("MemTotal:  8000000 kB\nMemAvailable:    7000 kB\n", 7000 << 10),
+    ("MemTotal:  8000000 kB\n", math.inf),
+    ("MemAvailable: many kB\n", math.inf),
+    ("MemAvailable:\n", math.inf),
+    ("no colon\n", math.inf),
+])
+def test_mem_available_reads_meminfo(tmp_path, text, want):
+    path = tmp_path / "meminfo"
+    path.write_text(text)
+    assert bitlinalg._mem_available_bytes(str(path)) == want
+    assert bitlinalg._mem_available_bytes(str(tmp_path / "absent")) == math.inf
 
 
 def test_basis_respects_budget():

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from apnlab import analysis, cli
+from apnlab import analysis, bitlinalg, cli
 from apnlab.analysis import sweep_key_lemmas
 from apnlab.cli import main
 from apnlab.families import (
@@ -313,6 +313,33 @@ def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 3
     assert out["status"] == "resource-limit"
+
+
+def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
+    # with the variable unset the budget is 0.8 x MemAvailable: 0.8 MiB is
+    # below one m=5 pass; a malformed value is still refused first
+    monkeypatch.delenv("APNLAB_MEM_BUDGET_GIB", raising=False)
+    monkeypatch.setattr(bitlinalg, "_mem_available_bytes", lambda: 1 << 20)
+    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "abc")
+    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["verify", "--lemma", "resultant", "--m", "5"],
+     "7173d4f0de0309114b92e123f465abc6918d1cc549091265f691f6a4cfae466e"),
+    (["ddt", "--family", '{tag:"Gold", n:9, i:1}'],
+     "b22f254e912769a5e9b7265bf1bb879d7a54afff7c297a281bfb2fb3f3a2afcd"),
+])
+def test_sweep_stdout_is_pinned(capsys, argv, digest):
+    # stdout as the one-pass resultant sweep and the full-input DDT wrote it
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_verify_key_with_pinned_s(capsys):
