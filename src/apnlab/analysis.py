@@ -76,6 +76,10 @@ _RESULTANT_POINTS_PER_PASS = 1 << 16
 #: grow with the pass (the field tables), 2.1 B/point at m = 4.  Measured
 #: peak (tracemalloc): 174.1 B/point at m = 4, 172.2 at m = 5 and 7.
 _RESULTANT_BYTES_PER_POINT = 4 * (15 + 25) + 12 + 4
+#: Peak bytes per (a, b) pair of the resultant's side facts, which sweep all
+#: 2^(2m) pairs at once.  Measured peak (tracemalloc): 48.1 B/pair at m = 7,
+#: 48.9 at m = 9 and 48.0 at m = 10.
+_RESULTANT_BYTES_PER_PAIR = 49
 
 
 # ----------------------------------------------------------------------
@@ -557,29 +561,33 @@ def verify_resultant_identity(
     swept over all (a, b): the constant term of H vanishes only at
     (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the origin.
 
-    Raises :class:`MemoryBudgetError` before allocating when the full sweep
-    would exceed ``APNLAB_MEM_BUDGET_GIB``.
+    Raises :class:`MemoryBudgetError` before allocating when one pass of
+    points together with the side facts would exceed
+    ``APNLAB_MEM_BUDGET_GIB``.
     """
     field = field_new(m)
     order = field.order
     if mode == "full-sweep":
         checked = order**3
         per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
-        need = per_pass * _RESULTANT_BYTES_PER_POINT
-        limit = mem_budget_bytes()
-        if need > limit:
-            raise MemoryBudgetError(
-                f"full resultant sweep at m={m} needs {need} bytes per pass, "
-                f"budget is {limit}")
-        passes = (_sweep_points(m, start, min(start + per_pass, checked))
-                  for start in range(0, checked, per_pass))
     elif mode == "pointwise":
-        rng = np.random.default_rng(seed)
-        checked = samples
-        passes = [tuple(rng.integers(0, order, samples).astype(np.uint32)
-                        for _ in range(3))]
+        checked = per_pass = samples
     else:
         raise PreconditionError(f"unknown mode {mode!r}")
+    need = (per_pass * _RESULTANT_BYTES_PER_POINT
+            + order**2 * _RESULTANT_BYTES_PER_PAIR)
+    limit = mem_budget_bytes()
+    if need > limit:
+        raise MemoryBudgetError(
+            f"resultant check at m={m} needs {need} bytes (one pass of "
+            f"{per_pass} points and the side facts), budget is {limit}")
+    if mode == "full-sweep":
+        passes = (_sweep_points(m, start, min(start + per_pass, checked))
+                  for start in range(0, checked, per_pass))
+    else:
+        rng = np.random.default_rng(seed)
+        passes = [tuple(rng.integers(0, order, samples).astype(np.uint32)
+                        for _ in range(3))]
     mismatches: list[tuple[int, int, int]] = []
     for a, b, x in passes:
         for i in _resultant_mismatches(field, a, b, x)[: _WITNESS_CAP - len(mismatches)]:

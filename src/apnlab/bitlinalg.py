@@ -6,11 +6,13 @@ rows into an incremental echelon basis.  A stored row is written once and
 never rewritten; each finished block of 8 rows carries a 256-entry index map
 from pivot bits to table entries, so one 256-entry XOR table per block clears
 the block's pivot columns from a work chunk with one gather (four-Russians
-style).
+style).  The rows of a chunk are split into one contiguous range per CPU
+the process may run on, each reduced on its own thread with its own table.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -30,6 +32,12 @@ _CHUNK_ROWS = 2048
 # Bytes of chunk rows per table gather: a slice stays in cache while it is
 # XORed in (64 rows of the GF(2^8) incidence matrix).
 _SLICE_BYTES = 1 << 19
+#: CPUs this process may run on; the rows of a chunk are split across them.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+#: Fewest rows per worker: a table's entry count, so that no worker spends
+#: more on building its table than on its gathers.
+_MIN_PART_ROWS = 256
 
 # Butterfly masks: bit positions whose t-th index bit is 0.
 _BFLY = (
@@ -70,6 +78,19 @@ def _mem_available_bytes(path: str = "/proc/meminfo") -> float:
 
 def _words_for(cols: int) -> int:
     return (cols + 63) >> 6
+
+
+def _parts(rows: int) -> int:
+    """Number of row ranges a reduction of ``rows`` rows is split into."""
+    return max(1, min(_WORKERS, rows // _MIN_PART_ROWS))
+
+
+@functools.cache
+def _pool():
+    """The process's reduction threads, started by the first split; NumPy's
+    gathers and XORs release the GIL, so the ranges run side by side."""
+    from concurrent.futures import ThreadPoolExecutor  # 8 ms: import on use
+    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="gf2basis")
 
 
 class BitMatrix:
@@ -193,7 +214,7 @@ class GF2Basis:
         self._piv_mask = np.zeros(cap, dtype=np.uint64)
         self._index_map = np.zeros((cap // 8, 256), dtype=np.uint8)
         self.count = 0
-        self._table = np.zeros((256, self.words), dtype=np.uint64)
+        self._tables: list[np.ndarray] = []  # one per worker, made on use
 
     @property
     def rank(self) -> int:
@@ -207,24 +228,34 @@ class GF2Basis:
         rewritten, so the view keeps its values while the basis grows."""
         return self._rows[: self.count]
 
-    def _ensure_capacity(self, extra: int) -> None:
-        need = self.count + extra
+    def _take_chunk(self, rows: np.ndarray) -> np.ndarray:
+        """Copy ``rows`` for reduction and make room for them in the basis.
+
+        Raises :class:`MemoryBudgetError`, before allocating anything, when
+        the basis, the copy and the tables of every worker the copy can use
+        would exceed the budget.  The copy is made before the basis grows:
+        that order kept Table 4 row 12 at 10-20 MiB less peak RSS.
+        """
+        extra = rows.shape[0]
         cap = self._rows.shape[0]
-        if need <= cap:
-            return
-        while cap < need:
+        while cap < self.count + extra:
             cap *= 2
-        nbytes = cap * self.words * 8
+        tables = max(len(self._tables), _parts(extra))
+        nbytes = (cap + extra + 256 * tables) * self.words * 8
         if nbytes > self._budget:
             raise MemoryBudgetError(
-                f"basis would need {nbytes} bytes, budget is {self._budget}")
-        grown = np.zeros((cap, self.words), dtype=np.uint64)
-        grown[: self.count] = self._rows[: self.count]
-        self._rows = grown
-        self._piv_col = np.resize(self._piv_col, cap)
-        self._piv_word = np.resize(self._piv_word, cap)
-        self._piv_mask = np.resize(self._piv_mask, cap)
-        self._index_map = np.resize(self._index_map, (cap // 8, 256))
+                f"absorbing {extra} rows would need {nbytes} bytes (basis, "
+                f"chunk and {tables} tables), budget is {self._budget}")
+        chunk = np.array(rows, dtype=np.uint64)
+        if cap > self._rows.shape[0]:
+            grown = np.zeros((cap, self.words), dtype=np.uint64)
+            grown[: self.count] = self._rows[: self.count]
+            self._rows = grown
+            self._piv_col = np.resize(self._piv_col, cap)
+            self._piv_word = np.resize(self._piv_word, cap)
+            self._piv_mask = np.resize(self._piv_mask, cap)
+            self._index_map = np.resize(self._index_map, (cap // 8, 256))
+        return chunk
 
     def absorb(self, rows: np.ndarray, out: np.ndarray | None = None) -> int:
         """Absorb packed rows (k, words); return the number of new pivots.
@@ -241,22 +272,19 @@ class GF2Basis:
             raise PreconditionError("out must hold one flag per row")
         before = self.count
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
-            chunk = np.array(rows[start: start + _CHUNK_ROWS], dtype=np.uint64)
-            self._ensure_capacity(chunk.shape[0])
+            chunk = self._take_chunk(rows[start: start + _CHUNK_ROWS])
             gave = self._absorb_chunk(chunk)
             if out is not None:
                 out[start: start + chunk.shape[0]] = gave
         return self.count - before
 
-    def _build_table8(self, base: int) -> np.ndarray:
-        """Entry ``idx`` is the XOR of the block rows whose bit is set in
-        ``idx``; built by doubling, one vector XOR per row."""
-        t = self._table
+    def _build_table8(self, base: int, t: np.ndarray) -> None:
+        """Make entry ``idx`` of ``t`` the XOR of the block rows whose bit is
+        set in ``idx``; built by doubling, one vector XOR per row."""
         t[0] = 0
         for k in range(8):
             np.bitwise_xor(t[: 1 << k], self._rows[base + k],
                            out=t[1 << k: 2 << k])
-        return t
 
     def _pivot_bits(self, rows: np.ndarray, base: int) -> np.ndarray:
         """Bit k of entry i: row i has the pivot column of block row k set."""
@@ -264,14 +292,34 @@ class GF2Basis:
                & self._piv_mask[base: base + 8]) != 0
         return np.packbits(hit, axis=1, bitorder="little")[:, 0]
 
-    def _table_reduce(self, chunk: np.ndarray, base: int) -> None:
-        """Clear 8 pivot columns (block at row ``base``) from all chunk rows."""
-        t = self._build_table8(base)
-        idx = self._index_map[base >> 3][self._pivot_bits(chunk, base)]
+    def _reduce_blocks(self, chunk: np.ndarray, lo: int, hi: int) -> None:
+        """Clear the pivot columns of blocks ``lo..hi-1`` from all chunk rows.
+
+        The rows are cut into one contiguous range per worker, each reduced
+        with its own table, inline when there is one range; every row gets
+        the same XORs in the same order either way.
+        """
+        if lo >= hi:
+            return
+        parts = _parts(chunk.shape[0])
+        while len(self._tables) < parts:
+            self._tables.append(np.empty((256, self.words), dtype=np.uint64))
+        ranges = np.array_split(chunk, parts)  # views: reduced in place
+        reduce = functools.partial(self._reduce_range, lo=lo, hi=hi)
+        run = map if parts == 1 else _pool().map
+        list(run(reduce, ranges, self._tables))  # re-raises a worker's error
+
+    def _reduce_range(self, rows: np.ndarray, table: np.ndarray, lo: int,
+                      hi: int) -> None:
+        """Clear blocks ``lo..hi-1`` from ``rows``, building each block's
+        table in ``table``."""
         # gather into cache-sized row slices, not one chunk-sized temporary
         step = max(1, _SLICE_BYTES // (8 * self.words))
-        for r0 in range(0, chunk.shape[0], step):
-            chunk[r0: r0 + step] ^= t[idx[r0: r0 + step]]
+        for blk in range(lo, hi):
+            self._build_table8(blk * 8, table)
+            idx = self._index_map[blk][self._pivot_bits(rows, blk * 8)]
+            for r0 in range(0, rows.shape[0], step):
+                rows[r0: r0 + step] ^= table[idx[r0: r0 + step]]
 
     def _row_reduce_tail(self, row: np.ndarray, lo: int, hi: int) -> None:
         for t in range(lo, hi):
@@ -304,16 +352,13 @@ class GF2Basis:
 
     def _absorb_chunk(self, chunk: np.ndarray) -> np.ndarray:
         """Reduce and append the chunk; return which rows gave pivots."""
-        nblocks = self.count // 8
-        for blk in range(nblocks):
-            self._table_reduce(chunk, blk * 8)
-        applied = nblocks
+        applied = self.count // 8
+        self._reduce_blocks(chunk, 0, applied)
         nrows = chunk.shape[0]
         gave = np.zeros(nrows, dtype=bool)
         for i in range(nrows):
-            while applied < self.count // 8:
-                self._table_reduce(chunk[i:], applied * 8)
-                applied += 1
+            self._reduce_blocks(chunk[i:], applied, self.count // 8)
+            applied = self.count // 8
             row = chunk[i]
             self._row_reduce_tail(row, applied * 8, self.count)
             lead = self._find_lead(row)

@@ -33,11 +33,12 @@ from apnlab.analysis import (
     verify_resultant_identity,
     verify_subfield_scaled_permutations,
 )
-from apnlab.errors import PreconditionError
+from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.families import (
     FamilyId,
     make_known,
     make_new_bivariate,
+    make_new_trinomial,
     search_trinomial_params,
     validate_trinomial_params,
 )
@@ -229,6 +230,22 @@ def test_quadratic_shortcut_reaches_past_the_ddt():
         assert is_apn_quadratic(make_new_bivariate(m).table), m
 
 
+def test_trinomial_family_m5_sample_is_quadratic_apn():
+    # GF(2^15): a seeded sample of 8 (s, mu, v) members, each about 0.05 s
+    # through the degree check and the derivative ranks; one also through
+    # the derivative sweep (about 5 s)
+    params = search_trinomial_params(5)
+    step = ((1 << 15) - 1) // ((1 << 5) - 1)  # v = u^(step j) lies in GF(2^5)
+    rng = np.random.default_rng(1205)
+    tables = [make_new_trinomial(5, *params[i], step * int(j)).table
+              for i, j in zip(rng.choice(len(params), 8, replace=False),
+                              rng.integers(0, (1 << 5) - 1, 8))]
+    for t in tables:
+        assert algebraic_degree(t) == 2
+        assert is_apn_quadratic(t)
+    assert is_apn(tables[0])
+
+
 def test_row_ranks_match_textbook_elimination():
     rng = np.random.default_rng(5)
     for n in (1, 4, 9, 14):
@@ -404,6 +421,20 @@ def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
     assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
                               for i in first]
     assert not rep.identity_holds and rep.checked == order**3
+
+
+def test_resultant_budget_counts_the_side_facts(monkeypatch):
+    # at m = 10 one pass needs 11.5 MB and the 2^20 (a, b) side facts about
+    # 51 MB: a 21 MB budget must refuse both modes before any point is made
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.02")
+
+    def no_points(*args):
+        raise AssertionError("swept under a budget it does not fit")
+
+    monkeypatch.setattr(analysis, "_sweep_points", no_points)
+    for mode in ("full-sweep", "pointwise"):
+        with pytest.raises(MemoryBudgetError, match="side facts"):
+            verify_resultant_identity(10, mode=mode, samples=16)
 
 
 def test_resultant_sweep_memory_stays_within_two_passes():

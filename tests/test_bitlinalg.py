@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +236,62 @@ def test_basis_respects_budget():
     basis = GF2Basis(512, budget=1024)
     with pytest.raises(MemoryBudgetError):
         basis.absorb(BitMatrix.from_dense01(np.eye(300, 512, dtype=np.uint8)).data)
+
+
+def test_budget_counts_chunk_and_tables_before_reducing():
+    # 16 rows of 8 words: the 256-row basis (16 KiB) and the chunk copy fit,
+    # the basis, the chunk and one 256-entry table (16 KiB more) do not
+    basis = GF2Basis(512, budget=(256 + 16) * 64)
+    with pytest.raises(MemoryBudgetError, match="1 tables"):
+        basis.absorb(BitMatrix.from_dense01(np.eye(16, 512, dtype=np.uint8)).data)
+    assert basis.count == 0 and basis._tables == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_reduction_is_bit_identical(monkeypatch, workers):
+    # 3 workers exceed a 2-CPU host and cut 16-row chunks unevenly (6, 5, 5)
+    rng = np.random.default_rng(12)
+    left = random_dense(rng, 150, 60, 0.5)
+    d = (left.astype(np.int64) @ random_dense(rng, 60, 300, 0.5)) & 1
+    d[[40, 90]] = 0
+    data = BitMatrix.from_dense01(d).data
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 16)
+
+    def absorbed():
+        basis = GF2Basis(300)
+        gave = np.zeros(150, dtype=bool)
+        basis.absorb(data, out=gave)
+        return basis, gave
+
+    ref, ref_gave = absorbed()  # 16 rows never reach 256 per worker
+    assert ref.rank == naive_rank(d) and len(ref._tables) == 1
+    monkeypatch.setattr(bitlinalg, "_WORKERS", workers)
+    monkeypatch.setattr(bitlinalg, "_MIN_PART_ROWS", 1)
+    if workers == 1:
+        def no_pool():
+            raise AssertionError("one worker reduces inline")
+
+        monkeypatch.setattr(bitlinalg, "_pool", no_pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        basis, gave = absorbed()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(basis._tables) == workers
+    assert np.array_equal(basis.rows_view(), ref.rows_view())
+    assert basis.pivot_cols() == ref.pivot_cols()
+    assert gave.tolist() == ref_gave.tolist()
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # the pool's module is imported by the first split reduction only
+    src = str(Path(bitlinalg.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import apnlab.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_basis_rejects_width_mismatch():

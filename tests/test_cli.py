@@ -315,6 +315,21 @@ def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
     assert out["status"] == "resource-limit"
 
 
+def test_verify_resultant_side_facts_count_against_the_budget(capsys,
+                                                              monkeypatch):
+    # m=10: one 2^16-point pass (11.5 MB) fits 0.02 GiB, the 2^20 (a, b)
+    # side facts (about 51 MB) do not; exit 3 before the first pass
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.02")
+
+    def no_points(*args):
+        raise AssertionError("swept under a budget it does not fit")
+
+    monkeypatch.setattr(analysis, "_sweep_points", no_points)
+    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "10")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+
+
 def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
     # with the variable unset the budget is 0.8 x MemAvailable: 0.8 MiB is
     # below one m=5 pass; a malformed value is still refused first

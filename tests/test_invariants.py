@@ -210,6 +210,15 @@ def test_translate_closure_skip_matches_unskipped_closure(monkeypatch, n, e):
     assert 1 + sum(len(take) for _, take in chunks) < ref_absorbed
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_translate_closure_skip_holds_with_rows_split(monkeypatch, workers):
+    # every reduction split into up to 3 row ranges, one table each
+    monkeypatch.setattr(bitlinalg, "_WORKERS", workers)
+    monkeypatch.setattr(bitlinalg, "_MIN_PART_ROWS", 1)
+    for n, e in ((5, "inverse"), (6, "7")):
+        test_translate_closure_skip_matches_unskipped_closure(monkeypatch, n, e)
+
+
 def test_gamma_rank_report_shape():
     rep = gamma_rank(gold_table(4), family="Gold")
     d = rep.to_json_dict()
