@@ -19,7 +19,7 @@ Four groups of tools:
   factorization from scratch at each point.
 
 Everything here is exact GF(2^m) arithmetic; no floating point, no
-sampling unless a pointwise mode is explicitly requested.
+sampling.
 """
 
 from __future__ import annotations
@@ -29,10 +29,11 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bitlinalg import mem_budget_bytes
+from .bitlinalg import mem_budget_bytes, row_ranks
 from .errors import MemoryBudgetError, PreconditionError
+from .families import validate_trinomial_params
 from .gf2n import Field, cube_class, field_new, subfield_embedding
-from .vbf import FunctionTable
+from .vbf import FunctionTable, LinearizedPoly, adjoint, is_linearized_permutation
 
 __all__ = [
     "CubicClass",
@@ -66,7 +67,7 @@ _DDT_CELLS_PER_PASS = 1 << 16
 #: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
 _KEY_ELEMS_PER_PASS = 1 << 18
 
-#: Points per pass of the full resultant sweep (2^14..2^16 fastest at m = 7).
+#: Points per pass of the resultant sweep (2^14..2^16 fastest at m = 7).
 _RESULTANT_POINTS_PER_PASS = 1 << 16
 #: Peak bytes per (a, b, x) point of one resultant pass: 4 B for each uint32
 #: array live at the determinant's widest step, i.e. 15 inputs (a, b, x,
@@ -76,10 +77,6 @@ _RESULTANT_POINTS_PER_PASS = 1 << 16
 #: grow with the pass (the field tables), 2.1 B/point at m = 4.  Measured
 #: peak (tracemalloc): 174.1 B/point at m = 4, 172.2 at m = 5 and 7.
 _RESULTANT_BYTES_PER_POINT = 4 * (15 + 25) + 12 + 4
-#: Peak bytes per (a, b) pair of the resultant's side facts, which sweep all
-#: 2^(2m) pairs at once.  Measured peak (tracemalloc): 48.1 B/pair at m = 7,
-#: 48.9 at m = 9 and 48.0 at m = 10.
-_RESULTANT_BYTES_PER_PAIR = 49
 
 
 # ----------------------------------------------------------------------
@@ -212,28 +209,9 @@ def is_apn_quadratic(f: FunctionTable) -> bool:
     for a0 in range(1, order, step):
         a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)[:, None]
         images = lut[a ^ basis] ^ lut[basis] ^ lut[a] ^ lut[0]
-        if np.any(_row_ranks(images, n) != n - 1):
+        if np.any(row_ranks(images, n) != n - 1):
             return False
     return order > 1
-
-
-def _row_ranks(vectors: np.ndarray, n: int) -> np.ndarray:
-    """GF(2) rank of the n-bit vectors in each row of ``vectors``.
-
-    Gaussian elimination on every row at once: for each bit, the first
-    vector of a row with that bit set is its pivot and is XORed into every
-    vector of the row with the bit set, itself included.
-    """
-    vectors = vectors.copy()
-    rows = np.arange(vectors.shape[0])
-    ranks = np.zeros(vectors.shape[0], dtype=np.int64)
-    for bit in range(n):
-        has = (vectors >> bit) & 1
-        pivot = vectors[rows, has.argmax(axis=1)]
-        pivot *= (pivot >> bit) & 1  # rows with no vector carrying the bit
-        vectors ^= has * pivot[:, None]
-        ranks += pivot != 0
-    return ranks
 
 
 # ----------------------------------------------------------------------
@@ -279,41 +257,24 @@ def cubic_root_count(field: Field, a, b) -> CubicClass:
     b = field.coerce(b)
     if a == 0 or b == 0:
         return CubicClass(root_count=brute_cubic_root_count(field, a, b))
-    m = field.n
     w = field.mul(field.pow(a, 3), field.inv(field.sqr(b)))
-    tr_w = field.trace_to(1, w)
-    tr_one = field.trace_to(1, 1)
-    if tr_w != tr_one:
+    if field.trace_to(1, w) != field.trace_to(1, 1):
         return CubicClass(root_count=1)
-    # resolvent roots t = b*r with r^2 + r = a^3/b^2
-    if m % 2 == 0:
-        r = _artin_schreier_root(field, w)
-        assert r is not None  # tr(w) = tr(1) = 0 for even m
-        t1 = field.mul(b, r)
-        t2 = field.mul(b, r ^ 1)
-        both_cubes = (
-            cube_class(field, t1) == "cube" and cube_class(field, t2) == "cube"
-        )
-        return CubicClass(
-            root_count=3 if both_cubes else 0,
-            resolvent_roots=(t1, t2),
-            resolvent_in_extension=False,
-        )
-    ext = field_new(2 * m)
-    lift = subfield_embedding(ext, field)
-    w_up = int(lift[w])
-    b_up = int(lift[b])
-    r = _artin_schreier_root(ext, w_up)
-    assert r is not None  # absolute trace doubles to 0 in the even extension
-    t1 = ext.mul(b_up, r)
-    t2 = ext.mul(b_up, r ^ 1)
-    both_cubes = (
-        cube_class(ext, t1) == "cube" and cube_class(ext, t2) == "cube"
-    )
+    # resolvent roots t = b*r with r^2 + r = a^3/b^2, found in the field of
+    # even degree: GF(2^m) itself, or GF(2^(2m)) with w and b lifted, where
+    # the absolute trace of w doubles to 0
+    ext = field if field.n % 2 == 0 else field_new(2 * field.n)
+    if ext is not field:
+        lift = subfield_embedding(ext, field)
+        w, b = int(lift[w]), int(lift[b])
+    r = _artin_schreier_root(ext, w)
+    assert r is not None  # tr(w) = 0 in a field of even degree
+    t1, t2 = ext.mul(b, r), ext.mul(b, r ^ 1)
+    both_cubes = cube_class(ext, t1) == "cube" and cube_class(ext, t2) == "cube"
     return CubicClass(
         root_count=3 if both_cubes else 0,
         resolvent_roots=(t1, t2),
-        resolvent_in_extension=True,
+        resolvent_in_extension=ext is not field,
     )
 
 
@@ -513,7 +474,6 @@ class ResultantIdentityReport:
     """Outcome of checking the factored derivative-system resultant."""
 
     m: int
-    mode: str
     checked: int
     mismatches: list[tuple[int, int, int]]  # witness (a, b, x) triples, capped
     b_coeff_zero_set_ok: bool  # constant term vanishes only at (a,b) = (1,1)
@@ -534,7 +494,7 @@ class ResultantIdentityReport:
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
-            "mode": self.mode,
+            "mode": "full-sweep",
             "checked": self.checked,
             "identity_holds": self.identity_holds,
             "b_coeff_zero_set_ok": self.b_coeff_zero_set_ok,
@@ -543,12 +503,7 @@ class ResultantIdentityReport:
         }
 
 
-def verify_resultant_identity(
-    m: int,
-    mode: str = "full-sweep",
-    samples: int = 256,
-    seed: int = 0,
-) -> ResultantIdentityReport:
+def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     """Check the factored form of the derivative system's y-resultant.
 
     The system's two coordinate equations, viewed as polynomials in y with
@@ -556,62 +511,45 @@ def verify_resultant_identity(
     determinant must equal ``(a^3+ab^2+b^3)^2 x (x+a) H(x) H(x+a)`` with
     ``H(x) = x^3 + (a^2+ab+a+b^2+b+1) x + (a^3+a^2b+a+b^3+b^2+1)``.
 
-    full-sweep mode checks every (a, b, x) in GF(2^m)^3; pointwise mode
-    checks ``samples`` uniformly random triples.  Two side facts are always
-    swept over all (a, b): the constant term of H vanishes only at
-    (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the origin.
+    Every (a, b, x) in GF(2^m)^3 is checked, in passes of
+    ``_RESULTANT_POINTS_PER_PASS`` points.  The passes' x = 0 points, which
+    meet every (a, b) once, also give two side facts: the constant term of
+    H vanishes only at (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the
+    origin.
 
-    Raises :class:`MemoryBudgetError` before allocating when one pass of
-    points together with the side facts would exceed
-    ``APNLAB_MEM_BUDGET_GIB``.
+    Raises :class:`MemoryBudgetError` before allocating when one pass would
+    exceed ``APNLAB_MEM_BUDGET_GIB``.
     """
     field = field_new(m)
-    order = field.order
-    if mode == "full-sweep":
-        checked = order**3
-        per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
-    elif mode == "pointwise":
-        checked = per_pass = samples
-    else:
-        raise PreconditionError(f"unknown mode {mode!r}")
-    need = (per_pass * _RESULTANT_BYTES_PER_POINT
-            + order**2 * _RESULTANT_BYTES_PER_PAIR)
+    checked = field.order**3
+    per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
+    need = per_pass * _RESULTANT_BYTES_PER_POINT
     limit = mem_budget_bytes()
     if need > limit:
         raise MemoryBudgetError(
             f"resultant check at m={m} needs {need} bytes (one pass of "
-            f"{per_pass} points and the side facts), budget is {limit}")
-    if mode == "full-sweep":
-        passes = (_sweep_points(m, start, min(start + per_pass, checked))
-                  for start in range(0, checked, per_pass))
-    else:
-        rng = np.random.default_rng(seed)
-        passes = [tuple(rng.integers(0, order, samples).astype(np.uint32)
-                        for _ in range(3))]
+            f"{per_pass} points), budget is {limit}")
+    mul, sq = field.mul_vec, field.sqr_vec
     mismatches: list[tuple[int, int, int]] = []
-    for a, b, x in passes:
+    const_zeros: set[tuple[int, int]] = set()
+    denom_zeros: set[tuple[int, int]] = set()
+    for start in range(0, checked, per_pass):
+        a, b, x = _sweep_points(m, start, min(start + per_pass, checked))
         for i in _resultant_mismatches(field, a, b, x)[: _WITNESS_CAP - len(mismatches)]:
             mismatches.append((int(a[i]), int(b[i]), int(x[i])))
-
-    # side facts over all (a, b) pairs regardless of mode
-    mul, sq = field.mul_vec, field.sqr_vec
-    _, pa, pb = _sweep_points(m, 0, order**2)
-    pa2, pb2 = sq(pa), sq(pb)
-    pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
-    const = pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1
-    zero_set = set(zip((pa[const == 0]).tolist(), (pb[const == 0]).tolist()))
-    b_ok = zero_set == {(1, 1)}
-    denom = pa3 ^ mul(pa, pb2) ^ pb3
-    denom_zero = set(zip((pa[denom == 0]).tolist(), (pb[denom == 0]).tolist()))
-    den_ok = denom_zero == {(0, 0)}
-
+        at0 = x == 0
+        pa, pb = a[at0], b[at0]
+        pa2, pb2 = sq(pa), sq(pb)
+        pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
+        for zeros, value in ((const_zeros, pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1),
+                             (denom_zeros, pa3 ^ mul(pa, pb2) ^ pb3)):
+            zeros.update(zip(pa[value == 0].tolist(), pb[value == 0].tolist()))
     return ResultantIdentityReport(
         m=m,
-        mode=mode,
         checked=checked,
         mismatches=mismatches,
-        b_coeff_zero_set_ok=b_ok,
-        denominator_nonzero_ok=den_ok,
+        b_coeff_zero_set_ok=const_zeros == {(1, 1)},
+        denominator_nonzero_ok=denom_zeros == {(0, 0)},
     )
 
 
@@ -906,8 +844,6 @@ def verify_key_lemma(m: int, s: int, mu, v, a) -> KeyLemmaReport:
     E = C^(2^m) a^(1-2^(2m)) are each checked; any that fail are listed in
     ``factorization_failures``.
     """
-    from .families import validate_trinomial_params
-
     field, L, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
     a_bits = field.coerce(a)
     if a_bits == 0:
@@ -979,8 +915,6 @@ def sweep_key_lemmas(m: int, params) -> list[KeyLemmaSweep]:
     validated as :func:`sweep_key_lemma` validates it, and its sweep comes
     out the same.
     """
-    from .families import validate_trinomial_params
-
     cap = max(1, _KEY_ELEMS_PER_PASS // ((1 << (3 * m)) - 1))
     out: list[KeyLemmaSweep] = []
     group_s, group = None, []
@@ -1041,9 +975,6 @@ def verify_subfield_scaled_permutations(m: int, s: int, mu) -> bool:
     Returns True when the full beta sweep agrees; raises when the beta = 1
     preconditions fail.
     """
-    from .families import validate_trinomial_params
-    from .vbf import LinearizedPoly
-
     # v = u^0 = 1 lies in GF(2^m)*, so only the conditions on s and mu bite
     field, _, mu_bits, _ = validate_trinomial_params(m, s, mu, 0)
     betas = subfield_embedding(field, field_new(m))
@@ -1051,11 +982,9 @@ def verify_subfield_scaled_permutations(m: int, s: int, mu) -> bool:
     basis = np.uint32(1) << np.arange(field.n, dtype=np.uint32)
     # images of the basis under head(z) + beta z, one row per beta
     images = head.eval_vec(basis) ^ field.mul_vec(betas[:, None], basis)
-    return bool(np.all(_row_ranks(images, field.n) == field.n))
+    return bool(np.all(row_ranks(images, field.n) == field.n))
 
 
 def verify_adjoint_permutation_agreement(L) -> bool:
     """A linearized map permutes the field iff its trace-adjoint does."""
-    from .vbf import adjoint, is_linearized_permutation
-
     return is_linearized_permutation(L) == is_linearized_permutation(adjoint(L))

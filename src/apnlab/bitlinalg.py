@@ -1,10 +1,13 @@
-"""Bit-packed GF(2) linear algebra.
+"""GF(2) linear algebra: batched ranks of narrow vectors, and bit-packed
+matrices of any width.
 
-Matrices are stored as numpy uint64 arrays, 64 columns per word, column j in
-word ``j >> 6`` at bit ``j & 63`` (LSB first).  Rank is computed by absorbing
-rows into an incremental echelon basis.  A stored row is written once and
-never rewritten; each finished block of 8 rows carries a 256-entry index map
-from pivot bits to table entries, so one 256-entry XOR table per block clears
+:func:`row_ranks` ranks many small sets of vectors of at most 64 bits at
+once, each vector held in one integer.  Wide matrices are stored as numpy
+uint64 arrays, 64 columns per word, column j in word ``j >> 6`` at bit
+``j & 63`` (LSB first).  Their rank is computed by absorbing rows into an
+incremental echelon basis.  A stored row is written once and never
+rewritten; each finished block of 8 rows carries a 256-entry index map from
+pivot bits to table entries, so one 256-entry XOR table per block clears
 the block's pivot columns from a work chunk with one gather (four-Russians
 style).  The rows of a chunk are split into one contiguous range per CPU
 the process may run on, each reduced on its own thread with its own table.
@@ -25,6 +28,7 @@ __all__ = [
     "GF2Basis",
     "mem_budget_bytes",
     "rank",
+    "row_ranks",
     "xor_permute_columns",
 ]
 
@@ -375,3 +379,22 @@ def rank(matrix: BitMatrix | np.ndarray) -> int:
     basis = GF2Basis(matrix.cols)
     basis.absorb(matrix.data)
     return basis.rank
+
+
+def row_ranks(vectors: np.ndarray, n: int) -> np.ndarray:
+    """GF(2) rank of the n-bit vectors (n <= 64) in each row of ``vectors``.
+
+    Gaussian elimination on every row at once: for each bit, the first
+    vector of a row with that bit set is its pivot and is XORed into every
+    vector of the row with the bit set, itself included.
+    """
+    vectors = np.array(vectors)
+    rows = np.arange(vectors.shape[0])
+    ranks = np.zeros(vectors.shape[0], dtype=np.int64)
+    for bit in range(n):
+        has = (vectors >> bit) & 1
+        pivot = vectors[rows, has.argmax(axis=1)]
+        pivot *= (pivot >> bit) & 1  # rows with no vector carrying the bit
+        vectors ^= has * pivot[:, None]
+        ranks += pivot != 0
+    return ranks

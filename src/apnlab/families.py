@@ -37,6 +37,7 @@ from .gf2n import (
     cube_class,
     field_new,
     primitive_elements,
+    subfield_embedding,
     subfield_map,
 )
 from .vbf import (
@@ -442,8 +443,6 @@ def _build_f11(field: Field, params: dict) -> UnivariatePoly:
     i = _as_shift(params["i"], "i")
     valid = _f11_valid_i(m, n)
     _require(i in valid, f"i in {sorted(valid)} (i = m-2 or its inverse mod n)")
-    from .gf2n import subfield_embedding
-
     f4 = field_new(2)
     embed = subfield_embedding(field, f4)
     w = int(embed[2])  # a generator of the embedded GF(4)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -299,10 +298,6 @@ class Field:
         """The element primitive**k (k may be negative)."""
         return self.pow(self.primitive, k)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for bits in range(self.order):
-            yield FieldElement(self, bits)
-
     # -- tables and bulk operations -------------------------------------------
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -554,14 +549,13 @@ def subfield_embedding(parent: Field, component: Field) -> np.ndarray:
 class SubfieldMap:
     """Identification of GF(2^m) x GF(2^m) with GF(2^(2m)).
 
-    A pair (x, y) maps to embed(x)*beta0 + embed(y)*beta1 where embed is the
-    canonical subfield embedding and (beta0, beta1) is a basis of the parent
-    over the embedded subfield.  The default basis is beta0 = 1 and beta1 = the
-    least parent element outside the embedded subfield.
+    A pair (x, y) maps to embed(x) + embed(y)*beta where embed is the
+    canonical subfield embedding and beta is the least parent element
+    outside the embedded subfield, so that (1, beta) is a basis of the
+    parent over the embedded subfield.
     """
 
-    def __init__(self, parent: Field, component: Field,
-                 beta: tuple[int, int] | None = None):
+    def __init__(self, parent: Field, component: Field):
         if parent.n != 2 * component.n:
             raise PreconditionError(
                 f"parent degree must be twice the component degree: "
@@ -571,22 +565,12 @@ class SubfieldMap:
         self._sub = subfield_embedding(parent, component)
         sub_set = np.zeros(parent.order, dtype=bool)
         sub_set[self._sub] = True
-        if beta is None:
-            beta0 = 1
-            beta1 = int(np.flatnonzero(~sub_set)[0])
-        else:
-            beta0, beta1 = (parent.coerce(b) for b in beta)
-        self.beta = (beta0, beta1)
+        beta = int(np.flatnonzero(~sub_set)[0])
         m = component.n
         xs = np.repeat(self._sub, component.order)       # embed(x), x major
         ys = np.tile(self._sub, component.order)         # embed(y), y minor
-        pair = (parent.mul_vec(xs, np.full(xs.shape, beta0, np.uint32))
-                ^ parent.mul_vec(ys, np.full(ys.shape, beta1, np.uint32)))
+        pair = xs ^ parent.mul_scalar_vec(beta, ys)
         self._embed = pair  # index (x << m) | y
-        counts = np.bincount(pair, minlength=parent.order)
-        if counts.max() != 1:
-            raise PreconditionError(
-                "basis does not span: (beta0, beta1) dependent over the subfield")
         split = np.empty(parent.order, dtype=np.uint32)
         split[pair] = np.arange(parent.order, dtype=np.uint32)
         self._split = split  # parent bits -> (x << m) | y
@@ -616,6 +600,5 @@ class SubfieldMap:
         return int(self._sub[self.component.coerce(x)])
 
 
-def subfield_map(parent: Field, component: Field,
-                 beta: tuple[int, int] | None = None) -> SubfieldMap:
-    return SubfieldMap(parent, component, beta)
+def subfield_map(parent: Field, component: Field) -> SubfieldMap:
+    return SubfieldMap(parent, component)

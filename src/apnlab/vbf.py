@@ -18,6 +18,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from .bitlinalg import row_ranks
 from .errors import PreconditionError
 from .gf2n import Field, FieldElement, SubfieldMap, field_from_header
 
@@ -218,13 +219,6 @@ class LinearizedPoly:
         return UnivariatePoly(self.field,
                               [(c, 1 << i) for i, c in enumerate(self.coeffs) if c])
 
-    def matrix_rows(self) -> list[int]:
-        """The map as an n x n GF(2) matrix, one int bit-row per output bit."""
-        bits = np.arange(self.field.n, dtype=np.uint32)
-        images = self.eval_vec(np.uint32(1) << bits)  # column j is L(x^j)
-        entries = (images >> bits[:, None]) & 1       # (i, j): bit i of L(x^j)
-        return [int(r) for r in (entries << bits).sum(axis=1)]
-
     def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
         if other.field != self.field:
             raise PreconditionError("mixed-field operands in polynomial sum")
@@ -235,21 +229,12 @@ class LinearizedPoly:
         return f"LinearizedPoly(GF(2^{self.field.n}), {self.coeffs})"
 
 
-def _int_rows_rank(rows: list[int]) -> int:
-    rank = 0
-    rows = [r for r in rows if r]
-    while rows:
-        piv = min(rows, key=lambda r: r & -r)
-        low = piv & -piv
-        rows = [r ^ piv if r & low else r for r in rows]
-        rows = [r for r in rows if r]
-        rank += 1
-    return rank
-
-
 def is_linearized_permutation(L: LinearizedPoly) -> bool:
-    """Whether the linearized polynomial permutes the field (full GF(2) rank)."""
-    return _int_rows_rank(L.matrix_rows()) == L.field.n
+    """Whether the linearized polynomial permutes the field: the images of
+    the n basis vectors have full GF(2) rank."""
+    n = L.field.n
+    images = L.eval_vec(np.uint32(1) << np.arange(n, dtype=np.uint32))
+    return bool(row_ranks(images[None], n)[0] == n)
 
 
 def adjoint(L: LinearizedPoly) -> LinearizedPoly:
@@ -356,7 +341,7 @@ def random_affine_permutation(field: Field, rng: np.random.Generator) -> Functio
     n = field.n
     while True:
         rows = [int(rng.integers(1, field.order)) for _ in range(n)]
-        if _int_rows_rank(rows) == n:
+        if row_ranks(np.array([rows], dtype=np.uint32), n)[0] == n:
             break
     const = int(rng.integers(0, field.order))
     zs = field.all_elements_vec()

@@ -16,7 +16,6 @@ from apnlab.analysis import (
     KeyLemmaSweep,
     _key_claims,
     _key_point_values,
-    _row_ranks,
     algebraic_degree,
     brute_cubic_root_count,
     cubic_root_count,
@@ -33,7 +32,7 @@ from apnlab.analysis import (
     verify_resultant_identity,
     verify_subfield_scaled_permutations,
 )
-from apnlab.errors import MemoryBudgetError, PreconditionError
+from apnlab.errors import PreconditionError
 from apnlab.families import (
     FamilyId,
     make_known,
@@ -44,7 +43,7 @@ from apnlab.families import (
 )
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
-from conftest import get_field, naive_rank
+from conftest import get_field
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +245,6 @@ def test_trinomial_family_m5_sample_is_quadratic_apn():
     assert is_apn(tables[0])
 
 
-def test_row_ranks_match_textbook_elimination():
-    rng = np.random.default_rng(5)
-    for n in (1, 4, 9, 14):
-        vectors = rng.integers(0, 1 << n, (50, n), dtype=np.uint32)
-        vectors[::3, 1:] = vectors[::3, :1]  # some rank-deficient rows
-        got = _row_ranks(vectors, n)
-        for row, r in zip(vectors, got):
-            dense = (row[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-            assert r == naive_rank(dense)
-
-
 def test_is_apn_rejects_differentially_4_uniform():
     f = get_field(6)
     inverse = to_table(UnivariatePoly.monomial(f, 62))  # z^(2^6-2)
@@ -388,12 +376,6 @@ def test_resultant_identity_report(m, side_facts):
     assert d["m"] == m and d["identity_holds"] is True
 
 
-def test_resultant_identity_pointwise_mode():
-    rep = verify_resultant_identity(3, mode="pointwise", samples=64, seed=1)
-    assert rep.identity_holds
-    assert rep.checked == 64
-
-
 def test_resultant_sweep_in_short_passes_matches_one_pass(monkeypatch):
     one_pass = verify_resultant_identity(4)  # 4096 points, one pass
     monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
@@ -423,18 +405,19 @@ def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
     assert not rep.identity_holds and rep.checked == order**3
 
 
-def test_resultant_budget_counts_the_side_facts(monkeypatch):
-    # at m = 10 one pass needs 11.5 MB and the 2^20 (a, b) side facts about
-    # 51 MB: a 21 MB budget must refuse both modes before any point is made
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.02")
-
-    def no_points(*args):
-        raise AssertionError("swept under a budget it does not fit")
-
-    monkeypatch.setattr(analysis, "_sweep_points", no_points)
-    for mode in ("full-sweep", "pointwise"):
-        with pytest.raises(MemoryBudgetError, match="side facts"):
-            verify_resultant_identity(10, mode=mode, samples=16)
+def test_resultant_side_facts_stay_within_two_short_passes(monkeypatch):
+    # 1024 passes of 2^11 points at m=7: the (a, b) side facts come from
+    # the passes' x = 0 points, so nothing outlives a pass
+    m = 7
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1 << 11)
+    tracemalloc.start()
+    try:
+        rep = verify_resultant_identity(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.all_ok and rep.checked == 1 << 21
+    assert peak <= 2 * (1 << 11) * analysis._RESULTANT_BYTES_PER_POINT
 
 
 def test_resultant_sweep_memory_stays_within_two_passes():

@@ -18,6 +18,7 @@ from apnlab.bitlinalg import (
     GF2Basis,
     mem_budget_bytes,
     rank,
+    row_ranks,
     xor_permute_columns,
 )
 from apnlab.errors import MemoryBudgetError, PreconditionError
@@ -132,6 +133,18 @@ def test_rank_matches_naive_across_row_slices():
     for k in range(40):
         d[left[:, k] == 1] ^= right[k]
     assert rank(BitMatrix.from_dense01(d)) == naive_rank(d) == 40
+
+
+def test_row_ranks_match_textbook_elimination():
+    rng = np.random.default_rng(5)
+    for n, dtype in ((1, np.uint32), (4, np.uint32), (9, np.uint32),
+                     (14, np.uint32), (64, np.uint64)):
+        vectors = rng.integers(0, 1 << n, (50, n), dtype=dtype)
+        vectors[::3, 1:] = vectors[::3, :1]  # some rank-deficient rows
+        got = row_ranks(vectors, n)
+        for row, r in zip(vectors, got):
+            dense = (row[:, None] >> np.arange(n, dtype=dtype)) & 1
+            assert r == naive_rank(dense)
 
 
 # ---------------------------------------------------------------------------

@@ -315,21 +315,6 @@ def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
     assert out["status"] == "resource-limit"
 
 
-def test_verify_resultant_side_facts_count_against_the_budget(capsys,
-                                                              monkeypatch):
-    # m=10: one 2^16-point pass (11.5 MB) fits 0.02 GiB, the 2^20 (a, b)
-    # side facts (about 51 MB) do not; exit 3 before the first pass
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.02")
-
-    def no_points(*args):
-        raise AssertionError("swept under a budget it does not fit")
-
-    monkeypatch.setattr(analysis, "_sweep_points", no_points)
-    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "10")
-    assert code == 3
-    assert out["status"] == "resource-limit"
-
-
 def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
     # with the variable unset the budget is 0.8 x MemAvailable: 0.8 MiB is
     # below one m=5 pass; a malformed value is still refused first
@@ -349,12 +334,35 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
      "7173d4f0de0309114b92e123f465abc6918d1cc549091265f691f6a4cfae466e"),
     (["ddt", "--family", '{tag:"Gold", n:9, i:1}'],
      "b22f254e912769a5e9b7265bf1bb879d7a54afff7c297a281bfb2fb3f3a2afcd"),
+    (["verify", "--lemma", "cubic", "--m", "5"],
+     "cfd69627ff7060507499f863a752ae4334ab1517413f7db5cbb0fdc5b9ad9a62"),
+    (["verify", "--lemma", "key", "--m", "2", "--s", "3"],
+     "71f76a56e9cbf6fc3f351604e140aa531fdddcfabb2ce89b9b6d8225fa434fd5"),
 ])
 def test_sweep_stdout_is_pinned(capsys, argv, digest):
-    # stdout as the one-pass resultant sweep and the full-input DDT wrote it
+    # stdout of each sweep as it was before its code was last rewritten
     assert main(argv) == 0
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_verify_key_checks_its_size_before_building_tuples(capsys,
+                                                         monkeypatch):
+    # 1 MiB fits the 36 tuples of m=2, s=3 but not the 5,292 of m=3
+    # (about 2 MB), which it refuses before the list is built
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
+    code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "2",
+                       "--s", "3")
+    assert code == 0 and out["tuples_checked"] == 36
+
+    def no_sweep(*args):
+        raise AssertionError("swept under a budget it does not fit")
+
+    monkeypatch.setattr(cli, "sweep_key_lemmas", no_sweep)
+    code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "3")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+    assert "5292 tuples" in out["error"]
 
 
 def test_verify_key_with_pinned_s(capsys):

@@ -195,16 +195,18 @@ def test_to_univariate_agrees():
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
-def test_matrix_rows_match_scalar_definition(n):
-    # row i, bit j is bit i of L(x^j), with L evaluated one point at a time
+def test_linearized_permutation_matches_table(n):
+    # mostly zero coefficients, so that both verdicts occur
     f = get_field(n)
     rng = np.random.default_rng(n)
-    for _ in range(10):
-        L = LinearizedPoly(f, [int(c) for c in rng.integers(0, f.order, n)])
-        images = [L.eval(1 << j) for j in range(n)]
-        want = [sum(((images[j] >> i) & 1) << j for j in range(n))
-                for i in range(n)]
-        assert L.matrix_rows() == want
+    verdicts = set()
+    for _ in range(40):
+        coeffs = rng.integers(0, f.order, n) * (rng.random(n) < 0.25)
+        L = LinearizedPoly(f, [int(c) for c in coeffs])
+        got = is_linearized_permutation(L)
+        assert got == L.to_table().is_permutation(), L
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_matrix_rows_rank_iff_permutation():
