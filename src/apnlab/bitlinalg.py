@@ -26,6 +26,7 @@ from .errors import MemoryBudgetError, PreconditionError
 __all__ = [
     "BitMatrix",
     "GF2Basis",
+    "check_alloc",
     "mem_budget_bytes",
     "rank",
     "row_ranks",
@@ -68,6 +69,14 @@ def mem_budget_bytes() -> int:
         raise PreconditionError(
             f"APNLAB_MEM_BUDGET_GIB must be a finite number >= 0, got {text!r}")
     return int(gib * (1 << 30))
+
+
+def check_alloc(nbytes: int, what: str, budget: int | None = None) -> None:
+    """Before allocating ``nbytes`` for ``what``: raise MemoryBudgetError
+    above ``budget`` (default :func:`mem_budget_bytes`)."""
+    limit = mem_budget_bytes() if budget is None else budget
+    if nbytes > limit:
+        raise MemoryBudgetError(f"{what} needs {nbytes} bytes, budget is {limit}")
 
 
 def _mem_available_bytes(path: str = "/proc/meminfo") -> float:
@@ -205,12 +214,13 @@ class GF2Basis:
     #: Elimination backend, recorded by benchmark run metadata.
     backend = "numpy"
 
-    def __init__(self, cols: int, budget: int | None = None):
+    def __init__(self, cols: int):
         if cols <= 0:
             raise PreconditionError("column count must be positive")
         self.cols = cols
         self.words = _words_for(cols)
-        self._budget = mem_budget_bytes() if budget is None else budget
+        # read once: the default follows MemAvailable, which the basis lowers
+        self._budget = mem_budget_bytes()
         cap = 256
         self._rows = np.zeros((cap, self.words), dtype=np.uint64)
         self._piv_col = np.zeros(cap, dtype=np.int64)
@@ -245,11 +255,9 @@ class GF2Basis:
         while cap < self.count + extra:
             cap *= 2
         tables = max(len(self._tables), _parts(extra))
-        nbytes = (cap + extra + 256 * tables) * self.words * 8
-        if nbytes > self._budget:
-            raise MemoryBudgetError(
-                f"absorbing {extra} rows would need {nbytes} bytes (basis, "
-                f"chunk and {tables} tables), budget is {self._budget}")
+        check_alloc((cap + extra + 256 * tables) * self.words * 8,
+                    f"absorbing {extra} rows (basis, chunk and {tables} tables)",
+                    self._budget)
         chunk = np.array(rows, dtype=np.uint64)
         if cap > self._rows.shape[0]:
             grown = np.zeros((cap, self.words), dtype=np.uint64)

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .bitlinalg import check_alloc
 from .errors import PreconditionError
 
 __all__ = [
@@ -64,6 +65,9 @@ DEFAULT_MODULI: dict[int, int] = {
 }
 
 _MAX_TABLE_N = 24  # log/exp tables are built only up to this size
+#: Peak bytes per element of a table build: exp 16, log 4, log's index run 4.
+#: Measured (tracemalloc): 24.02 B at n = 22, 20.0 B held afterwards.
+_TABLE_BYTES_PER_ELEMENT = 24
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +316,8 @@ class Field:
             if self.n > _MAX_TABLE_N:
                 raise PreconditionError(
                     f"log/exp tables unsupported beyond n={_MAX_TABLE_N}")
+            check_alloc(_TABLE_BYTES_PER_ELEMENT << self.n,
+                        f"GF(2^{self.n}) log/exp table build")
             m = self.mult_order
             exp = np.zeros(4 * m + 1, dtype=np.uint32)
             exp[0] = 1

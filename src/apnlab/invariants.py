@@ -111,7 +111,7 @@ def _close_upward(dead: np.ndarray, bits: int) -> None:
         pairs[:, 1] |= pairs[:, 0]
 
 
-def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
+def _translate_closure_rank(f: FunctionTable) -> int:
     """Rank of the incidence matrix without materialising it.
 
     Every row of the matrix is ``sigma_t``-translates of the graph indicator
@@ -140,7 +140,7 @@ def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     """
     n = f.field.n
     side = 1 << (2 * n)
-    basis = GF2Basis(side, budget=budget)
+    basis = GF2Basis(side)
     basis.absorb(_graph_indicator_row(f))
     labels = np.zeros(basis.count, dtype=np.int64)
     for t in range(2 * n):
@@ -163,19 +163,17 @@ def _translate_closure_rank(f: FunctionTable, budget: int | None) -> int:
     return basis.rank
 
 
-def gamma_rank(
-    f: FunctionTable, family: str = "", budget: int | None = None
-) -> GammaRankReport:
+def gamma_rank(f: FunctionTable, family: str = "") -> GammaRankReport:
     """GF(2) rank of the incidence matrix of the graph development of ``f``.
 
     Computed by translate-closure iteration, in-core, in memory of about
-    ``rank * 2^(2n) / 8`` bytes for the basis; ``budget`` (bytes, default
-    ``APNLAB_MEM_BUDGET_GIB``) caps that basis.
+    ``rank * 2^(2n) / 8`` bytes for the basis, which
+    ``APNLAB_MEM_BUDGET_GIB`` caps.
     """
     n = f.field.n
     side = 1 << (2 * n)
     t0 = time.perf_counter()
-    value = _translate_closure_rank(f, budget)
+    value = _translate_closure_rank(f)
     return GammaRankReport(
         family=family,
         n=n,

@@ -52,8 +52,6 @@ from apnlab.vbf import (
 
 from conftest import get_field, naive_rank, requires_extended
 
-GIB = 1 << 30
-
 # Published rank values the tables must reproduce exactly; the computed
 # ranks below are the independent side of each check.
 TABLE4_RANKS = TABLE_RANKS[4]
@@ -142,15 +140,14 @@ def test_criterion_02_trinomial_family_apn():
 # criterion 3: the GF(2^8) rank table reproduces all published values
 # ---------------------------------------------------------------------------
 
-def test_criterion_03_rank_table_gf256():
+def test_criterion_03_rank_table_gf256(monkeypatch):
     budget_s = 7200.0
-    per_row_budget = 1 * GIB
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")  # each row's basis
     t0 = time.perf_counter()
     rows = representatives(8)
     mismatches = []
     for k, (inst, want) in enumerate(zip(rows, TABLE4_RANKS), start=1):
-        got = gamma_rank(inst.table, family=inst.label,
-                         budget=per_row_budget).gamma_rank
+        got = gamma_rank(inst.table, family=inst.label).gamma_rank
         if got != want:
             mismatches.append((k, got, want))
     elapsed = time.perf_counter() - t0
@@ -166,14 +163,13 @@ def test_criterion_03_rank_table_gf256():
 
 @requires_extended
 @pytest.mark.extended
-def test_criterion_04x_rank_table_gf512_gated_rows():
-    per_row_budget = 12 * GIB
+def test_criterion_04x_rank_table_gf512_gated_rows(monkeypatch):
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "12")  # each row's basis
     t0 = time.perf_counter()
     rows = representatives(9)
     got = {}
     for k in (1, 12):
-        got[k] = gamma_rank(rows[k - 1].table,
-                            budget=per_row_budget).gamma_rank
+        got[k] = gamma_rank(rows[k - 1].table).gamma_rank
     elapsed = time.perf_counter() - t0
     want = {1: TABLE5_RANKS[0], 12: TABLE5_RANKS[11]}
     ok = got == want
@@ -209,20 +205,26 @@ def test_criterion_06_key_lemma_exhaustive():
     t0 = time.perf_counter()
     tuples_checked = 0
     bad = []
+    in_order = True
     for m in (2, 3):
+        field = field_new(3 * m)
         params = [(s, mu, v_exp) for s, mu in search_trinomial_params(m)
                   for v_exp in subfield_unit_exponents(m)]
-        for (s, mu, v_exp), sweep in zip(params, sweep_key_lemmas(m, params)):
+        sweeps = sweep_key_lemmas(m)
+        in_order &= [(w.s, w.mu, w.v) for w in sweeps] == [
+            (s, mu.bits, field.primitive_power(v_exp)) for s, mu, v_exp in params]
+        for (s, mu, v_exp), sweep in zip(params, sweeps):
             tuples_checked += 1
             if not sweep.all_pass:
                 bad.append((m, s, mu.bits, v_exp,
                             sweep.claim_failures[:2],
                             sweep.factorization_failures[:2]))
     elapsed = time.perf_counter() - t0
-    ok = not bad and elapsed <= budget_s
+    ok = in_order and not bad and elapsed <= budget_s
     report(6, ok,
-           f"{tuples_checked} parameter tuples, five claims plus printed "
-           f"factorizations at every nonzero point, failures={bad[:2]}, "
+           f"{tuples_checked} parameter tuples in order={in_order}, five "
+           f"claims plus printed factorizations at every nonzero point, "
+           f"failures={bad[:2]}, "
            f"{elapsed:.1f}s (budget {budget_s:.0f}s)")
 
 

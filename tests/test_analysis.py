@@ -32,6 +32,7 @@ from apnlab.analysis import (
     verify_resultant_identity,
     verify_subfield_scaled_permutations,
 )
+from apnlab.bitlinalg import check_alloc
 from apnlab.errors import PreconditionError
 from apnlab.families import (
     FamilyId,
@@ -513,6 +514,12 @@ def _key_tuples(m: int) -> list[tuple]:
             for j in range((1 << m) - 1)]
 
 
+def _key_ids(m: int, params) -> list[tuple]:
+    """``params`` as the (s, mu, v) bits a :class:`KeyLemmaSweep` reports."""
+    field = get_field(3 * m)
+    return [(s, mu.bits, field.primitive_power(v)) for s, mu, v in params]
+
+
 def _fold_key_lemma(m, s, mu, v) -> tuple[KeyLemmaSweep, list]:
     """:func:`verify_key_lemma` at every a != 0, folded into a sweep report."""
     field, _, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
@@ -536,11 +543,13 @@ def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
         return q
 
     monkeypatch.setattr(analysis, "_key_point_values", recorded)
-    assert sweep_key_lemmas(2, params) == [sweep for sweep, _ in folds]
+    sweeps = sweep_key_lemmas(2)
+    assert [(w.s, w.mu, w.v) for w in sweeps] == _key_ids(2, params)
+    assert sweeps == [sweep for sweep, _ in folds]
     assert [q["A"].shape for q in passes] == [(36, 63), (36, 63)]  # one per shift
     # passes of five tuples split each shift's group, and give the same reports
     monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", 5 * 63)
-    assert sweep_key_lemmas(2, params) == [sweep for sweep, _ in folds]
+    assert sweep_key_lemmas(2) == [sweep for sweep, _ in folds]
     # every quantity of every row of the five-tuple passes is the value the
     # single-point report computes for that tuple
     rows = [{k: q[k][t].tolist() for k in _KEY_QUANTITIES}
@@ -554,10 +563,41 @@ def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
 def test_batched_key_sweep_equals_per_tuple_fold_m3_sample():
     params = _key_tuples(3)
     rng = np.random.default_rng(2014)
-    sample = [params[i] for i in sorted(rng.choice(len(params), 5, replace=False))]
-    assert len({p[0] for p in sample}) > 1
-    assert sweep_key_lemmas(3, sample) == [_fold_key_lemma(3, *p)[0] for p in sample]
-    assert sweep_key_lemma(3, *sample[0]) == _fold_key_lemma(3, *sample[0])[0]
+    picks = sorted(rng.choice(len(params), 5, replace=False))
+    shifts = sorted({params[i][0] for i in picks})
+    assert len(shifts) > 1
+    first = {s: [p[0] for p in params].index(s) for s in shifts}
+    sweeps = {s: sweep_key_lemmas(3, s) for s in shifts}
+    for s in shifts:  # each shift's tuples, in the enumeration's order
+        assert [(w.s, w.mu, w.v) for w in sweeps[s]] == _key_ids(
+            3, [p for p in params if p[0] == s])
+    for i in picks:
+        s = params[i][0]
+        assert sweeps[s][i - first[s]] == _fold_key_lemma(3, *params[i])[0]
+    sample = params[picks[0]]
+    assert sweep_key_lemma(3, *sample) == _fold_key_lemma(3, *sample)[0]
+
+
+def test_key_sweep_memory_stays_within_its_check(monkeypatch):
+    # the tuples' results and one full pass of 513 tuples x 511 points are
+    # what check_alloc counts; the sweep's peak must stay inside that
+    counted = []
+
+    def recorded(nbytes, what, budget=None):
+        counted.append(nbytes)
+        return check_alloc(nbytes, what, budget)
+
+    monkeypatch.setattr(analysis, "check_alloc", recorded)
+    search_trinomial_params(3)  # the search's own field work, not the sweep's
+    tracemalloc.start()
+    try:
+        sweeps = sweep_key_lemmas(3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweeps) == 882 and all(w.all_pass for w in sweeps)
+    assert len(counted) == 1 and peak <= counted[0]
+    assert peak >= 0.8 * counted[0]  # the count is not loose either
 
 
 @pytest.mark.parametrize("name,bend,claim", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from apnlab import bitlinalg
 from apnlab.bitlinalg import (
     BitMatrix,
     GF2Basis,
+    check_alloc,
     mem_budget_bytes,
     rank,
     row_ranks,
@@ -24,6 +26,9 @@ from apnlab.bitlinalg import (
 from apnlab.errors import MemoryBudgetError, PreconditionError
 
 from conftest import naive_rank
+
+GIB = 1 << 30
+SRC = Path(__file__).resolve().parent.parent / "src" / "apnlab"
 
 
 def random_dense(rng: np.random.Generator, rows: int, cols: int,
@@ -244,20 +249,56 @@ def test_mem_available_reads_meminfo(tmp_path, text, want):
     assert bitlinalg._mem_available_bytes(str(tmp_path / "absent")) == math.inf
 
 
-def test_basis_respects_budget():
+def test_basis_respects_budget(monkeypatch):
     # 300 independent rows of 8 words outgrow the first 256-row allocation
-    basis = GF2Basis(512, budget=1024)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / GIB))
+    basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError):
         basis.absorb(BitMatrix.from_dense01(np.eye(300, 512, dtype=np.uint8)).data)
 
 
-def test_budget_counts_chunk_and_tables_before_reducing():
+def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
     # 16 rows of 8 words: the 256-row basis (16 KiB) and the chunk copy fit,
     # the basis, the chunk and one 256-entry table (16 KiB more) do not
-    basis = GF2Basis(512, budget=(256 + 16) * 64)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((256 + 16) * 64 / GIB))
+    basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="1 tables"):
         basis.absorb(BitMatrix.from_dense01(np.eye(16, 512, dtype=np.uint8)).data)
     assert basis.count == 0 and basis._tables == []
+
+
+def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
+    """The calls of ``name`` (a plain or dotted name) inside ``tree``."""
+    return [c for c in ast.walk(tree) if isinstance(c, ast.Call)
+            and name in (getattr(c.func, "id", None), getattr(c.func, "attr", None))]
+
+
+def test_memory_budget_has_one_guard():
+    # every budget refusal is made by check_alloc, and only bitlinalg reads
+    # the budget; the other modules size their allocations and call it
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in SRC.glob("*.py")}
+    guard = next(f for f in trees["bitlinalg"].body
+                 if isinstance(f, ast.FunctionDef) and f.name == "check_alloc")
+    made = [(mod, c.lineno) for mod, tree in trees.items()
+            for c in _calls(tree, "MemoryBudgetError")]
+    assert made == [("bitlinalg", c.lineno)
+                    for c in _calls(guard, "MemoryBudgetError")]
+    assert len(made) == 1
+    assert {mod for mod, tree in trees.items()
+            if _calls(tree, "mem_budget_bytes")} == {"bitlinalg"}
+    assert {"analysis", "gf2n", "bitlinalg"} <= {
+        mod for mod, tree in trees.items() if _calls(tree, "check_alloc")}
+
+
+def test_check_alloc_names_what_it_refuses(monkeypatch):
+    check_alloc(1024, "a table", budget=1024)  # up to the budget is allowed
+    with pytest.raises(MemoryBudgetError,
+                       match=r"^a table needs 1025 bytes, budget is 1024$"):
+        check_alloc(1025, "a table", budget=1024)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / GIB))
+    with pytest.raises(MemoryBudgetError, match="budget is 1024$"):
+        check_alloc(1025, "a table")
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])

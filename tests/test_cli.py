@@ -185,6 +185,24 @@ def test_gamma_rank_memory_budget_exits_3(capsys, monkeypatch):
     assert out["status"] == "resource-limit"
 
 
+def test_field_tables_are_sized_before_they_are_built(capsys, monkeypatch):
+    # the GF(2^24) log/exp tables need 24 B per element, 384 MiB, above
+    # 0.1 GiB; the build must not start
+    field = field_new(24)
+    monkeypatch.setattr(field, "_exp", None)
+    monkeypatch.setattr(field, "_log", None)
+
+    def no_build(*args):
+        raise AssertionError("built tables over the budget")
+
+    monkeypatch.setattr(type(field), "_mul_raw_vec", no_build)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.1")
+    code, out, _ = run(capsys, "search", "--trinomial", "--m", "8")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+    assert "GF(2^24)" in out["error"]
+
+
 def test_gamma_rank_rejects_malformed_memory_budget(capsys, monkeypatch):
     for bad in ("abc", "nan", "inf", "-1"):
         monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", bad)
@@ -338,12 +356,19 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
      "cfd69627ff7060507499f863a752ae4334ab1517413f7db5cbb0fdc5b9ad9a62"),
     (["verify", "--lemma", "key", "--m", "2", "--s", "3"],
      "71f76a56e9cbf6fc3f351604e140aa531fdddcfabb2ce89b9b6d8225fa434fd5"),
+    (["verify", "--lemma", "key", "--m", "3", "--s", "1"],
+     "d401c545264d18d0812b46e7dd827e0d8be1ce4c519404a45b570beb44d48d37"),
+    (["verify", "--lemma", "key", "--m", "2", "--s", "1"],  # exit 2
+     "f80c8bd949c092553b35cf833e5c06ec7a102eb4c0479ad3c77639453f6ed2bc"),
 ])
 def test_sweep_stdout_is_pinned(capsys, argv, digest):
-    # stdout of each sweep as it was before its code was last rewritten
-    assert main(argv) == 0
+    # stdout of each sweep as it was before its code was last rewritten; an
+    # error document comes with its exit code
+    code = main(argv)
     text = capsys.readouterr().out
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    failed = json.loads(text).get("status") == "precondition-failed"
+    assert code == (2 if failed else 0)
 
 
 def test_verify_key_checks_its_size_before_building_tuples(capsys,
@@ -355,10 +380,22 @@ def test_verify_key_checks_its_size_before_building_tuples(capsys,
                        "--s", "3")
     assert code == 0 and out["tuples_checked"] == 36
 
-    def no_sweep(*args):
-        raise AssertionError("swept under a budget it does not fit")
+    monkeypatch.setattr(analysis, "_sweep_key_group", _no_key_pass)
+    code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "3")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+    assert "5292 tuples" in out["error"]
 
-    monkeypatch.setattr(cli, "sweep_key_lemmas", no_sweep)
+
+def _no_key_pass(*args):
+    raise AssertionError("swept under a budget it does not fit")
+
+
+def test_verify_key_counts_one_pass_before_sweeping(capsys, monkeypatch):
+    # 8 MiB holds the results of the 5,292 tuples of m=3 (2.0 MB) but not
+    # one pass of 513 tuples x 511 points (about 38 MB)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(8 / 1024))
+    monkeypatch.setattr(analysis, "_sweep_key_group", _no_key_pass)
     code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "3")
     assert code == 3
     assert out["status"] == "resource-limit"
@@ -406,7 +443,9 @@ def test_verify_key_failures_keep_tuple_order_and_cap(capsys, monkeypatch,
     step = field.mult_order // 3
     params = [(s, mu, field.element(field.primitive_power(step * j)))
               for s, mu in search_trinomial_params(2) for j in range(3)]
-    sweeps = sweep_key_lemmas(2, params)
+    sweeps = sweep_key_lemmas(2)
+    assert [(w.s, w.mu, w.v) for w in sweeps] == [
+        (s, mu.bits, v.bits) for s, mu, v in params]
     want = [dict(sweeps[t].to_json_dict(), all_pass=False,
                  claim_failures=forced[t][:16])
             for t in sorted(forced)][:16]

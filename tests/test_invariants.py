@@ -87,11 +87,13 @@ def test_incidence_matrix_definition_spot_checks():
         assert np.array_equal(row, expect)
 
 
-def test_incidence_budget_guard():
+def test_incidence_budget_guard(monkeypatch):
     # the basis of the incidence row space (rank 1102 rows of 512 B) must
     # not outgrow the budget
+    table = gold_table(6)  # its field's tables are built before the budget is set
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / (1 << 30)))
     with pytest.raises(MemoryBudgetError):
-        gamma_rank(gold_table(6), budget=1024)
+        gamma_rank(table)
 
 
 # ---------------------------------------------------------------------------
