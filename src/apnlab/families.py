@@ -14,10 +14,11 @@ or as integers interpreted as *exponents of the field's canonical primitive
 element* (``None`` encodes the zero element); this mirrors the usual
 ``u^k`` notation of the literature's tables.
 
-The reference-row builders :func:`representatives` reproduce, literally,
-the published lists of twelve pairwise CCZ-inequivalent functions over
-GF(2^8) and GF(2^9) whose incidence-matrix ranks serve as goldens for the
-rank engine.
+:func:`representatives` gives the published lists of twelve pairwise
+CCZ-inequivalent functions over GF(2^8) and GF(2^9) whose incidence-matrix
+ranks serve as goldens for the rank engine.  Member rows are built and
+checked by their family's constructor, labels stay the printed forms, and
+alternate primitives are refused where a row is no member.
 """
 
 from __future__ import annotations
@@ -26,10 +27,11 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .bitlinalg import check_alloc
 from .errors import PreconditionError
 from .gf2n import (
     Field,
@@ -103,6 +105,11 @@ _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
 }
 
 KNOWN_TAGS = tuple(_REQUIRED_PARAMS)
+
+#: Peak bytes per (s, mu) pair of a trinomial search and its CLI listing
+#: (tracemalloc of ``apnlab search --trinomial``: 203 B per pair at m = 4,
+#: 194 B at m = 5 and 6).
+_SEARCH_BYTES_PER_PAIR = 208
 
 
 def _size_rule(tag: str) -> tuple[str, int]:
@@ -487,15 +494,6 @@ def _build_f12(field: Field, params: dict) -> UnivariatePoly:
 _NEW_BIVARIATE_LABEL = "(x^3+xy^2+y^3+xy, x^5+x^4y+y^5+xy+x^2y^2)"
 
 
-def _new_bivariate_form(component: Field) -> BivariateFunc:
-    """The new bivariate family's two coordinates over ``component``."""
-    return BivariateFunc(
-        component,
-        [(1, 3, 0), (1, 1, 2), (1, 0, 3), (1, 1, 1)],
-        [(1, 5, 0), (1, 4, 1), (1, 0, 5), (1, 1, 1), (1, 2, 2)],
-    )
-
-
 def _poly_has_root(component: Field, evaluate) -> bool:
     zs = component.all_elements_vec()
     return bool((evaluate(zs) == 0).any())
@@ -507,7 +505,11 @@ def _build_bivariate_known(
     m = component.n
     if tag == "NewBivariate":
         _require(math.gcd(3, m) == 1, "gcd(3,m)=1")
-        return _new_bivariate_form(component)
+        return BivariateFunc(
+            component,
+            [(1, 3, 0), (1, 1, 2), (1, 0, 3), (1, 1, 1)],
+            [(1, 5, 0), (1, 4, 1), (1, 0, 5), (1, 1, 1), (1, 2, 2)],
+        )
     if tag == "F13":
         k, i = _as_shift(params["k"], "k"), _as_shift(params["i"], "i")
         alpha = _as_bits(component, params["alpha"], "alpha")
@@ -723,30 +725,34 @@ def search_trinomial_params(m: int) -> list[tuple[int, FieldElement]]:
     avoid the image set {(z^(2^(m+s)) + z) / z^(2^s) : z != 0} (equivalent
     to L being a permutation) and whose relative norm over GF(2^m) is not 1.
     Results are sorted by (s, mu-bits); an empty list is a finding, not an
-    error.
+    error.  The pairs found so far are checked against the memory budget
+    after each s, before any element is built.
     """
     _require(m >= 2, "m >= 2")
     _require(3 * m <= 24, "3m <= 24")
     field = field_new(3 * m)
     zs = field.all_elements_vec()[1:]
     _, log = field._tables()
-    subgroup = (1 << m) - 1  # norm-1 elements are the powers u^(j*(2^m-1))
-    out: list[tuple[int, FieldElement]] = []
+    # zero, and the norm-1 elements: the powers u^(j*(2^m-1))
+    excluded = np.zeros(field.order, dtype=bool)
+    excluded[0] = True
+    excluded[1:][log[1:] % ((1 << m) - 1) == 0] = True
+    found: list[tuple[int, np.ndarray]] = []
+    count = 0
     for s in range(1, 3 * m):
         if math.gcd(s, m) != 1:
             continue
         image_of = field.mul_vec(
             field.frob_vec(zs, m + s) ^ zs, field.inv_vec(field.frob_vec(zs, s))
         )
-        blocked = np.zeros(field.order, dtype=bool)
+        blocked = excluded.copy()
         blocked[image_of] = True
-        blocked[0] = True
-        logs = log[1:]
-        norm_one = np.zeros(field.order, dtype=bool)
-        norm_one[1:][logs % subgroup == 0] = True
-        good = np.flatnonzero(~blocked & ~norm_one)
-        out.extend((s, field.element(int(b))) for b in good)
-    return out
+        good = np.flatnonzero(~blocked)
+        count += good.size
+        check_alloc(count * _SEARCH_BYTES_PER_PAIR,
+                    f"trinomial search at m={m} ({count} (s, mu) pairs up to s={s})")
+        found.append((s, good))
+    return [(s, field.element(int(b))) for s, good in found for b in good]
 
 
 def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstance:
@@ -793,136 +799,6 @@ TABLE_RANKS = {
         48460, 48596, 48558),
 }
 
-def _rep_rows_8(
-    field: Field, component: Field, u: int, v: int
-) -> list[tuple[str, str, object]]:
-    """(label, tag, form) for the twelve GF(2^8) reference rows.
-
-    ``u`` and ``v`` are the primitive elements (as bits) the printed
-    coefficient exponents refer to.
-    """
-    U = UnivariatePoly
-
-    def up(k):
-        return field.pow(u, k)
-
-    def vp(k):
-        return component.pow(v, k)
-
-    tr_z9 = _trace_expanded_terms(field, 1, [(1, 9)])
-    u3z9 = _trace_expanded_terms(field, 1, [(up(3), 9)])
-    uinv = field.inv(u)
-    return [
-        ("z^3", "Gold", U.monomial(field, 3)),
-        ("z^9", "Gold", U.monomial(field, 9)),
-        ("z^57", "Kasami", U.monomial(field, 57)),
-        (
-            "z^3+z^17+u^48 z^18+u^3 z^33+u z^34+z^48",
-            "F3",
-            U(
-                field,
-                [
-                    (1, 3),
-                    (1, 17),
-                    (up(48), 18),
-                    (up(3), 33),
-                    (u, 34),
-                    (1, 48),
-                ],
-            ),
-        ),
-        ("z^3+tr(z^9)", "F4", U(field, [(1, 3)] + tr_z9)),
-        (
-            "z^3+u^-1 tr(u^3 z^9)",
-            "F4",
-            U(field, [(1, 3)] + [(field.mul(uinv, c), e) for c, e in u3z9]),
-        ),
-        (
-            "(xy, x^3+v y^12)",
-            "F13",
-            BivariateFunc(component, [(1, 1, 1)], [(1, 3, 0), (vp(1), 0, 12)]),
-        ),
-        (
-            "(xy, x^12+x^4 y^2+y^3)",
-            "F14",
-            BivariateFunc(
-                component, [(1, 1, 1)], [(1, 12, 0), (1, 4, 2), (1, 0, 3)]
-            ),
-        ),
-        (
-            "(xy, x^12+x^4 y^2+v^7 y^3)",
-            "F14",
-            BivariateFunc(
-                component, [(1, 1, 1)], [(1, 12, 0), (1, 4, 2), (vp(7), 0, 3)]
-            ),
-        ),
-        (
-            "(x^3+xy^2+y^3, x^5+x^4y+y^5)",
-            "F16",
-            BivariateFunc(
-                component,
-                [(1, 3, 0), (1, 1, 2), (1, 0, 3)],
-                [(1, 5, 0), (1, 4, 1), (1, 0, 5)],
-            ),
-        ),
-        (
-            "(xy, x^3+x^2y+v x^4 y^8+v^5 y^3)",
-            "F15",
-            BivariateFunc(
-                component,
-                [(1, 1, 1)],
-                [(1, 3, 0), (1, 2, 1), (vp(1), 4, 8), (vp(5), 0, 3)],
-            ),
-        ),
-        (_NEW_BIVARIATE_LABEL, "NewBivariate", _new_bivariate_form(component)),
-    ]
-
-
-def _rep_rows_9(field: Field, u: int) -> list[tuple[str, str, object]]:
-    """(label, tag, form) for the twelve GF(2^9) reference rows."""
-    U = UnivariatePoly
-
-    def up(k):
-        return field.pow(u, k)
-
-    tr9_z9 = _trace_expanded_terms(field, 1, [(1, 9)])
-    tr3_z9_z18 = _trace_expanded_terms(field, 3, [(1, 9), (1, 18)])
-    tr3_z18_z36 = _trace_expanded_terms(field, 3, [(1, 18), (1, 36)])
-    # row 12: (z^16 + u^5 z^2 + z)^9 + u^73 z^9
-    L = U(field, [(1, 16), (up(5), 2), (1, 1)])
-    row12 = L.frob(3) * L + U(field, [(up(73), 9)])
-    return [
-        ("z^3", "Gold", U.monomial(field, 3)),
-        ("z^5", "Gold", U.monomial(field, 5)),
-        ("z^17", "Gold", U.monomial(field, 17)),
-        ("z^13", "Kasami", U.monomial(field, 13)),
-        ("z^241", "Kasami", U.monomial(field, 241)),
-        ("z^19", "Welch", U.monomial(field, 19)),
-        ("z^255", "Inverse", U.monomial(field, 255)),
-        ("z^3+tr(z^9)", "F4", U(field, [(1, 3)] + tr9_z9)),
-        ("z^3+tr_3(z^9+z^18)", "F5", U(field, [(1, 3)] + tr3_z9_z18)),
-        ("z^3+tr_3(z^18+z^36)", "F6", U(field, [(1, 3)] + tr3_z18_z36)),
-        (
-            "z^3+u^246 z^10+u^47 z^17+u^181 z^66+u^428 z^129",
-            "F10",
-            U(
-                field,
-                [
-                    (1, 3),
-                    (up(246), 10),
-                    (up(47), 17),
-                    (up(181), 66),
-                    (up(428), 129),
-                ],
-            ),
-        ),
-        (
-            "(z^16+u^5 z^2+z)^9+u^73 z^9",
-            "NewTrinomial",
-            row12,
-        ),
-    ]
-
 
 def representatives(
     n: int,
@@ -931,9 +807,15 @@ def representatives(
 ) -> list[FamilyInstance]:
     """The published reference rows over GF(2^8) or GF(2^9), in table order.
 
-    Rows are constructed literally from their printed forms, with ``u`` the
-    ambient field's primitive element and (for n=8 bivariate rows) ``v`` the
-    GF(2^4) primitive.  Alternate primitives may be supplied.
+    Each row that is a catalog member is built and checked by its family's
+    constructor, so it carries a descriptor; its label stays the printed
+    form.  ``u`` is the ambient primitive the printed exponents refer to
+    and, for the n=8 bivariate rows, ``v`` the GF(2^4) primitive.  An
+    alternate primitive under which a member row leaves its family raises
+    the family's :class:`PreconditionError`.  Two rows are no catalog
+    member as printed and keep their printed form and an id without
+    parameters: Table 4 row 11 (its x^2y and v x^4y^8 are 4th powers of
+    F15's terms) and Table 5 row 11 (F10 needs a^2 at z^129 and c^2+c=1).
 
     Defaults: over GF(2^8) the canonical primitive (bits 0x3) makes every
     row APN.  Over GF(2^9) the printed coefficients of the quintic row
@@ -947,20 +829,66 @@ def representatives(
         raise PreconditionError("representatives exist for n in {8, 9}")
     field = field_new(n)
     u_bits = _primitive_bits(field, u, 0x7A if n == 9 else field.primitive, "u")
+
+    def up(k):  # u^k as a canonical exponent
+        return _as_exponent(field, field.pow(u_bits, k))
+
     if n == 8:
         component = field_new(4)
         v_bits = _primitive_bits(component, v, component.primitive, "v")
-        rows = _rep_rows_8(field, component, u_bits, v_bits)
+
+        def vp(k):  # v^k as a canonical exponent of GF(2^4)
+            return _as_exponent(component, component.pow(v_bits, k))
+
+        rows = [
+            ("z^3", "Gold", {"i": 1}),
+            ("z^9", "Gold", {"i": 3}),
+            ("z^57", "Kasami", {"i": 3}),
+            ("z^3+z^17+u^48 z^18+u^3 z^33+u z^34+z^48", "F3",
+             {"i": 1, "s": up(1), "c": up(3)}),
+            ("z^3+tr(z^9)", "F4", {"a": up(0)}),
+            ("z^3+u^-1 tr(u^3 z^9)", "F4", {"a": up(1)}),
+            ("(xy, x^3+v y^12)", "F13", {"k": 1, "i": 2, "alpha": vp(1)}),
+            ("(xy, x^12+x^4 y^2+y^3)", "F14", {"k": 1, "a": vp(0), "b": vp(0)}),
+            ("(xy, x^12+x^4 y^2+v^7 y^3)", "F14",
+             {"k": 1, "a": vp(0), "b": vp(7)}),
+            ("(x^3+xy^2+y^3, x^5+x^4y+y^5)", "F16", {"i": 1}),
+            ("(xy, x^3+x^2y+v x^4 y^8+v^5 y^3)", "F15", BivariateFunc(
+                component,
+                [(1, 1, 1)],
+                [(1, 3, 0), (1, 2, 1), (v_bits, 4, 8),
+                 (component.pow(v_bits, 5), 0, 3)],
+            )),
+            (_NEW_BIVARIATE_LABEL, "NewBivariate", {"m": 4}),
+        ]
     else:
-        rows = _rep_rows_9(field, u_bits)
+        rows = [
+            ("z^3", "Gold", {"i": 1}),
+            ("z^5", "Gold", {"i": 2}),
+            ("z^17", "Gold", {"i": 4}),
+            ("z^13", "Kasami", {"i": 2}),
+            ("z^241", "Kasami", {"i": 4}),
+            ("z^19", "Welch", {}),
+            ("z^255", "Inverse", {}),
+            ("z^3+tr(z^9)", "F4", {"a": up(0)}),
+            ("z^3+tr_3(z^9+z^18)", "F5", {"a": up(0)}),
+            ("z^3+tr_3(z^18+z^36)", "F6", {"a": up(0)}),
+            ("z^3+u^246 z^10+u^47 z^17+u^181 z^66+u^428 z^129", "F10",
+             UnivariatePoly(field, [(1, 3)] + [
+                 (field.pow(u_bits, k), e)
+                 for k, e in ((246, 10), (47, 17), (181, 66), (428, 129))])),
+            ("(z^16+u^5 z^2+z)^9+u^73 z^9", "NewTrinomial",
+             {"m": 3, "s": 1, "mu": up(5), "v": up(73)}),
+        ]
     out = []
-    for label, tag, form in rows:
-        fid = FamilyId(tag, {})
-        if isinstance(form, BivariateFunc):
-            inst = _instance_biv(fid, form, field, label=label)
+    for label, tag, spec in rows:
+        if isinstance(spec, dict):
+            inst = make_known(FamilyId(tag, spec), field)
+        elif isinstance(spec, BivariateFunc):
+            inst = _instance_biv(FamilyId(tag), spec, field)
         else:
-            inst = _instance_uni(fid, form, label=label)
-        out.append(inst)
+            inst = _instance_uni(FamilyId(tag), spec)
+        out.append(replace(inst, label=label))
     return out
 
 

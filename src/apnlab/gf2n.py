@@ -387,14 +387,19 @@ class Field:
         return acc
 
 
-@lru_cache(maxsize=32)
 def field_new(n: int, modulus: int | None = None) -> Field:
     """GF(2^n); with no modulus, use the shipped default table.
 
     Fields are immutable, so one instance per (n, modulus) is shared: family
     builders and sweeps ask for the same field thousands of times, and each
     fresh instance would redo the primitive search and the exp/log tables.
+    An explicit default modulus gives the same instance as none.
     """
+    return _shared_field(n, DEFAULT_MODULI.get(n) if modulus is None else modulus)
+
+
+@lru_cache(maxsize=32)
+def _shared_field(n: int, modulus: int | None) -> Field:
     return Field(n, modulus)
 
 
@@ -408,7 +413,7 @@ def field_from_header(line: str) -> Field:
     if not m:
         raise PreconditionError(f"malformed field header: {line!r}")
     n, modulus, primitive = int(m.group(1)), int(m.group(2), 16), int(m.group(3), 16)
-    f = Field(n, modulus)
+    f = field_new(n, modulus)
     if f.primitive != primitive:
         raise PreconditionError(
             f"header primitive 0x{primitive:x} is not the least generator "
@@ -520,8 +525,10 @@ def primitive_elements(field: Field) -> list[FieldElement]:
 @lru_cache(maxsize=None)
 def _subfield_root(parent_n: int, parent_modulus: int, comp_n: int,
                    comp_modulus: int) -> int:
-    """Least root in the parent field of the component field's modulus."""
-    parent = Field(parent_n, parent_modulus)
+    """Least root in the parent field of the component field's modulus.
+
+    Keyed by ints, so the unbounded cache keeps no field's tables alive."""
+    parent = field_new(parent_n, parent_modulus)
     zs = parent.all_elements_vec()
     acc = np.zeros_like(zs)
     for i in range(comp_n + 1):

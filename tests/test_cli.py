@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from apnlab import analysis, bitlinalg, cli
+from apnlab import analysis, bitlinalg, cli, gf2n
 from apnlab.analysis import sweep_key_lemmas
 from apnlab.cli import main
 from apnlab.families import (
@@ -214,16 +214,18 @@ def test_gamma_rank_rejects_malformed_memory_budget(capsys, monkeypatch):
 
 
 def fake_gamma_rank(monkeypatch, offset: int) -> list:
-    """Stand in for the CLI's ``gamma_rank``: each Table 4 row ranks as its
-    published value plus ``offset``, any other function as ``offset``.
-    Returns the list of recorded ``(table, family)`` calls."""
-    published = dict(zip((r.table for r in representatives(8)), TABLE_RANKS[4]))
+    """Stand in for the CLI's ``gamma_rank``: each Table 4 and Table 5 row
+    ranks as its published value plus ``offset``, any other function as
+    ``offset``.  Returns the list of recorded ``(table, family)`` calls."""
+    published = {r.table: rank for which, n in ((4, 8), (5, 9))
+                 for r, rank in zip(representatives(n), TABLE_RANKS[which])}
     calls = []
 
     def fake(table, family="", **_):
         calls.append((table, family))
         rank = published.get(table, 0) + offset
-        return GammaRankReport(family, 8, rank, (1 << 16, 1 << 16), 0.0)
+        side = 1 << (2 * table.field.n)
+        return GammaRankReport(family, table.field.n, rank, (side, side), 0.0)
 
     monkeypatch.setattr(cli, "gamma_rank", fake)
     return calls
@@ -243,6 +245,20 @@ def test_table_single_row(capsys, monkeypatch):
                   "paper_value": 11818, "match": True}],
         "all_match": True,
     }
+
+
+@pytest.mark.parametrize("which,digest", [
+    ("4", "c4d233d4fbcaa3f5cb2f73a8f06df10370ea9de82b02612b4949eedd80bfec67"),
+    ("5", "f68f1a003db0c2e53bf227dd3c44fd6c53c36ed8b50495e7d1a00cdf36572f28"),
+])
+def test_table_stdout_is_pinned(capsys, monkeypatch, which, digest):
+    # every row's label and the payload format, with the published ranks
+    fake_gamma_rank(monkeypatch, offset=0)
+    code = main(["table", "--paper-table", which])
+    text = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert json.loads(text)["all_match"] is True
 
 
 def test_table_reports_mismatch_and_ranks_nothing_else(capsys, monkeypatch):
@@ -305,6 +321,20 @@ def test_search_trinomial_listing_is_pinned(capsys):
             for k in p["mu_exponents"]} == found
 
 
+def test_search_trinomial_checks_its_size_before_building_elements(
+        capsys, monkeypatch):
+    # m=5 lists 107,760 (s, mu) pairs at about 200 B each, above 0.01 GiB
+    def no_element(*args):
+        raise AssertionError("built elements over the budget")
+
+    monkeypatch.setattr(gf2n.Field, "element", no_element)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.01")
+    code, out, _ = run(capsys, "search", "--trinomial", "--m", "5")
+    assert code == 3
+    assert out["status"] == "resource-limit"
+    assert "trinomial search at m=5" in out["error"]
+
+
 def test_verify_cubic(capsys):
     code, out, _ = run(capsys, "verify", "--lemma", "cubic", "--m", "3")
     assert code == 0
@@ -360,6 +390,8 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
      "d401c545264d18d0812b46e7dd827e0d8be1ce4c519404a45b570beb44d48d37"),
     (["verify", "--lemma", "key", "--m", "2", "--s", "1"],  # exit 2
      "f80c8bd949c092553b35cf833e5c06ec7a102eb4c0479ad3c77639453f6ed2bc"),
+    (["search", "--trinomial", "--m", "4"],
+     "2adeae83edf8ecf3012300be8ebb4cd47f1c1ac8988eb76390b70178ad0aa6cd"),
 ])
 def test_sweep_stdout_is_pinned(capsys, argv, digest):
     # stdout of each sweep as it was before its code was last rewritten; an

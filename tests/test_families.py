@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,9 +92,9 @@ def test_descriptor_for_round_trips(text):
 
 
 def test_descriptor_for_refuses_an_id_that_would_not_build():
-    # representatives rows carry FamilyId(tag, {}): no descriptor builds them
-    with pytest.raises(PreconditionError, match=r"missing \['i'\]"):
-        descriptor_for(representatives(8)[0])
+    # Table 4 row 11 is no F15 member as printed, so it carries FamilyId(tag, {})
+    with pytest.raises(PreconditionError, match=r"missing \['b', 'c', 'i'\]"):
+        descriptor_for(representatives(8)[10])
 
 
 def test_edel_pott_descriptor_defaults_to_gf256_and_canonical_u():
@@ -291,6 +293,88 @@ def test_gf512_quintic_row_needs_the_other_primitive_orbit():
     default = representatives(9)
     assert is_apn(default[10].table)
     assert is_apn(default[11].table)
+
+
+# (label, sha256 of the little-endian uint32 LUT) of each default row
+PINNED_ROWS = {
+    8: [
+        ("z^3", "29ef510447fa08816e71b87c76faeade125b97fa117620e4dfbe50f36fbe4a23"),
+        ("z^9", "87c5e4d985ed0e5490b214dea83102c859cfb99aa66ab3258278a7d576f0a790"),
+        ("z^57", "ac6ea54aea90f9534bf86c737f44cda7c837814ef83faf5e9da110742b80c1b5"),
+        ("z^3+z^17+u^48 z^18+u^3 z^33+u z^34+z^48",
+         "2bdc84455b14a283a3860e557b4415ead5e6a2946433339eb67dd369ad71bf4e"),
+        ("z^3+tr(z^9)",
+         "83541869f5706fd29de36ca9e42827aaa75f1cc91a06338e18feed03e283345d"),
+        ("z^3+u^-1 tr(u^3 z^9)",
+         "de31d0518b420415ba78d9e694c3b389ffbfccce8407e01fe7103a120ef278da"),
+        ("(xy, x^3+v y^12)",
+         "e6a6b1470100bcd05d69cb7f23a0831ee0bd0edcb5ae494475b3517d09dc2fcc"),
+        ("(xy, x^12+x^4 y^2+y^3)",
+         "cd28d08da05c68b26ebea64489871202088a2df8716fb0b0e02b9fb86282c653"),
+        ("(xy, x^12+x^4 y^2+v^7 y^3)",
+         "1d895d4b89ac4432141d169974bc40ab0cb6997c042fe3697bd919772bf79d6a"),
+        ("(x^3+xy^2+y^3, x^5+x^4y+y^5)",
+         "0246c6ab86228c9f63cf54e060356cb533f5afc0e0214f912e236b75f539b9b9"),
+        ("(xy, x^3+x^2y+v x^4 y^8+v^5 y^3)",
+         "1126ea24f583b2c9091ffde7cf026604134c8410a701677659451789418d88b9"),
+        ("(x^3+xy^2+y^3+xy, x^5+x^4y+y^5+xy+x^2y^2)",
+         "c4ee368f48c42279fb7823c6c71bce87aa04125323593919c38df18be626a0d5"),
+    ],
+    9: [
+        ("z^3", "e704fe36ae78227e1e09d688feed3ab0a31de77e6449d84065545e2914be741b"),
+        ("z^5", "84ab5e8c9fd42ac64383dcd1547782e9add5f91d14f57ecb79673cfe39bb642e"),
+        ("z^17", "dee10a107e90ccf2831878f903a77df4226f084e954f036d6f2d013be0a7f2a0"),
+        ("z^13", "a85a74604b27377b0bef7e17483dd29a579e780c7c4b286676eec81fe9c041be"),
+        ("z^241", "2d30e0fa13de89e028d0000712a954635e1f38d658313feaa3b739567106fe8c"),
+        ("z^19", "9afa9be3e13af0b7495197163796211c1e0296736db483afe6c7dea91a35fb41"),
+        ("z^255", "fab14c7e48d5441039c1e148f671949af8ea741a1ca2dd3af221b3f5ca947bf4"),
+        ("z^3+tr(z^9)",
+         "5b0f46b9239450ea70e94cfaa14f4dab5a77b0bc1b998a334888e2de7a1bab4c"),
+        ("z^3+tr_3(z^9+z^18)",
+         "5ece7b87b8223f1e4de6824a8d2e2022ccb956e1dd3dd414904bb6b0f83f9b92"),
+        ("z^3+tr_3(z^18+z^36)",
+         "2d7c65e14760a7084b877fb072fd526eaf243fd6094c7e280cf2619014f1e4e9"),
+        ("z^3+u^246 z^10+u^47 z^17+u^181 z^66+u^428 z^129",
+         "8c3df3d4ae88a0ceef67238b686b5fe4cd26496cf987a0ab5eed1d93d2a20e81"),
+        ("(z^16+u^5 z^2+z)^9+u^73 z^9",
+         "7bba48bce8a893cb9bccc2f1ccab5e51d41f4c5aa48e8ce6880560b705089cfd"),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_representatives_are_pinned(n):
+    got = [(r.label, hashlib.sha256(
+        np.ascontiguousarray(r.table.lut, dtype="<u4").tobytes()).hexdigest())
+        for r in representatives(n)]
+    assert got == PINNED_ROWS[n]
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_member_rows_round_trip_through_their_descriptors(n):
+    # every row but row 11 is built by its family's constructor; row 11
+    # keeps its printed form and an id without the tag's parameters
+    for k, row in enumerate(representatives(n), 1):
+        if k == 11:
+            assert row.id.params == {}
+            with pytest.raises(PreconditionError, match="missing"):
+                descriptor_for(row)
+            continue
+        again = build_from_descriptor(descriptor_for(row))
+        assert again.table == row.table, k
+        assert again.id == row.id, k
+
+
+@pytest.mark.parametrize("n,name,bits,condition", [
+    (9, "u", 0x9, "L is a permutation"),
+    (8, "u", 0x6, "with x^(q+1)=1"),
+    (8, "v", 0x9, "P1(z)=z^(2^k+1)+az+b has no root"),
+])
+def test_representatives_refuse_a_primitive_that_leaves_the_family(
+        n, name, bits, condition):
+    field = get_field(4 if name == "v" else n)
+    with pytest.raises(PreconditionError, match=re.escape(condition)):
+        representatives(n, **{name: field.element(bits)})
 
 
 def test_representatives_reject_other_sizes():

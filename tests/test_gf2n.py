@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apnlab import gf2n
 from apnlab.errors import PreconditionError
 from apnlab.gf2n import (
     DEFAULT_MODULI,
@@ -104,6 +105,31 @@ def test_header_round_trip():
         f = get_field(n)
         g = field_from_header(f.header())
         assert (g.n, g.modulus, g.primitive) == (f.n, f.modulus, f.primitive)
+
+
+def test_field_from_header_returns_the_shared_field():
+    for n in (3, 8):
+        f = field_new(n)
+        assert field_from_header(f.header()) is f
+    assert field_new(8, DEFAULT_MODULI[8]) is field_new(8)
+
+
+def test_subfield_embedding_builds_no_second_parent_table(monkeypatch):
+    parent, comp = field_new(10), field_new(5)
+    parent._tables()
+    comp._tables()
+    builds = []
+    tables = Field._tables
+
+    def counted(self):
+        if self._exp is None:
+            builds.append(self)
+        return tables(self)
+
+    monkeypatch.setattr(Field, "_tables", counted)
+    gf2n._subfield_root.cache_clear()
+    subfield_embedding(parent, comp)
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------
