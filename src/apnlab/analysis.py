@@ -2,12 +2,12 @@
 
 Four groups of tools:
 
-* difference-distribution statistics (:func:`ddt`, :func:`is_apn`, and the
-  derivative-rank test :func:`is_apn_quadratic` valid for quadratic
-  functions, whose degree :func:`algebraic_degree` checks);
+* difference-distribution statistics (:func:`ddt`) and one APN test,
+  :func:`is_apn`, which sends functions of :func:`algebraic_degree` <= 2 to
+  the derivative-rank test :func:`is_apn_quadratic` and the rest to the DDT;
 * root classification of cubics ``z^3 + az + b`` over GF(2^m) via the
   quadratic resolvent ``t^2 + bt + a^3`` (:func:`cubic_root_count`),
-  cross-checkable against brute force;
+  checked against brute force by :func:`sweep_cubic_classifier`;
 * polynomial resultants as Sylvester determinants — scalar
   (:func:`resultant`), with one variable eliminated from a bivariate pair
   (:func:`resultant_bivariate`), and the full factored-identity check for
@@ -51,6 +51,7 @@ __all__ = [
     "is_apn_quadratic",
     "resultant",
     "resultant_bivariate",
+    "sweep_cubic_classifier",
     "sweep_key_lemma",
     "sweep_key_lemmas",
     "verify_adjoint_permutation_agreement",
@@ -175,9 +176,12 @@ def ddt(f: FunctionTable) -> DdtSummary:
 def is_apn(f: FunctionTable) -> bool:
     """True iff the differential uniformity of ``f`` is exactly 2.
 
-    Aborts at the first pass with a count above two, so non-APN inputs
-    return quickly.
+    Degree <= 2 goes to the exact :func:`is_apn_quadratic`, at any n.  Any
+    other ``f`` walks the DDT (n <= 16) and stops at the first pass with a
+    count above two, so non-APN inputs return quickly.
     """
+    if algebraic_degree(f) <= 2:
+        return is_apn_quadratic(f)
     _ddt_guard(f.field.n)
     return all(block.max() <= 1 for _, block in _half_derivative_passes(f))
 
@@ -284,6 +288,20 @@ def cubic_root_count(field: Field, a, b) -> CubicClass:
         resolvent_roots=(t1, t2),
         resolvent_in_extension=ext is not field,
     )
+
+
+def sweep_cubic_classifier(m: int) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Every a, b != 0 of GF(2^m) through :func:`cubic_root_count` and brute
+    force: the case count and the first 16 mismatches ``(a, b, got, want)``."""
+    field = field_new(m)
+    mismatches = []
+    for a in range(1, field.order):
+        for b in range(1, field.order):
+            got = cubic_root_count(field, a, b).root_count
+            want = brute_cubic_root_count(field, a, b)
+            if got != want and len(mismatches) < _WITNESS_CAP:
+                mismatches.append((a, b, got, want))
+    return (field.order - 1) ** 2, mismatches
 
 
 def cubic_trinomial_has_root(m: int) -> bool:

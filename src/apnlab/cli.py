@@ -24,10 +24,9 @@ from .errors import MemoryBudgetError, PreconditionError
 from .gf2n import field_new
 from .vbf import read_lut
 from .analysis import (
-    brute_cubic_root_count,
-    cubic_root_count,
     ddt,
-    is_apn_quadratic,
+    is_apn,
+    sweep_cubic_classifier,
     sweep_key_lemmas,
     verify_resultant_identity,
 )
@@ -72,23 +71,14 @@ def _read_descriptor(arg: str) -> str:
 
 def _cmd_check(args) -> dict:
     inst = build_from_descriptor(_read_descriptor(args.family))
-    if args.quadratic_shortcut:
-        apn = is_apn_quadratic(inst.table)
-        delta = 2 if apn else None
-        method = "quadratic-shortcut"
-    else:
-        summary = ddt(inst.table)
-        delta = summary.delta
-        apn = delta == 2
-        method = "ddt"
+    apn = is_apn(inst.table)
     return {
-        "schema": "apnlab/check/v1",
+        "schema": "apnlab/check/v2",
         "family": inst.id.tag,
         "descriptor": descriptor_for(inst),
         "n": inst.field.n,
         "apn": apn,
-        "delta": delta,
-        "method": method,
+        "delta": 2 if apn else ddt(inst.table).delta,
     }
 
 
@@ -191,22 +181,14 @@ def _cmd_search(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     if args.lemma == "cubic":
-        m = args.m
-        field = field_new(m)
-        mism = []
-        for a in range(1, field.order):
-            for b in range(1, field.order):
-                got = cubic_root_count(field, a, b).root_count
-                want = brute_cubic_root_count(field, a, b)
-                if got != want and len(mism) < 16:
-                    mism.append([a, b, got, want])
+        cases, mismatches = sweep_cubic_classifier(args.m)
         return {
             "schema": "apnlab/verify/v1",
             "lemma": "cubic",
-            "m": m,
-            "cases": (field.order - 1) ** 2,
-            "mismatches": mism,
-            "ok": not mism,
+            "m": args.m,
+            "cases": cases,
+            "mismatches": mismatches,
+            "ok": not mismatches,
         }
     if args.lemma == "resultant":
         # the factored identity is the bivariate family's lemma, which
@@ -266,8 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="test a family instance for APNness")
     c.add_argument("--family", required=True,
                    help="JSON descriptor, inline or @file")
-    c.add_argument("--quadratic-shortcut", action="store_true",
-                   help="use the derivative-rank test valid for quadratics")
     c.set_defaults(fn=_cmd_check)
 
     d = sub.add_parser("ddt", help="full difference-distribution summary")

@@ -14,12 +14,11 @@ import numpy as np
 import pytest
 
 from apnlab.analysis import (
-    brute_cubic_root_count,
-    cubic_root_count,
     cubic_trinomial_has_root,
     ddt,
     is_apn,
     is_apn_quadratic,
+    sweep_cubic_classifier,
     sweep_key_lemmas,
     verify_adjoint_permutation_agreement,
     verify_resultant_identity,
@@ -238,14 +237,9 @@ def test_criterion_07_cubic_classifier_exact():
     cases = 0
     wrong = []
     for m in (3, 4, 5, 6):
-        f = get_field(m)
-        for a in range(1, f.order):
-            for b in range(1, f.order):
-                cases += 1
-                got = cubic_root_count(f, a, b).root_count
-                want = brute_cubic_root_count(f, a, b)
-                if got != want:
-                    wrong.append((m, a, b, got, want))
+        count, mismatches = sweep_cubic_classifier(m)
+        cases += count
+        wrong.extend((m, *case) for case in mismatches)
     elapsed = time.perf_counter() - t0
     ok = not wrong and elapsed <= budget_s
     report(7, ok, f"{cases} nonzero (a,b) pairs over m=3..6, "
@@ -353,7 +347,7 @@ def test_criterion_11_quadratic_shortcut_agreement():
         terms = [(int(rng.integers(1, 64)), int(e))
                  for e in rng.choice(weight2, k, replace=False)]
         t = to_table(UnivariatePoly(f, terms))
-        if is_apn(t) != is_apn_quadratic(t):
+        if (ddt(t).delta == 2) != is_apn_quadratic(t):
             disagreements.append(("random", i))
     for k, inst in enumerate(representatives(8), 1):
         if k == 3:
@@ -365,7 +359,7 @@ def test_criterion_11_quadratic_shortcut_agreement():
                     disagreements.append(("row", inst.label, str(exc)))
             else:
                 disagreements.append(("row", inst.label, "no degree error"))
-        elif is_apn(inst.table) != is_apn_quadratic(inst.table):
+        elif (ddt(inst.table).delta == 2) != is_apn_quadratic(inst.table):
             disagreements.append(("row", inst.label))
     ok = not disagreements
     report(11, ok, f"20 random quadratics over GF(2^6), the 11 quadratic "

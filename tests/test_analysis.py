@@ -25,6 +25,7 @@ from apnlab.analysis import (
     is_apn_quadratic,
     resultant,
     resultant_bivariate,
+    sweep_cubic_classifier,
     sweep_key_lemma,
     sweep_key_lemmas,
     verify_adjoint_permutation_agreement,
@@ -36,6 +37,7 @@ from apnlab.bitlinalg import check_alloc
 from apnlab.errors import PreconditionError
 from apnlab.families import (
     FamilyId,
+    build_from_descriptor,
     make_known,
     make_new_bivariate,
     make_new_trinomial,
@@ -178,7 +180,7 @@ def test_is_apn_and_shortcut_agree_on_quadratics():
         terms = [(int(rng.integers(1, 64)), int(e))
                  for e in rng.choice(quadratic_exponents, k, replace=False)]
         t = to_table(UnivariatePoly(f, terms))
-        assert is_apn(t) == is_apn_quadratic(t)
+        assert (ddt(t).delta == 2) == is_apn_quadratic(t)
 
 
 def test_algebraic_degree_of_monomials_is_exponent_weight():
@@ -215,13 +217,13 @@ def test_quadratic_shortcut_rejects_non_apn_quadratics():
         f = get_field(n)
         for i in range(1, n):
             t = to_table(UnivariatePoly.monomial(f, (1 << i) + 1))
-            assert is_apn_quadratic(t) == (math.gcd(i, n) == 1) == is_apn(t)
+            assert is_apn_quadratic(t) == (math.gcd(i, n) == 1) == (ddt(t).delta == 2)
         weight2 = [e for e in range(1, f.order) if bin(e).count("1") == 2]
         for _ in range(6):
             terms = [(int(rng.integers(1, f.order)), int(e))
                      for e in rng.choice(weight2, 2, replace=False)]
             t = to_table(UnivariatePoly(f, terms))
-            assert is_apn_quadratic(t) == is_apn(t), (n, terms)
+            assert is_apn_quadratic(t) == (ddt(t).delta == 2), (n, terms)
 
 
 def test_quadratic_shortcut_reaches_past_the_ddt():
@@ -233,7 +235,7 @@ def test_quadratic_shortcut_reaches_past_the_ddt():
 def test_trinomial_family_m5_sample_is_quadratic_apn():
     # GF(2^15): a seeded sample of 8 (s, mu, v) members, each about 0.05 s
     # through the degree check and the derivative ranks; one also through
-    # the derivative sweep (about 5 s)
+    # the DDT (about 6 s)
     params = search_trinomial_params(5)
     step = ((1 << 15) - 1) // ((1 << 5) - 1)  # v = u^(step j) lies in GF(2^5)
     rng = np.random.default_rng(1205)
@@ -243,7 +245,30 @@ def test_trinomial_family_m5_sample_is_quadratic_apn():
     for t in tables:
         assert algebraic_degree(t) == 2
         assert is_apn_quadratic(t)
-    assert is_apn(tables[0])
+    assert ddt(tables[0]).delta == 2
+
+
+def test_is_apn_answers_a_quadratic_past_the_ddt():
+    # n = 17 is beyond the DDT's n <= 16
+    assert is_apn(build_from_descriptor('{tag:"Gold", n:17, i:1}').table) is True
+
+
+def test_is_apn_takes_the_rank_test_on_quadratics(monkeypatch):
+    def refuse(_):
+        raise AssertionError("DDT pass on a quadratic")
+
+    monkeypatch.setattr(analysis, "_half_derivative_passes", refuse)
+    assert is_apn(to_table(UnivariatePoly.monomial(get_field(7), 3))) is True
+    assert is_apn(to_table(UnivariatePoly.monomial(get_field(6), 5))) is False
+
+
+def test_is_apn_takes_the_ddt_above_degree_2(monkeypatch):
+    # z^7 on GF(2^7) is cubic with delta 6
+    def refuse(_):
+        raise AssertionError("rank test on a cubic")
+
+    monkeypatch.setattr(analysis, "is_apn_quadratic", refuse)
+    assert is_apn(to_table(UnivariatePoly.monomial(get_field(7), 7))) is False
 
 
 def test_is_apn_rejects_differentially_4_uniform():
@@ -265,6 +290,17 @@ def test_cubic_matches_brute_everywhere(m):
             got = cubic_root_count(f, a, b)
             want = brute_cubic_root_count(f, a, b)
             assert got.root_count == want, (m, a, b)
+
+
+def test_cubic_sweep_counts_cases_and_caps_mismatches(monkeypatch):
+    assert sweep_cubic_classifier(3) == (49, [])
+    # a classifier that is always wrong: the first 16 (a, b) in order
+    monkeypatch.setattr(analysis, "cubic_root_count",
+                        lambda field, a, b: analysis.CubicClass(root_count=2))
+    f = get_field(3)
+    want = [(a, b, 2, brute_cubic_root_count(f, a, b))
+            for a in range(1, 8) for b in range(1, 8)][:16]
+    assert sweep_cubic_classifier(3) == (49, want)
 
 
 def test_cubic_resolvent_evidence_is_checkable():

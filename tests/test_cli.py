@@ -37,28 +37,54 @@ def run(capsys, *argv) -> tuple[int, dict, str]:
 def test_check_reports_apn(capsys):
     code, out, err = run(capsys, "check", "--family", '{tag:"Gold", n:6, i:1}')
     assert code == 0
-    assert out["schema"] == "apnlab/check/v1"
+    assert out["schema"] == "apnlab/check/v2"
     assert out["apn"] is True and out["delta"] == 2
-    assert out["method"] == "ddt"
+    assert "method" not in out
     assert "elapsed_seconds=" in err
 
 
-def test_check_quadratic_shortcut(capsys):
-    code, out, _ = run(capsys, "check", "--family", '{tag:"Gold", n:7, i:2}',
-                       "--quadratic-shortcut")
+def test_check_answers_a_quadratic_past_the_ddt(capsys):
+    # n = 17 is beyond the DDT's n <= 16; the derivative-rank test answers
+    code, out, _ = run(capsys, "check", "--family", '{tag:"Gold", n:17, i:1}')
     assert code == 0
-    assert out["method"] == "quadratic-shortcut"
-    assert out["apn"] is True
+    assert out["apn"] is True and out["delta"] == 2
 
 
-def test_check_quadratic_shortcut_refuses_non_quadratic(capsys):
+def test_check_answers_higher_degree_through_the_ddt(capsys, monkeypatch):
     # Welch on GF(2^7) is z^11, of algebraic degree 3
-    code, out, err = run(capsys, "check", "--family", '{tag:"Welch", n:7}',
-                         "--quadratic-shortcut")
-    assert code == 2
-    assert out["status"] == "precondition-failed"
-    assert "algebraic degree <= 2" in out["error"]
-    assert "algebraic degree <= 2" in err
+    def refuse(_):
+        raise AssertionError("is_apn_quadratic called on degree 3")
+
+    monkeypatch.setattr(analysis, "is_apn_quadratic", refuse)
+    code, out, _ = run(capsys, "check", "--family", '{tag:"Welch", n:7}')
+    assert code == 0
+    assert out["apn"] is True and out["delta"] == 2
+
+
+def test_check_has_no_method_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--family", '{tag:"Gold", n:7, i:2}',
+              "--quadratic-shortcut"])
+    assert exc.value.code == 2
+    assert "--quadratic-shortcut" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("descriptor, delta", [
+    # the README's four descriptors, then a cubic and a non-APN quadratic
+    ('{tag:"Gold", n:8, i:3}', 2),
+    ('{tag:"Inverse", n:5}', 2),
+    ('{tag:"NewBivariate", m:4}', 2),
+    ('{tag:"Kasami", n:7, i:2}', 2),
+    ('{tag:"Welch", n:7}', 2),
+    ('{tag:"EdelPottP", u:26}', 8),
+])
+def test_check_agrees_with_the_ddt_command(capsys, descriptor, delta):
+    code, checked, _ = run(capsys, "check", "--family", descriptor)
+    assert code == 0
+    code, summary, _ = run(capsys, "ddt", "--family", descriptor)
+    assert code == 0
+    assert summary["delta"] == checked["delta"] == delta
+    assert checked["apn"] is (delta == 2)
 
 
 def test_check_precondition_failure_exits_2(capsys):
