@@ -1,10 +1,10 @@
-"""GF(2) linear algebra: batched ranks of narrow vectors, and bit-packed
-matrices of any width.
+"""GF(2) linear algebra: batched ranks of narrow vectors, and an echelon
+basis of bit-packed rows of any width.
 
 :func:`row_ranks` ranks many small sets of vectors of at most 64 bits at
-once, each vector held in one integer.  Wide matrices are stored as numpy
-uint64 arrays, 64 columns per word, column j in word ``j >> 6`` at bit
-``j & 63`` (LSB first).  Their rank is computed by absorbing rows into an
+once, each vector held in one integer.  Wide rows are packed by :func:`pack`
+into numpy uint64 words, 64 columns per word, column j in word ``j >> 6`` at
+bit ``j & 63`` (LSB first).  Their rank is computed by absorbing rows into an
 incremental echelon basis.  A stored row is written once and never
 rewritten; each finished block of 8 rows carries a 256-entry index map from
 pivot bits to table entries, so one 256-entry XOR table per block clears
@@ -24,10 +24,10 @@ import numpy as np
 from .errors import MemoryBudgetError, PreconditionError
 
 __all__ = [
-    "BitMatrix",
     "GF2Basis",
     "check_alloc",
     "mem_budget_bytes",
+    "pack",
     "rank",
     "row_ranks",
     "xor_permute_columns",
@@ -106,69 +106,6 @@ def _pool():
     return ThreadPoolExecutor(_WORKERS, thread_name_prefix="gf2basis")
 
 
-class BitMatrix:
-    """A rows x cols matrix over GF(2), bit-packed into uint64 words."""
-
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None):
-        if rows < 0 or cols <= 0:
-            raise PreconditionError("matrix dimensions must be positive")
-        self.rows = rows
-        self.cols = cols
-        self.words = _words_for(cols)
-        if data is None:
-            data = np.zeros((rows, self.words), dtype=np.uint64)
-        if data.shape != (rows, self.words) or data.dtype != np.uint64:
-            raise PreconditionError("backing array shape/dtype mismatch")
-        self.data = data
-
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise PreconditionError("bit index out of range")
-        return int(self.data[i, j >> 6] >> np.uint64(j & 63)) & 1
-
-    def set(self, i: int, j: int, value: int = 1) -> None:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise PreconditionError("bit index out of range")
-        m = np.uint64(1) << np.uint64(j & 63)
-        if value:
-            self.data[i, j >> 6] |= m
-        else:
-            self.data[i, j >> 6] &= ~m
-
-    def row_weights(self) -> np.ndarray:
-        return np.bitwise_count(self.data).sum(axis=1)
-
-    def to_dense01(self) -> np.ndarray:
-        """Unpack to a (rows, cols) uint8 array of 0/1 values."""
-        bits = np.unpackbits(self.data.view(np.uint8), axis=1, bitorder="little")
-        return bits[:, : self.cols]
-
-    @classmethod
-    def from_dense01(cls, array: np.ndarray) -> "BitMatrix":
-        array = np.asarray(array, dtype=np.uint8)
-        if array.ndim != 2:
-            raise PreconditionError("dense input must be 2-D")
-        rows, cols = array.shape
-        words = _words_for(cols)
-        padded = np.zeros((rows, words * 64), dtype=np.uint8)
-        padded[:, :cols] = array & 1
-        data = np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-        return cls(rows, cols, np.ascontiguousarray(data))
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_dense01(self.to_dense01().T)
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, BitMatrix) and self.rows == other.rows
-                and self.cols == other.cols and bool(np.array_equal(self.data, other.data)))
-
-    def __repr__(self) -> str:
-        return f"BitMatrix({self.rows}x{self.cols})"
-
-
 def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
     """Return a C-ordered copy with column j holding the old column j XOR mask.
 
@@ -221,12 +158,12 @@ class GF2Basis:
         self.words = _words_for(cols)
         # read once: the default follows MemAvailable, which the basis lowers
         self._budget = mem_budget_bytes()
-        cap = 256
-        self._rows = np.zeros((cap, self.words), dtype=np.uint64)
-        self._piv_col = np.zeros(cap, dtype=np.int64)
-        self._piv_word = np.zeros(cap, dtype=np.int64)
-        self._piv_mask = np.zeros(cap, dtype=np.uint64)
-        self._index_map = np.zeros((cap // 8, 256), dtype=np.uint8)
+        # empty until the first absorb has sized its room against the budget
+        self._rows = np.zeros((0, self.words), dtype=np.uint64)
+        self._piv_col = np.zeros(0, dtype=np.int64)
+        self._piv_word = np.zeros(0, dtype=np.int64)
+        self._piv_mask = np.zeros(0, dtype=np.uint64)
+        self._index_map = np.zeros((0, 256), dtype=np.uint8)
         self.count = 0
         self._tables: list[np.ndarray] = []  # one per worker, made on use
 
@@ -242,22 +179,40 @@ class GF2Basis:
         rewritten, so the view keeps its values while the basis grows."""
         return self._rows[: self.count]
 
-    def _take_chunk(self, rows: np.ndarray) -> np.ndarray:
-        """Copy ``rows`` for reduction and make room for them in the basis.
+    def _room(self, extra: int, copies: int, what: str) -> int:
+        """Capacity that holds ``extra`` more rows: 256 rows, doubled as
+        needed.
 
-        Raises :class:`MemoryBudgetError`, before allocating anything, when
-        the basis, the copy and the tables of every worker the copy can use
-        would exceed the budget.  The copy is made before the basis grows:
-        that order kept Table 4 row 12 at 10-20 MiB less peak RSS.
+        Raises :class:`MemoryBudgetError` when the basis at that capacity
+        (with the array it grows out of, while it copies), ``copies`` chunks
+        of ``extra`` rows and the tables of every worker such a chunk can use
+        would exceed the budget read at construction.
         """
-        extra = rows.shape[0]
-        cap = self._rows.shape[0]
+        have = self._rows.shape[0]
+        cap = max(have, 256)
         while cap < self.count + extra:
             cap *= 2
+        held = cap + have if cap > have else have
         tables = max(len(self._tables), _parts(extra))
-        check_alloc((cap + extra + 256 * tables) * self.words * 8,
-                    f"absorbing {extra} rows (basis, chunk and {tables} tables)",
+        check_alloc((held + copies * extra + 256 * tables) * self.words * 8,
+                    f"{what} (basis, {copies} chunks and {tables} tables)",
                     self._budget)
+        return cap
+
+    def check_absorb(self, rows: int, copies: int) -> None:
+        """Before a caller makes ``copies`` copies of a ``rows``-row chunk to
+        absorb: raise :class:`MemoryBudgetError` when those copies, the
+        basis's own copy of the chunk, its growth and its tables would exceed
+        the budget."""
+        self._room(rows, copies + 1, f"{copies} copies of {rows} rows to absorb")
+
+    def _take_chunk(self, rows: np.ndarray) -> np.ndarray:
+        """Copy ``rows`` for reduction and make room for them in the basis,
+        both sized by :meth:`_room` first.  The copy is made before the basis
+        grows: that order kept Table 4 row 12 at 10-20 MiB less peak RSS.
+        """
+        extra = rows.shape[0]
+        cap = self._room(extra, 1, f"absorbing {extra} rows")
         chunk = np.array(rows, dtype=np.uint64)
         if cap > self._rows.shape[0]:
             grown = np.zeros((cap, self.words), dtype=np.uint64)
@@ -380,12 +335,25 @@ class GF2Basis:
         return gave
 
 
-def rank(matrix: BitMatrix | np.ndarray) -> int:
-    """Rank over GF(2) of a packed matrix or a dense 0/1 array."""
-    if isinstance(matrix, np.ndarray):
-        matrix = BitMatrix.from_dense01(matrix)
-    basis = GF2Basis(matrix.cols)
-    basis.absorb(matrix.data)
+def pack(dense: np.ndarray) -> np.ndarray:
+    """Pack a (rows, cols) 0/1 array into (rows, words) uint64 rows, column
+    j at bit ``j & 63`` of word ``j >> 6``: the rows :meth:`GF2Basis.absorb`
+    takes."""
+    array = np.asarray(dense, dtype=np.uint8)
+    if array.ndim != 2:
+        raise PreconditionError("dense input must be 2-D")
+    rows, cols = array.shape
+    packed = np.zeros((rows, _words_for(cols) * 8), dtype=np.uint8)
+    packed[:, : (cols + 7) >> 3] = np.packbits(array & 1, axis=1,
+                                               bitorder="little")
+    return packed.view(np.uint64)
+
+
+def rank(dense: np.ndarray) -> int:
+    """Rank over GF(2) of a dense (rows, cols) 0/1 array."""
+    rows = pack(dense)
+    basis = GF2Basis(np.shape(dense)[1])
+    basis.absorb(rows)
     return basis.rank
 
 

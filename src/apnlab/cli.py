@@ -158,8 +158,6 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
-    if not args.trinomial:
-        raise PreconditionError("search requires --trinomial")
     found = search_trinomial_params(args.m)
     field = field_new(3 * args.m)
     _, log = field._tables()

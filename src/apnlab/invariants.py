@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from .bitlinalg import BitMatrix, GF2Basis, rank, xor_permute_columns
+from .bitlinalg import GF2Basis, check_alloc, rank, xor_permute_columns
 from .errors import PreconditionError
 from .gf2n import Field, field_from_header
 from .vbf import FunctionTable
@@ -42,9 +42,27 @@ __all__ = [
     "parse_code_export",
 ]
 
+#: Copies of a chunk the closure holds at once, before ``absorb`` makes its
+#: own: the gathered rows and, while they are translated by one bit, either
+#: ``np.take``'s result or a butterfly step's two temporaries (tracemalloc:
+#: 3.0 chunks at the peak of ``xor_permute_columns``).
+_CHUNK_COPIES = 3
+#: Bytes per code-matrix column, besides its 2n+1 entries of 1 B, while the
+#: matrix is built: the column's element and image (uint32 each) and two
+#: uint32 temporaries of one bit-row (tracemalloc: 57.0 B per column at
+#: n = 20, where 41 are entries).
+_CODE_BYTES_PER_COLUMN = 16
+#: Peak bytes per code-matrix entry of each export, the matrix included:
+#: at the final join the text is held twice, as rows and joined, at 1 B per
+#: entry in plain-bits and 2 in script (a digit and a comma).  Measured
+#: (tracemalloc, Gold n = 20): 3.000 and 5.049 B per entry; the script's
+#: 0.049 is its one-row buffer, 2 B per column.
+_EXPORT_BYTES_PER_ENTRY = {"plain-bits": 3, "script": 5}
 
-def code_matrix(f: FunctionTable) -> BitMatrix:
-    """Generator matrix of the linear code attached to ``f``.
+
+def code_matrix(f: FunctionTable) -> np.ndarray:
+    """Generator matrix of the linear code attached to ``f``, as a dense
+    uint8 0/1 array.
 
     Shape ``(2n+1, 2^n)``.  Column 0 corresponds to the field element 0 and
     column ``j`` (``1 <= j <= 2^n - 1``) to ``g^j`` where ``g`` is the
@@ -54,6 +72,8 @@ def code_matrix(f: FunctionTable) -> BitMatrix:
     """
     fld = f.field
     n = fld.n
+    check_alloc((2 * n + 1 + _CODE_BYTES_PER_COLUMN) << n,
+                f"the code matrix of GF(2^{n})")
     exp, _ = fld._tables()
     cols = np.concatenate(
         [np.zeros(1, dtype=np.uint32), exp[1 : fld.mult_order + 1]]
@@ -64,7 +84,7 @@ def code_matrix(f: FunctionTable) -> BitMatrix:
     for i in range(n):
         dense[1 + i, :] = (cols >> i) & 1
         dense[1 + n + i, :] = (images >> i) & 1
-    return BitMatrix.from_dense01(dense)
+    return dense
 
 
 def code_matrix_rank(f: FunctionTable) -> int:
@@ -120,8 +140,10 @@ def _translate_closure_rank(f: FunctionTable) -> int:
     closure is reached by absorbing, for each bit, the translates of the
     basis accumulated so far; translating by a processed bit keeps landing
     inside the span, so one pass over the bits suffices even though the
-    basis keeps growing.  Stored rows are never rewritten, so the round-start
-    ``rows_view`` is the round's snapshot.
+    basis keeps growing.  Stored rows are never rewritten, so the rows
+    stored before a round starts stay its snapshot; each chunk reads them
+    from the current ``rows_view``, so no array the basis grew out of is
+    kept alive.
 
     Each stored row carries a label, the bitmask of the translate bits that
     made it: the indicator has label 0, and the row that round ``t`` stores
@@ -141,10 +163,10 @@ def _translate_closure_rank(f: FunctionTable) -> int:
     n = f.field.n
     side = 1 << (2 * n)
     basis = GF2Basis(side)
+    basis.check_absorb(1, 1)  # the indicator row
     basis.absorb(_graph_indicator_row(f))
     labels = np.zeros(basis.count, dtype=np.int64)
     for t in range(2 * n):
-        src = basis.rows_view()
         dead = np.zeros(1 << t, dtype=bool)
         grown = [labels]
         pos = 0
@@ -155,7 +177,9 @@ def _translate_closure_rank(f: FunctionTable) -> int:
             take = pos + live
             pos = int(take[-1]) + 1
             gave = np.zeros(take.size, dtype=bool)
-            basis.absorb(xor_permute_columns(src[take], 1 << t, side), out=gave)
+            basis.check_absorb(take.size, _CHUNK_COPIES)
+            basis.absorb(xor_permute_columns(basis.rows_view()[take], 1 << t,
+                                             side), out=gave)
             grown.append(labels[take[gave]] | (1 << t))
             dead[labels[take[~gave]]] = True
             _close_upward(dead, t)
@@ -194,38 +218,39 @@ def export_code(f: FunctionTable, format: str = "plain-bits") -> str:
     ``"script"``: a self-contained computer-algebra script (Magma-style)
     that rebuilds the code as a ``LinearCode`` over GF(2).
     """
-    matrix = code_matrix(f)
-    dense = matrix.to_dense01()
+    if format not in _EXPORT_BYTES_PER_ENTRY:
+        raise PreconditionError(f"unknown export format {format!r}")
+    n = f.field.n
+    check_alloc((_EXPORT_BYTES_PER_ENTRY[format] * (2 * n + 1) + 2) << n,
+                f"the {format} export of a GF(2^{n}) code matrix")
+    dense = code_matrix(f)
     header = f.field.header()
     if format == "plain-bits":
-        lines = [header]
-        for i in range(matrix.rows):
-            lines.append("".join("1" if b else "0" for b in dense[i]))
-        return "\n".join(lines) + "\n"
-    if format == "script":
-        n = f.field.n
-        lines = [
-            f"// {header}",
-            f"// code matrix of a GF(2^{n}) -> GF(2^{n}) function",
-            "K := GF(2);",
-            f"V := VectorSpace(K, {f.field.order});",
-            "rows := [",
-        ]
-        for i in range(matrix.rows):
-            bits = ",".join(str(int(b)) for b in dense[i])
-            comma = "," if i < matrix.rows - 1 else ""
-            lines.append(f"    V![{bits}]{comma}")
-        lines += [
-            "];",
-            "C := LinearCode(sub<V | rows>);",
-            "C;",
-        ]
-        return "\n".join(lines) + "\n"
-    raise PreconditionError(f"unknown export format {format!r}")
+        lines = [header] + [(row + ord("0")).tobytes().decode() for row in dense]
+        return "\n".join(lines + [""])
+    lines = [
+        f"// {header}",
+        f"// code matrix of a GF(2^{n}) -> GF(2^{n}) function",
+        "K := GF(2);",
+        f"V := VectorSpace(K, {f.field.order});",
+        "rows := [",
+    ]
+    text = np.full(2 * f.field.order - 1, ord(","), dtype=np.uint8)
+    for i, row in enumerate(dense):
+        text[::2] = row + ord("0")
+        comma = "," if i < dense.shape[0] - 1 else ""
+        lines.append(f"    V![{text.tobytes().decode()}]{comma}")
+    lines += [
+        "];",
+        "C := LinearCode(sub<V | rows>);",
+        "C;",
+    ]
+    return "\n".join(lines + [""])
 
 
-def parse_code_export(text: str) -> tuple[Field, BitMatrix]:
-    """Inverse of :func:`export_code` for the ``plain-bits`` format."""
+def parse_code_export(text: str) -> tuple[Field, np.ndarray]:
+    """Inverse of :func:`export_code` for the ``plain-bits`` format: the
+    field and the dense uint8 0/1 code matrix."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise PreconditionError("empty code export")
@@ -240,4 +265,4 @@ def parse_code_export(text: str) -> tuple[Field, BitMatrix]:
         if not re.fullmatch(r"[01]+", row) or len(row) != fld.order:
             raise PreconditionError(f"bad 0/1 row of length {len(row)}")
         dense[i] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
-    return fld, BitMatrix.from_dense01(dense)
+    return fld, dense

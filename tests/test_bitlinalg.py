@@ -1,4 +1,4 @@
-"""Bit-packed GF(2) matrices and the incremental elimination engine."""
+"""Packing, GF(2) ranks and the incremental elimination engine."""
 
 from __future__ import annotations
 
@@ -15,10 +15,10 @@ from hypothesis import strategies as st
 
 from apnlab import bitlinalg
 from apnlab.bitlinalg import (
-    BitMatrix,
     GF2Basis,
     check_alloc,
     mem_budget_bytes,
+    pack,
     rank,
     row_ranks,
     xor_permute_columns,
@@ -37,36 +37,21 @@ def random_dense(rng: np.random.Generator, rows: int, cols: int,
 
 
 # ---------------------------------------------------------------------------
-# construction and round trips
+# packing
 # ---------------------------------------------------------------------------
 
 def test_dense_round_trip():
+    # column j of a dense row lands at bit j & 63 of word j >> 6
     rng = np.random.default_rng(0)
     d = random_dense(rng, 13, 70, 0.4)
-    m = BitMatrix.from_dense01(d)
-    assert (m.rows, m.cols) == (13, 70)
-    assert np.array_equal(m.to_dense01(), d)
+    data = pack(d)
+    assert data.shape == (13, 2) and data.dtype == np.uint64
     for i in range(13):
-        for j in (0, 63, 64, 69):
-            assert m.get(i, j) == int(d[i, j])
-
-
-def test_set_get():
-    m = BitMatrix(3, 130)
-    m.set(2, 129, 1)
-    m.set(0, 0, 1)
-    assert m.get(2, 129) == 1 and m.get(0, 0) == 1 and m.get(1, 64) == 0
-    m.set(2, 129, 0)
-    assert m.get(2, 129) == 0
-
-
-def test_row_weights_and_transpose():
-    rng = np.random.default_rng(1)
-    d = random_dense(rng, 9, 33, 0.5)
-    m = BitMatrix.from_dense01(d)
-    assert np.array_equal(m.row_weights(), d.sum(axis=1))
-    t = m.transpose()
-    assert np.array_equal(t.to_dense01(), d.T)
+        for j in range(70):
+            assert (int(data[i, j >> 6]) >> (j & 63)) & 1 == d[i, j]
+    assert not (data[:, 1] >> np.uint64(6)).any()  # padding bits stay clear
+    with pytest.raises(PreconditionError, match="2-D"):
+        pack(d[0])
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +73,7 @@ def test_rank_matches_naive_random():
         cols = int(rng.integers(1, 150))
         density = float(rng.uniform(0.02, 0.9))
         d = random_dense(rng, rows, cols, density)
-        assert rank(BitMatrix.from_dense01(d)) == naive_rank(d)
+        assert rank(d) == naive_rank(d)
 
 
 def test_rank_transpose_invariant():
@@ -96,8 +81,7 @@ def test_rank_transpose_invariant():
     for _ in range(20):
         d = random_dense(rng, int(rng.integers(1, 80)),
                          int(rng.integers(1, 80)), 0.35)
-        m = BitMatrix.from_dense01(d)
-        assert rank(m) == rank(m.transpose())
+        assert rank(d) == rank(d.T)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 64))
@@ -106,26 +90,26 @@ def test_rank_row_operations_invariant(seed, rows, cols):
     rng = np.random.default_rng(seed)
     d = random_dense(rng, rows, cols, 0.4)
     base = naive_rank(d)
-    assert rank(BitMatrix.from_dense01(d)) == base
+    assert rank(d) == base
     # xor a random row into another: rank unchanged
     if rows >= 2:
         i, j = rng.choice(rows, 2, replace=False)
         d2 = d.copy()
         d2[i] ^= d2[j]
-        assert rank(BitMatrix.from_dense01(d2)) == base
+        assert rank(d2) == base
 
 
 def test_rank_duplicated_rows():
     rng = np.random.default_rng(6)
     d = random_dense(rng, 30, 50, 0.4)
     doubled = np.vstack([d, d])
-    assert rank(BitMatrix.from_dense01(doubled)) == naive_rank(d)
+    assert rank(doubled) == naive_rank(d)
 
 
 def test_rank_wide_matrix_multiword():
     rng = np.random.default_rng(7)
     d = random_dense(rng, 60, 1000, 0.02)
-    assert rank(BitMatrix.from_dense01(d)) == naive_rank(d)
+    assert rank(d) == naive_rank(d)
 
 
 def test_rank_matches_naive_across_row_slices():
@@ -137,7 +121,7 @@ def test_rank_matches_naive_across_row_slices():
     d = np.zeros((2600, 8192), dtype=np.uint8)
     for k in range(40):
         d[left[:, k] == 1] ^= right[k]
-    assert rank(BitMatrix.from_dense01(d)) == naive_rank(d) == 40
+    assert rank(d) == naive_rank(d) == 40
 
 
 def test_row_ranks_match_textbook_elimination():
@@ -159,12 +143,12 @@ def test_row_ranks_match_textbook_elimination():
 def test_basis_incremental_absorb():
     rng = np.random.default_rng(8)
     d = random_dense(rng, 90, 130, 0.3)
-    m = BitMatrix.from_dense01(d)
+    data = pack(d)
     assert mem_budget_bytes() > 0  # the default budget this basis grows under
     basis = GF2Basis(130)
     total = 0
     for start in range(0, 90, 13):
-        total += basis.absorb(m.data[start:start + 13])
+        total += basis.absorb(data[start:start + 13])
     assert total == basis.rank == naive_rank(d)
     piv = basis.pivot_cols()
     assert len(piv) == basis.rank
@@ -177,7 +161,7 @@ def test_basis_absorb_reports_which_rows_gave_pivots(monkeypatch):
     d = random_dense(rng, 40, 70, 0.3)
     d[[7, 20]] = d[[3, 5]]  # repeats give no pivot
     d[30] = 0
-    data = BitMatrix.from_dense01(d).data
+    data = pack(d)
     basis = GF2Basis(70)
     gave = np.zeros(40, dtype=bool)
     assert basis.absorb(data, out=gave) == gave.sum() == basis.rank
@@ -197,7 +181,7 @@ def test_basis_never_rewrites_stored_rows():
     def bits(*cols):
         d = np.zeros((1, 64), dtype=np.uint8)
         d[0, list(cols)] = 1
-        return BitMatrix.from_dense01(d).data
+        return pack(d)
 
     basis = GF2Basis(64)
     for row in ([0, 5], [1], [2], [3], [4]):
@@ -254,7 +238,7 @@ def test_basis_respects_budget(monkeypatch):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError):
-        basis.absorb(BitMatrix.from_dense01(np.eye(300, 512, dtype=np.uint8)).data)
+        basis.absorb(pack(np.eye(300, 512, dtype=np.uint8)))
 
 
 def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
@@ -263,8 +247,30 @@ def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((256 + 16) * 64 / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="1 tables"):
-        basis.absorb(BitMatrix.from_dense01(np.eye(16, 512, dtype=np.uint8)).data)
+        basis.absorb(pack(np.eye(16, 512, dtype=np.uint8)))
     assert basis.count == 0 and basis._tables == []
+
+
+def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
+    # the first 256 rows of 2^28 columns (Gold n=14's Γ-rank) are 8 GiB
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
+    basis = GF2Basis(1 << 28)
+    assert basis._rows.nbytes == 0 and basis.rows_view().shape == (0, 1 << 22)
+    with pytest.raises(MemoryBudgetError, match="^1 copies of 1 rows"):
+        basis.check_absorb(1, 1)
+
+
+def test_check_absorb_counts_the_callers_copies(monkeypatch):
+    # absorbing 16 rows of 8 words takes the 256-row basis, one chunk copy
+    # and one table, exactly the budget; two more copies of the chunk do not
+    # fit beside them
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((256 + 16 + 256) * 64 / GIB))
+    basis = GF2Basis(512)
+    with pytest.raises(MemoryBudgetError, match="3 chunks and 1 tables"):
+        basis.check_absorb(16, 2)
+    assert basis._rows.nbytes == 0
+    basis.check_absorb(16, 0)
+    assert basis.absorb(pack(np.eye(16, 512, dtype=np.uint8))) == 16
 
 
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
@@ -308,7 +314,7 @@ def test_split_reduction_is_bit_identical(monkeypatch, workers):
     left = random_dense(rng, 150, 60, 0.5)
     d = (left.astype(np.int64) @ random_dense(rng, 60, 300, 0.5)) & 1
     d[[40, 90]] = 0
-    data = BitMatrix.from_dense01(d).data
+    data = pack(d)
     monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 16)
 
     def absorbed():
@@ -362,17 +368,17 @@ def test_xor_permute_columns_is_involution():
     rng = np.random.default_rng(10)
     cols = 256
     d = random_dense(rng, 10, cols, 0.4)
-    m = BitMatrix.from_dense01(d)
+    data = pack(d)
     for mask in (1, 5, 63, 64, 129, 255):
-        once = xor_permute_columns(m.data, mask, cols)
+        once = xor_permute_columns(data, mask, cols)
         twice = xor_permute_columns(once, mask, cols)
-        assert np.array_equal(twice, m.data)
+        assert np.array_equal(twice, data)
         # word moves come out C-ordered, with no second copy to get there
         assert once.flags.c_contiguous
-        fortran = xor_permute_columns(np.asfortranarray(m.data), mask, cols)
+        fortran = xor_permute_columns(np.asfortranarray(data), mask, cols)
         assert fortran.flags.c_contiguous and np.array_equal(fortran, once)
         # column j of the permuted matrix is column j ^ mask of the original
-        moved = BitMatrix(10, cols, once).to_dense01()
+        moved = np.unpackbits(once.view(np.uint8), axis=1, bitorder="little")
         assert np.array_equal(moved, d[:, np.arange(cols) ^ mask])
 
 

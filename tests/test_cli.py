@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,24 @@ def test_gamma_rank_memory_budget_exits_3(capsys, monkeypatch):
     assert out["status"] == "resource-limit"
 
 
+@pytest.mark.parametrize("n", [14, 16])
+def test_gamma_rank_past_the_budget_exits_3_before_allocating(capsys,
+                                                              monkeypatch, n):
+    # the first 256 basis rows of 2^(2n) columns are 8 GiB at n=14, 128 GiB
+    # at n=16; the refusal must come before the basis or the indicator row
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "gamma-rank", "--family",
+                           f'{{tag:"Gold", n:{n}, i:1}}')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and out["status"] == "resource-limit"
+    assert "1 copies of 1 rows to absorb" in out["error"]
+    assert peak < 16 << 20
+
+
 def test_field_tables_are_sized_before_they_are_built(capsys, monkeypatch):
     # the GF(2^24) log/exp tables need 24 B per element, 384 MiB, above
     # 0.1 GiB; the build must not start
@@ -330,6 +349,10 @@ def test_search_trinomial(capsys):
     assert {p["s"] for p in out["params"]} == {3, 5}
     for p in out["params"]:
         assert p["mu_exponents"] == sorted(p["mu_exponents"])
+    with pytest.raises(SystemExit) as exc:  # argparse requires --trinomial
+        main(["search", "--m", "3"])
+    assert exc.value.code == 2
+    assert "--trinomial" in capsys.readouterr().err
 
 
 def test_search_trinomial_listing_is_pinned(capsys):
@@ -534,7 +557,21 @@ def test_export_code_round_trip(tmp_path, capsys):
     assert code == 0
     assert out["rows"] == 11 and out["cols"] == 32
     fld, mat = parse_code_export(out_path.read_text())
-    assert fld.n == 5 and mat.rows == 11
+    assert fld.n == 5 and mat.shape == (11, 32)
+
+
+def test_export_code_past_the_budget_exits_3_and_writes_nothing(
+        tmp_path, capsys, monkeypatch):
+    # Gold n=20's code matrix alone is 41 x 2^20 B = 43 MB, over 0.03 GiB
+    out_path = tmp_path / "code.txt"
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.03")
+    for fmt in ("plain-bits", "script"):
+        code, out, _ = run(capsys, "export-code", "--family",
+                           '{tag:"Gold", n:20, i:1}', "--format", fmt,
+                           "--out", str(out_path))
+        assert code == 3 and out["status"] == "resource-limit"
+        assert f"the {fmt} export of a GF(2^20) code matrix" in out["error"]
+        assert not out_path.exists()
 
 
 def test_export_code_unwritable_path_exits_2(tmp_path, capsys):

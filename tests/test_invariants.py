@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from apnlab import bitlinalg, invariants
-from apnlab.bitlinalg import rank, xor_permute_columns
+from apnlab.bitlinalg import xor_permute_columns
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.invariants import (
     code_matrix,
@@ -45,9 +47,8 @@ def dense_incidence(t: FunctionTable) -> np.ndarray:
 def test_code_matrix_shape_and_rows():
     f = get_field(5)
     t = gold_table(5)
-    m = code_matrix(t)
-    assert (m.rows, m.cols) == (11, 32)
-    d = m.to_dense01()
+    d = code_matrix(t)
+    assert d.shape == (11, 32) and d.dtype == np.uint8
     # constant row
     assert d[0].sum() == 32
     # column 0 is the zero element, column j (j >= 1) the j-th primitive power
@@ -62,8 +63,7 @@ def test_code_matrix_shape_and_rows():
 def test_code_matrix_rank_equals_naive():
     for n in (3, 4, 5, 6):
         t = gold_table(n)
-        m = code_matrix(t)
-        assert code_matrix_rank(t) == rank(m.to_dense01())
+        assert code_matrix_rank(t) == naive_rank(code_matrix(t))
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,49 @@ def test_incidence_budget_guard(monkeypatch):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / (1 << 30)))
     with pytest.raises(MemoryBudgetError):
         gamma_rank(table)
+
+
+def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
+    # absorb's own check counts the basis, its chunk copy and its tables;
+    # the closure's gathered and translated copies of a chunk come on top,
+    # which takes Gold n=6's traced peak about 40% above that count.  A
+    # budget between the two must stop the closure at its check of a chunk,
+    # before it translates that chunk.
+    table = gold_table(6)  # its field's tables are built before the budget is set
+    checks, events = [], []
+    real_check = bitlinalg.check_alloc
+    real_absorb_check = bitlinalg.GF2Basis.check_absorb
+
+    def recording_check(nbytes, what, budget=None):
+        checks.append((nbytes, what))
+        real_check(nbytes, what, budget)
+
+    def recording_translate(data, mask, cols):
+        events.append("translate")
+        return xor_permute_columns(data, mask, cols)
+
+    monkeypatch.setattr(bitlinalg, "check_alloc", recording_check)
+    monkeypatch.setattr(invariants, "xor_permute_columns", recording_translate)
+    tracemalloc.start()
+    try:
+        gamma_rank(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    absorbed = max(nbytes for nbytes, what in checks if what.startswith("absorbing"))
+    budget = int(1.2 * absorbed)
+    assert budget < peak
+
+    def recording_absorb_check(self, rows, copies):
+        events.append("check")
+        real_absorb_check(self, rows, copies)
+
+    monkeypatch.setattr(bitlinalg.GF2Basis, "check_absorb", recording_absorb_check)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / (1 << 30)))
+    events.clear()
+    with pytest.raises(MemoryBudgetError, match="copies of .* rows to absorb"):
+        gamma_rank(table)
+    assert events[-1] == "check" and "translate" in events
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +292,7 @@ def test_export_plain_bits_round_trip():
     text = export_code(t, format="plain-bits")
     fld, mat = parse_code_export(text)
     assert fld.n == 5
-    assert mat == code_matrix(t)
+    assert np.array_equal(mat, code_matrix(t))
 
 
 def test_export_script_format():
