@@ -25,7 +25,6 @@ sampling.  Each exhaustive sweep checks its size with ``check_alloc`` first.
 from __future__ import annotations
 
 import functools
-import itertools
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .bitlinalg import check_alloc, row_ranks
 from .errors import PreconditionError
-from .families import search_trinomial_params, validate_trinomial_params
+from .families import _trinomial_mus, validate_trinomial_params
 from .gf2n import Field, cube_class, field_new, subfield_embedding
 from .vbf import FunctionTable, LinearizedPoly, adjoint, is_linearized_permutation
 
@@ -159,16 +158,12 @@ def ddt(f: FunctionTable) -> DdtSummary:
     witnesses: list[tuple[int, int]] = []
     for a0, block in _half_derivative_passes(f):
         hist += np.bincount(block.ravel(), minlength=hist.size)
-        block_max = block.max(axis=1)
-        for i in np.flatnonzero(block_max >= half_delta):
-            counts, row_max = block[i], int(block_max[i])
-            if row_max > half_delta:
-                half_delta = row_max
-                witnesses = [(a0 + int(i), int(b)) for b in
-                             np.flatnonzero(counts == row_max)[:_WITNESS_CAP]]
-            elif row_max == half_delta and len(witnesses) < _WITNESS_CAP:
-                extra = np.flatnonzero(counts == row_max)[: _WITNESS_CAP - len(witnesses)]
-                witnesses.extend((a0 + int(i), int(b)) for b in extra)
+        top = int(block.max())
+        if top > half_delta:
+            half_delta, witnesses = top, []
+        if top == half_delta and len(witnesses) < _WITNESS_CAP:
+            cells = np.argwhere(block == top)[: _WITNESS_CAP - len(witnesses)]
+            witnesses += [(a0 + int(i), int(b)) for i, b in cells]
     histogram = {2 * v: int(c) for v, c in enumerate(hist) if c}
     return DdtSummary(f.field, 2 * half_delta, histogram, witnesses)
 
@@ -938,38 +933,38 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
     preconditions, meets each unit v = g^(j (2^(3m)-1)/(2^m-1)) of GF(2^m)
     in turn.  The tuples of one s share passes of at most
     ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs, mu and v as columns.  The
-    results and one pass are checked against the budget before any is built.
+    results and one pass are checked against the budget before any tuple is
+    built.
     """
-    pairs = [(t, mu.bits) for t, mu in search_trinomial_params(m)
-             if s is None or t == s]
-    if s is not None and not pairs:
+    groups = [(t, mus) for t, mus in _trinomial_mus(m)
+              if mus.size and (s is None or t == s)]
+    if s is not None and not groups:
         raise PreconditionError(f"no valid (s, mu) with s={s} for m={m}")
     field = field_new(3 * m)
     step = field.mult_order // ((1 << m) - 1)
-    vs = [field.primitive_power(step * j) for j in range((1 << m) - 1)]
-    count = len(pairs) * len(vs)
+    vs = np.array([field.primitive_power(step * j) for j in range((1 << m) - 1)],
+                  dtype=np.uint32)
+    count = sum(mus.size for _, mus in groups) * vs.size
     per_pass = min(count, max(1, _KEY_ELEMS_PER_PASS // field.mult_order))
     check_alloc(count * _KEY_BYTES_PER_TUPLE
                 + per_pass * field.mult_order * _KEY_BYTES_PER_PAIR,
                 f"key verifier at m={m} ({count} tuples and a pass of "
                 f"{per_pass})")
     out: list[KeyLemmaSweep] = []
-    for t, group in itertools.groupby(pairs, key=lambda p: p[0]):
-        tuples = [(mu, v) for _, mu in group for v in vs]
-        for start in range(0, len(tuples), per_pass):
-            mus, vals = zip(*tuples[start: start + per_pass])
-            out += _sweep_key_group(field, m, t, mus, vals)
+    for t, mus in groups:
+        mu_col, v_col = np.repeat(mus, vs.size), np.tile(vs, mus.size)
+        for i in range(0, mu_col.size, per_pass):
+            out += _sweep_key_group(field, m, t, mu_col[i:i + per_pass],
+                                    v_col[i:i + per_pass])
     return out
 
 
 def _sweep_key_group(field: Field, m: int, s: int, mus, vs) -> list[KeyLemmaSweep]:
     """One pass over the valid tuples ``(s, mus[t], vs[t])`` (raw bits)."""
     a = field.all_elements_vec()[1:]
-    la_of = {mu: LinearizedPoly.from_exponent_terms(
-        field, [(1, m + s), (mu, s), (1, 0)]).eval_vec(a) for mu in set(mus)}
-    la = np.stack([la_of[mu] for mu in mus])
-    mu = np.array(mus, dtype=np.uint32)[:, None]
-    v = np.array(vs, dtype=np.uint32)[:, None]
+    mu = np.asarray(mus, dtype=np.uint32)[:, None]
+    v = np.asarray(vs, dtype=np.uint32)[:, None]
+    la = field.frob_vec(a, m + s) ^ field.mul_vec(mu, field.frob_vec(a, s)) ^ a  # L(a)
     q = _key_point_values(field, m, s, mu, v, a, la, vec=True)
     claims_ok = functools.reduce(np.logical_and, _key_claims(field, s, q, vec=True))
     checks = _key_factorization_checks(field, m, s, mu, v, a, q, vec=True)
@@ -986,7 +981,7 @@ def _sweep_key_group(field: Field, m: int, s: int, mus, vs) -> list[KeyLemmaSwee
             claim_failures=[] if claims_all[t] else bad(claims_ok[t]),
             factorization_failures=[] if fact_all[t] else bad(fact_ok[t]),
         )
-        for t, (mu_bits, v_bits) in enumerate(zip(mus, vs))
+        for t, (mu_bits, v_bits) in enumerate(zip(mu.ravel().tolist(), v.ravel().tolist()))
     ]
 
 

@@ -97,7 +97,6 @@ def _cmd_ddt(args) -> dict:
 def _cmd_gamma_rank(args) -> dict:
     inst = build_from_descriptor(_read_descriptor(args.family))
     report = gamma_rank(inst.table, family=inst.id.tag)
-    _stderr(f"elapsed_seconds={report.elapsed:.2f}")
     return {"schema": "apnlab/gamma-rank/v1", **report.to_json_dict()}
 
 
@@ -178,6 +177,8 @@ def _cmd_search(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    if args.s is not None and args.lemma != "key":
+        raise PreconditionError("condition violated: --s only with --lemma key")
     if args.lemma == "cubic":
         cases, mismatches = sweep_cubic_classifier(args.m)
         return {
@@ -217,10 +218,10 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_export_code(args) -> dict:
     inst = build_from_descriptor(_read_descriptor(args.family))
-    text = export_code(inst.table, format=args.format)
+    lines = export_code(inst.table, format=args.format)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise PreconditionError(f"cannot write {args.out}: {exc}") from None
     n = inst.field.n

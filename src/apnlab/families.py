@@ -728,6 +728,14 @@ def search_trinomial_params(m: int) -> list[tuple[int, FieldElement]]:
     error.  The pairs found so far are checked against the memory budget
     after each s, before any element is built.
     """
+    found = _trinomial_mus(m)
+    field = field_new(3 * m)
+    return [(s, field.element(int(b))) for s, good in found for b in good]
+
+
+def _trinomial_mus(m: int) -> list[tuple[int, np.ndarray]]:
+    """(s, bits of every valid mu, ascending) for each s of
+    :func:`search_trinomial_params`, with its per-s budget check."""
     _require(m >= 2, "m >= 2")
     _require(3 * m <= 24, "3m <= 24")
     field = field_new(3 * m)
@@ -752,7 +760,7 @@ def search_trinomial_params(m: int) -> list[tuple[int, FieldElement]]:
         check_alloc(count * _SEARCH_BYTES_PER_PAIR,
                     f"trinomial search at m={m} ({count} (s, mu) pairs up to s={s})")
         found.append((s, good))
-    return [(s, field.element(int(b))) for s, good in found for b in good]
+    return found
 
 
 def make_edel_pott(field: Field, u: FieldElement | None = None) -> FamilyInstance:

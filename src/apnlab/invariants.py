@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,12 +53,6 @@ _CHUNK_COPIES = 3
 #: uint32 temporaries of one bit-row (tracemalloc: 57.0 B per column at
 #: n = 20, where 41 are entries).
 _CODE_BYTES_PER_COLUMN = 16
-#: Peak bytes per code-matrix entry of each export, the matrix included:
-#: at the final join the text is held twice, as rows and joined, at 1 B per
-#: entry in plain-bits and 2 in script (a digit and a comma).  Measured
-#: (tracemalloc, Gold n = 20): 3.000 and 5.049 B per entry; the script's
-#: 0.049 is its one-row buffer, 2 B per column.
-_EXPORT_BYTES_PER_ENTRY = {"plain-bits": 3, "script": 5}
 
 
 def code_matrix(f: FunctionTable) -> np.ndarray:
@@ -207,8 +202,10 @@ def gamma_rank(f: FunctionTable, family: str = "") -> GammaRankReport:
     )
 
 
-def export_code(f: FunctionTable, format: str = "plain-bits") -> str:
-    """Serialise the code matrix of ``f`` for external tools.
+def export_code(f: FunctionTable, format: str = "plain-bits") -> Iterator[str]:
+    """Serialise the code matrix of ``f`` for external tools: the format is
+    checked and the matrix built now, and each line of text (newline
+    included) is made as it is read.
 
     ``"plain-bits"``: a field header line followed by ``2n+1`` rows of
     ``0``/``1`` characters, one column per field element in canonical order.
@@ -218,34 +215,32 @@ def export_code(f: FunctionTable, format: str = "plain-bits") -> str:
     ``"script"``: a self-contained computer-algebra script (Magma-style)
     that rebuilds the code as a ``LinearCode`` over GF(2).
     """
-    if format not in _EXPORT_BYTES_PER_ENTRY:
+    if format not in _EXPORT_LINES:
         raise PreconditionError(f"unknown export format {format!r}")
-    n = f.field.n
-    check_alloc((_EXPORT_BYTES_PER_ENTRY[format] * (2 * n + 1) + 2) << n,
-                f"the {format} export of a GF(2^{n}) code matrix")
-    dense = code_matrix(f)
-    header = f.field.header()
-    if format == "plain-bits":
-        lines = [header] + [(row + ord("0")).tobytes().decode() for row in dense]
-        return "\n".join(lines + [""])
-    lines = [
-        f"// {header}",
-        f"// code matrix of a GF(2^{n}) -> GF(2^{n}) function",
-        "K := GF(2);",
-        f"V := VectorSpace(K, {f.field.order});",
-        "rows := [",
-    ]
-    text = np.full(2 * f.field.order - 1, ord(","), dtype=np.uint8)
+    return _EXPORT_LINES[format](f.field, code_matrix(f))
+
+
+def _plain_bits_lines(fld: Field, dense: np.ndarray) -> Iterator[str]:
+    yield f"{fld.header()}\n"
+    for row in dense:
+        yield (row + ord("0")).tobytes().decode() + "\n"
+
+
+def _script_lines(fld: Field, dense: np.ndarray) -> Iterator[str]:
+    yield f"// {fld.header()}\n"
+    yield f"// code matrix of a GF(2^{fld.n}) -> GF(2^{fld.n}) function\n"
+    yield "K := GF(2);\n"
+    yield f"V := VectorSpace(K, {fld.order});\n"
+    yield "rows := [\n"
+    text = np.full(2 * fld.order - 1, ord(","), dtype=np.uint8)
     for i, row in enumerate(dense):
         text[::2] = row + ord("0")
         comma = "," if i < dense.shape[0] - 1 else ""
-        lines.append(f"    V![{text.tobytes().decode()}]{comma}")
-    lines += [
-        "];",
-        "C := LinearCode(sub<V | rows>);",
-        "C;",
-    ]
-    return "\n".join(lines + [""])
+        yield f"    V![{text.tobytes().decode()}]{comma}\n"
+    yield from ("];\n", "C := LinearCode(sub<V | rows>);\n", "C;\n")
+
+
+_EXPORT_LINES = {"plain-bits": _plain_bits_lines, "script": _script_lines}
 
 
 def parse_code_export(text: str) -> tuple[Field, np.ndarray]:

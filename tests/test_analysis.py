@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from apnlab import analysis
+from apnlab import analysis, gf2n
 from apnlab.analysis import (
     _KEY_QUANTITIES,
     KeyLemmaSweep,
@@ -34,7 +34,7 @@ from apnlab.analysis import (
     verify_subfield_scaled_permutations,
 )
 from apnlab.bitlinalg import check_alloc
-from apnlab.errors import PreconditionError
+from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.families import (
     FamilyId,
     build_from_descriptor,
@@ -97,17 +97,21 @@ def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
-def test_ddt_matches_row_by_row_tally(n):
+def test_ddt_matches_row_by_row_tally(monkeypatch, n):
     # at n=1 and 2 each top-bit group holds one direction; n=10 takes
-    # several vectorised passes over the directions of one top bit
+    # several vectorised passes over the directions of one top bit, so a new
+    # maximum can come inside a pass; with 64 cells a pass is one direction
+    # from n=6, and each new maximum comes with a new pass
     f = get_field(n)
     rng = np.random.default_rng(n)
     luts = [rng.integers(0, f.order, f.order).astype(np.uint32)
             for _ in range(2)]
     luts.append(to_table(UnivariatePoly.monomial(f, 3)).lut)
-    for lut in luts:
-        s = ddt(FunctionTable(f, lut))
-        assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
+    for cells in (analysis._DDT_CELLS_PER_PASS, 64):
+        monkeypatch.setattr(analysis, "_DDT_CELLS_PER_PASS", cells)
+        for lut in luts:
+            s = ddt(FunctionTable(f, lut))
+            assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
@@ -612,6 +616,19 @@ def test_batched_key_sweep_equals_per_tuple_fold_m3_sample():
         assert sweeps[s][i - first[s]] == _fold_key_lemma(3, *params[i])[0]
     sample = params[picks[0]]
     assert sweep_key_lemma(3, *sample) == _fold_key_lemma(3, *sample)[0]
+
+
+def test_key_sweep_refuses_before_building_an_element(monkeypatch):
+    # m=6 has 442,260 (s, mu) pairs and 27,862,380 tuples; 1 GiB holds the
+    # search's pairs but not the tuples, which are refused before any
+    # FieldElement is made
+    def no_element(self, bits):
+        raise AssertionError("built a FieldElement before the size check")
+
+    monkeypatch.setattr(gf2n.Field, "element", no_element)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
+    with pytest.raises(MemoryBudgetError, match="27862380 tuples"):
+        sweep_key_lemmas(6)
 
 
 def test_key_sweep_memory_stays_within_its_check(monkeypatch):

@@ -204,6 +204,13 @@ def test_gamma_rank_command(capsys):
     assert out["matrix_dims"] == [4096, 4096]
 
 
+def test_gamma_rank_prints_elapsed_seconds_once(capsys):
+    code, _, err = run(capsys, "gamma-rank", "--family",
+                       '{tag:"Gold", n:4, i:1}')
+    assert code == 0
+    assert err.count("elapsed_seconds=") == 1
+
+
 def test_gamma_rank_memory_budget_exits_3(capsys, monkeypatch):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.0001")
     code, out, _ = run(capsys, "gamma-rank", "--family",
@@ -397,6 +404,16 @@ def test_verify_resultant(capsys):
     assert out["ok"] is True and out["identity_holds"] is True
 
 
+@pytest.mark.parametrize("lemma,m", [("cubic", 3), ("resultant", 2)])
+def test_verify_refuses_s_outside_the_key_lemma(capsys, lemma, m):
+    code, out, err = run(capsys, "verify", "--lemma", lemma, "--m", str(m),
+                         "--s", "2")
+    assert code == 2
+    assert out["status"] == "precondition-failed"
+    assert "--s only with --lemma key" in out["error"]
+    assert "Traceback" not in err
+
+
 def test_verify_resultant_requires_m_coprime_to_3(capsys):
     code, out, err = run(capsys, "verify", "--lemma", "resultant", "--m", "3")
     assert code == 2
@@ -570,7 +587,7 @@ def test_export_code_past_the_budget_exits_3_and_writes_nothing(
                            '{tag:"Gold", n:20, i:1}', "--format", fmt,
                            "--out", str(out_path))
         assert code == 3 and out["status"] == "resource-limit"
-        assert f"the {fmt} export of a GF(2^20) code matrix" in out["error"]
+        assert "the code matrix of GF(2^20)" in out["error"]
         assert not out_path.exists()
 
 

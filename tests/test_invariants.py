@@ -289,14 +289,14 @@ def test_gamma_rank_of_linear_map_is_degenerate():
 
 def test_export_plain_bits_round_trip():
     t = gold_table(5)
-    text = export_code(t, format="plain-bits")
+    text = "".join(export_code(t, format="plain-bits"))
     fld, mat = parse_code_export(text)
     assert fld.n == 5
     assert np.array_equal(mat, code_matrix(t))
 
 
 def test_export_script_format():
-    text = export_code(gold_table(4), format="script")
+    text = "".join(export_code(gold_table(4), format="script"))
     assert text.startswith("//")
     assert "VectorSpace" in text
 
@@ -306,11 +306,29 @@ def test_export_rejects_unknown_format():
         export_code(gold_table(3), format="csv")
 
 
+@pytest.mark.parametrize("fmt,row_text", [("plain-bits", 1), ("script", 2)])
+def test_export_holds_the_matrix_and_two_rows_of_text(fmt, row_text):
+    # the lines are made as they are read: besides the code matrix's counted
+    # bytes, an export holds at most two rows of text (1 B per column in
+    # plain-bits, a digit and a comma in script)
+    n = 16
+    t = gold_table(n)
+    counted = (2 * n + 1 + invariants._CODE_BYTES_PER_COLUMN) << n
+    tracemalloc.start()
+    try:
+        size = sum(len(line) for line in export_code(t, format=fmt))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > (2 * n + 1) * row_text << n
+    assert peak <= counted + 2 * (row_text << n)
+
+
 def test_parse_code_export_rejects_bad_input():
     with pytest.raises(PreconditionError):
         parse_code_export("")
     t = gold_table(3)
-    text = export_code(t)
+    text = "".join(export_code(t))
     lines = text.splitlines()
     with pytest.raises(PreconditionError):
         parse_code_export("\n".join(lines[:-1]))

@@ -1,11 +1,13 @@
 """Public names: every ``__all__`` entry resolves, every attribute the
-benchmark in ``apnbench/`` patches or reads still exists, and its tracer
-still sees the translate closure's calls."""
+benchmark in ``apnbench/`` patches or reads still exists, the set-up of
+each benchmarked workload runs, and its tracer still sees the translate
+closure's calls."""
 
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
@@ -20,6 +22,8 @@ from conftest import unskipped_closure
 
 APNBENCH = Path(__file__).resolve().parent.parent / "apnbench"
 MODULES = sorted(f"apnlab.{m.name}" for m in pkgutil.iter_modules(apnlab.__path__))
+BENCHMARKED = [w["name"] for w in json.loads(
+    (APNBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def _load(name: str):
@@ -52,6 +56,15 @@ def test_span_tracer_patches_existing_attributes():
 
     # the table-build span reads the cache slot directly
     assert hasattr(Field(4), "_exp")
+
+
+@pytest.mark.parametrize("name", BENCHMARKED)
+def test_benchmark_setup_runs(monkeypatch, name):
+    # each benchmarked workload's set-up calls apnlab by name and reads what
+    # it returns; a rename or a new return type fails here first
+    monkeypatch.syspath_prepend(str(APNBENCH))
+    state = _load("workloads").WORKLOADS[name].setup(1)
+    assert isinstance(state, dict)
 
 
 def test_worker_metadata_reads_existing_attributes():
