@@ -3,8 +3,10 @@
 Four groups of tools:
 
 * difference-distribution statistics (:func:`ddt`) and one APN test,
-  :func:`is_apn`, which sends functions of :func:`algebraic_degree` <= 2 to
-  the derivative-rank test :func:`is_apn_quadratic` and the rest to the DDT;
+  :func:`is_apn`.  Both send functions of :func:`algebraic_degree` <= 2 to
+  one pass over the ranks of their derivatives, at any n (a quadratic's DDT
+  follows from those ranks; :func:`is_apn_quadratic` asks that each be
+  n-1), and the rest to the tally of the DDT (n <= 16);
 * root classification of cubics ``z^3 + az + b`` over GF(2^m) via the
   quadratic resolvent ``t^2 + bt + a^3`` (:func:`cubic_root_count`),
   checked against brute force by :func:`sweep_cubic_classifier`;
@@ -63,6 +65,11 @@ _DDT_MAX_N = 16
 #: First n whose DDT takes over 30 s (n = 16: 42 s on a 2-core x86-64 host).
 _DDT_WARN_N = 16
 _WITNESS_CAP = 16
+#: Peak bytes per field element of a quadratic DDT's witness sweep: 4 B of
+#: z values and two uint32 temporaries (8 B) that select a half, while the
+#: last direction's half and image (2 B each) are still held.  Measured
+#: (tracemalloc): 16.0 B at n = 14 and 18.
+_WITNESS_BYTES_PER_ELEMENT = 4 + 8 + 2 + 2
 #: Cells per vectorised pass: DDT cells (whole rows of the table), and the
 #: n basis images per direction of the quadratic rank test.
 _DDT_CELLS_PER_PASS = 1 << 16
@@ -150,9 +157,18 @@ def ddt(f: FunctionTable) -> DdtSummary:
     For every a != 0 the counts of solutions z to f(z+a)+f(z) = b are
     tallied over all b (zeros included in the histogram); ``delta`` is the
     maximum count, and up to 16 (a, b) cells achieving it are recorded in
-    scan order.
+    scan order.  Degree <= 2 reads the table off the derivative ranks, at
+    any n; any other ``f`` walks the (a, z) pairs (n <= 16).
     """
+    if algebraic_degree(f) <= 2:
+        return _quadratic_ddt(f)
     _ddt_guard(f.field.n)
+    return _ddt_tally(f)
+
+
+def _ddt_tally(f: FunctionTable) -> DdtSummary:
+    """:func:`ddt` by counting every (a, z) pair with a's top bit clear in z,
+    for ``f`` of any degree; the caller guards n."""
     hist = np.zeros(f.field.order // 2 + 1, dtype=np.int64)
     half_delta = 0
     witnesses: list[tuple[int, int]] = []
@@ -166,6 +182,43 @@ def ddt(f: FunctionTable) -> DdtSummary:
             witnesses += [(a0 + int(i), int(b)) for i, b in cells]
     histogram = {2 * v: int(c) for v, c in enumerate(hist) if c}
     return DdtSummary(f.field, 2 * half_delta, histogram, witnesses)
+
+
+def _quadratic_ddt(f: FunctionTable) -> DdtSummary:
+    """:func:`ddt` of ``f`` of degree <= 2, from its derivative ranks.
+
+    D_a f(x) = L_a(x) + f(a) + f(0) with L_a linear of rank r, so row a
+    holds 2^r cells equal to 2^(n-r), at b in f(a)+f(0) + Im L_a, and zeros
+    elsewhere.  The witnesses are the first 16 such cells of the
+    directions of least rank, each image read off half a sweep of D_a f.
+    """
+    n, order, lut = f.field.n, f.field.order, f.lut
+    check_alloc(order * _WITNESS_BYTES_PER_ELEMENT,
+                f"DDT witnesses at n={n} (a half sweep of {order // 2} points)")
+    rows = np.zeros(n, dtype=np.int64)  # rows[r]: directions of rank r
+    low, dirs = n, []  # least rank, and its first directions
+    for a0, ranks in _derivative_rank_passes(f):
+        rows += np.bincount(ranks, minlength=n)
+        r = int(ranks.min())
+        if r < low:
+            low, dirs = r, []
+        if r == low and len(dirs) < _WITNESS_CAP:
+            hits = np.flatnonzero(ranks == r)[: _WITNESS_CAP - len(dirs)]
+            dirs += (a0 + hits).tolist()
+    counts = rows.tolist()
+    histogram = {1 << (n - r): c << r for r, c in enumerate(counts) if c}
+    zeros = sum(c * (order - (1 << r)) for r, c in enumerate(counts))
+    if zeros:
+        histogram[0] = zeros
+    zs = np.arange(order, dtype=np.uint32)
+    witnesses: list[tuple[int, int]] = []
+    for a in dirs:
+        half = zs[(zs >> (a.bit_length() - 1)) & 1 == 0]
+        image = np.unique(lut[half ^ a] ^ lut[half])
+        witnesses += [(a, int(b)) for b in image[: _WITNESS_CAP - len(witnesses)]]
+        if len(witnesses) == _WITNESS_CAP:
+            break
+    return DdtSummary(f.field, 1 << (n - low), histogram, witnesses)
 
 
 def is_apn(f: FunctionTable) -> bool:
@@ -198,27 +251,36 @@ def algebraic_degree(f: FunctionTable) -> int:
     return int(np.bitwise_count(support).max())
 
 
-def is_apn_quadratic(f: FunctionTable) -> bool:
-    """APN test for quadratic ``f`` by the ranks of its derivatives.
+def _derivative_rank_passes(f: FunctionTable):
+    """Yield ``(a0, ranks)`` for the directions a != 0 in ascending order:
+    ``ranks[i]`` is the GF(2) rank of x -> f(x+a)+f(x)+f(a)+f(0) at
+    a = a0 + i, a linear map when ``f`` has degree <= 2.
 
-    For quadratic ``f`` and a != 0 the map x -> f(x+a)+f(x)+f(a)+f(0) is
-    GF(2)-linear and vanishes at a, so ``f`` is APN iff every such map has
-    rank n-1, i.e. kernel {0, a}.  The ranks come from the images of the n
-    basis vectors, for a whole block of directions a at once.  Raises
-    :class:`PreconditionError` above degree 2, where the maps are not linear.
+    The ranks come from the images of the n basis vectors, for a whole
+    block of directions at once.
     """
-    if algebraic_degree(f) > 2:
-        raise PreconditionError("condition violated: algebraic degree <= 2")
-    n, order = f.field.n, f.field.order
-    lut = f.lut
+    n, order, lut = f.field.n, f.field.order, f.lut
     basis = np.uint32(1) << np.arange(n, dtype=np.uint32)
     step = max(1, _DDT_CELLS_PER_PASS // n)
     for a0 in range(1, order, step):
         a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)[:, None]
         images = lut[a ^ basis] ^ lut[basis] ^ lut[a] ^ lut[0]
-        if np.any(row_ranks(images, n) != n - 1):
-            return False
-    return order > 1
+        yield a0, row_ranks(images, n)
+
+
+def is_apn_quadratic(f: FunctionTable) -> bool:
+    """APN test for quadratic ``f`` by the ranks of its derivatives.
+
+    For quadratic ``f`` and a != 0 the map x -> f(x+a)+f(x)+f(a)+f(0) is
+    GF(2)-linear and vanishes at a, so ``f`` is APN iff every such map has
+    rank n-1, i.e. kernel {0, a}; the test stops at the first pass of
+    directions with a lower rank.  Raises :class:`PreconditionError` above
+    degree 2, where the maps are not linear.
+    """
+    if algebraic_degree(f) > 2:
+        raise PreconditionError("condition violated: algebraic degree <= 2")
+    n = f.field.n
+    return all(np.all(ranks == n - 1) for _, ranks in _derivative_rank_passes(f))
 
 
 # ----------------------------------------------------------------------

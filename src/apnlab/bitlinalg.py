@@ -43,6 +43,10 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 #: Fewest rows per worker: a table's entry count, so that no worker spends
 #: more on building its table than on its gathers.
 _MIN_PART_ROWS = 256
+#: Bytes per row of basis capacity besides the row: its pivot's column,
+#: word and mask (3 x 8 B) and its share of its block's 256-entry uint8
+#: index map (256 / 8 B).
+_ROW_INDEX_BYTES = 3 * 8 + 256 // 8
 
 # Butterfly masks: bit positions whose t-th index bit is 0.
 _BFLY = (
@@ -184,17 +188,23 @@ class GF2Basis:
         needed.
 
         Raises :class:`MemoryBudgetError` when the basis at that capacity
-        (with the array it grows out of, while it copies), ``copies`` chunks
-        of ``extra`` rows and the tables of every worker such a chunk can use
-        would exceed the budget read at construction.
+        (with the arrays it grows out of, while it copies), its per-row pivot
+        arrays and index maps, ``copies`` chunks of ``extra`` rows, the
+        tables of every worker such a chunk can use and the slice of table
+        rows each of its workers gathers would exceed the budget read at
+        construction.
         """
         have = self._rows.shape[0]
         cap = max(have, 256)
         while cap < self.count + extra:
             cap *= 2
         held = cap + have if cap > have else have
-        tables = max(len(self._tables), _parts(extra))
-        check_alloc((held + copies * extra + 256 * tables) * self.words * 8,
+        parts = _parts(extra)
+        tables = max(len(self._tables), parts)
+        row = self.words * 8
+        gathers = parts * min(_SLICE_BYTES, -(-extra // parts) * row)
+        check_alloc(held * (row + _ROW_INDEX_BYTES) + gathers
+                    + (copies * extra + 256 * tables) * row,
                     f"{what} (basis, {copies} chunks and {tables} tables)",
                     self._budget)
         return cap

@@ -20,6 +20,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from .errors import MemoryBudgetError, PreconditionError
 from .gf2n import field_new
 from .vbf import read_lut
@@ -32,10 +34,10 @@ from .analysis import (
 )
 from .families import (
     TABLE_RANKS,
+    _searched_mus,
     build_from_descriptor,
     descriptor_for,
     representatives,
-    search_trinomial_params,
 )
 from .invariants import export_code, gamma_rank
 
@@ -157,22 +159,16 @@ def _cmd_table(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
-    found = search_trinomial_params(args.m)
-    field = field_new(3 * args.m)
-    _, log = field._tables()
-    by_s: dict[int, list[int]] = {}
-    for s, mu in found:
-        by_s.setdefault(s, []).append(int(log[mu.bits]))
+    found = _searched_mus(args.m)
+    _, log = field_new(3 * args.m)._tables()
     return {
         "schema": "apnlab/search/v1",
         "m": args.m,
         "n": 3 * args.m,
         "s_range": "1 <= s < 3m, gcd(s,m)=1",
-        "count": len(found),
-        "params": [
-            {"s": s, "mu_exponents": sorted(exps)}
-            for s, exps in sorted(by_s.items())
-        ],
+        "count": sum(mus.size for _, mus in found),
+        "params": [{"s": s, "mu_exponents": np.sort(log[mus]).tolist()}
+                   for s, mus in found],
     }
 
 

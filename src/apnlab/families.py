@@ -106,10 +106,17 @@ _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
 
 KNOWN_TAGS = tuple(_REQUIRED_PARAMS)
 
-#: Peak bytes per (s, mu) pair of a trinomial search and its CLI listing
-#: (tracemalloc of ``apnlab search --trinomial``: 203 B per pair at m = 4,
-#: 194 B at m = 5 and 6).
+#: Peak bytes per (s, mu) pair of a trinomial search's list of elements or
+#: of the CLI listing (tracemalloc: ``search_trinomial_params`` 147 B per
+#: pair at m = 4, 151 B at m = 5, 152 B at m = 6; ``apnlab search
+#: --trinomial`` 131, 127 and 129 B).
 _SEARCH_BYTES_PER_PAIR = 208
+#: Peak bytes per field element of the trinomial search, besides the 8 B of
+#: each mu found: the z values and the excluded set (5 B), held throughout,
+#: and one s's sweep (its uint32 Frobenius images, inverse and product with
+#: their int32 log scratch, the blocked flags and the s's own mu; measured
+#: with tracemalloc, 25.4 B at m = 4, 25.0 at m = 5 and 6).
+_SEARCH_BYTES_PER_ELEMENT = 32
 
 
 def _size_rule(tag: str) -> tuple[str, int]:
@@ -725,17 +732,28 @@ def search_trinomial_params(m: int) -> list[tuple[int, FieldElement]]:
     avoid the image set {(z^(2^(m+s)) + z) / z^(2^s) : z != 0} (equivalent
     to L being a permutation) and whose relative norm over GF(2^m) is not 1.
     Results are sorted by (s, mu-bits); an empty list is a finding, not an
-    error.  The pairs found so far are checked against the memory budget
-    after each s, before any element is built.
+    error.  The pairs are checked against the memory budget before any
+    element is built.
     """
-    found = _trinomial_mus(m)
     field = field_new(3 * m)
-    return [(s, field.element(int(b))) for s, good in found for b in good]
+    return [(s, field.element(int(b))) for s, good in _searched_mus(m)
+            for b in good]
+
+
+def _searched_mus(m: int) -> list[tuple[int, np.ndarray]]:
+    """The (s, mu bits) of :func:`_trinomial_mus` with at least one mu, once
+    the list of pairs a search returns or prints fits the budget."""
+    found = [(s, good) for s, good in _trinomial_mus(m) if good.size]
+    count = sum(good.size for _, good in found)
+    check_alloc(count * _SEARCH_BYTES_PER_PAIR,
+                f"trinomial search at m={m} ({count} (s, mu) pairs)")
+    return found
 
 
 def _trinomial_mus(m: int) -> list[tuple[int, np.ndarray]]:
     """(s, bits of every valid mu, ascending) for each s of
-    :func:`search_trinomial_params`, with its per-s budget check."""
+    :func:`search_trinomial_params`.  Before each s, the mu found so far and
+    the s's sweep are checked against the budget."""
     _require(m >= 2, "m >= 2")
     _require(3 * m <= 24, "3m <= 24")
     field = field_new(3 * m)
@@ -750,6 +768,9 @@ def _trinomial_mus(m: int) -> list[tuple[int, np.ndarray]]:
     for s in range(1, 3 * m):
         if math.gcd(s, m) != 1:
             continue
+        check_alloc(8 * count + field.order * _SEARCH_BYTES_PER_ELEMENT,
+                    f"trinomial search at m={m} ({count} mu before s={s} "
+                    f"and its sweep)")
         image_of = field.mul_vec(
             field.frob_vec(zs, m + s) ^ zs, field.inv_vec(field.frob_vec(zs, s))
         )
@@ -757,8 +778,6 @@ def _trinomial_mus(m: int) -> list[tuple[int, np.ndarray]]:
         blocked[image_of] = True
         good = np.flatnonzero(~blocked)
         count += good.size
-        check_alloc(count * _SEARCH_BYTES_PER_PAIR,
-                    f"trinomial search at m={m} ({count} (s, mu) pairs up to s={s})")
         found.append((s, good))
     return found
 

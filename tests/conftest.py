@@ -1,5 +1,5 @@
-"""Shared fixtures: cached small fields, the textbook GF(2) rank oracle, the
-unskipped translate closure and an extended-run gate."""
+"""Shared fixtures: cached small fields, the textbook GF(2) rank and DDT
+oracles, the unskipped translate closure and an extended-run gate."""
 
 from __future__ import annotations
 
@@ -41,6 +41,26 @@ def naive_rank(dense: np.ndarray) -> int:
         if r == rows:
             break
     return r
+
+
+def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
+    """Textbook DDT tally, one derivative direction a at a time, with the
+    witnesses (a, b) attaining delta taken in scan order up to 16."""
+    order = lut.size
+    zs = np.arange(order)
+    hist: dict[int, int] = {}
+    delta, witnesses = 0, []
+    for a in range(1, order):
+        counts = np.bincount(lut[zs ^ a] ^ lut, minlength=order)
+        for v in counts.tolist():
+            hist[v] = hist.get(v, 0) + 1
+        top = int(counts.max())
+        if top > delta:
+            delta, witnesses = top, []
+        if top == delta:
+            for b in np.flatnonzero(counts == top)[: 16 - len(witnesses)]:
+                witnesses.append((a, int(b)))
+    return delta, hist, witnesses
 
 
 def unskipped_closure(t: FunctionTable, chunk_rows: int):

@@ -49,7 +49,7 @@ from apnlab.vbf import (
     to_table,
 )
 
-from conftest import get_field, naive_rank, requires_extended
+from conftest import get_field, naive_rank, requires_extended, row_by_row_ddt
 
 # Published rank values the tables must reproduce exactly; the computed
 # ranks below are the independent side of each check.
@@ -347,7 +347,7 @@ def test_criterion_11_quadratic_shortcut_agreement():
         terms = [(int(rng.integers(1, 64)), int(e))
                  for e in rng.choice(weight2, k, replace=False)]
         t = to_table(UnivariatePoly(f, terms))
-        if (ddt(t).delta == 2) != is_apn_quadratic(t):
+        if (row_by_row_ddt(t.lut)[0] == 2) != is_apn_quadratic(t):
             disagreements.append(("random", i))
     for k, inst in enumerate(representatives(8), 1):
         if k == 3:
@@ -359,7 +359,8 @@ def test_criterion_11_quadratic_shortcut_agreement():
                     disagreements.append(("row", inst.label, str(exc)))
             else:
                 disagreements.append(("row", inst.label, "no degree error"))
-        elif (ddt(inst.table).delta == 2) != is_apn_quadratic(inst.table):
+        elif ((row_by_row_ddt(inst.table.lut)[0] == 2)
+              != is_apn_quadratic(inst.table)):
             disagreements.append(("row", inst.label))
     ok = not disagreements
     report(11, ok, f"20 random quadratics over GF(2^6), the 11 quadratic "

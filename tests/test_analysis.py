@@ -46,7 +46,7 @@ from apnlab.families import (
 )
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
-from conftest import get_field
+from conftest import get_field, row_by_row_ddt
 
 
 # ---------------------------------------------------------------------------
@@ -76,24 +76,29 @@ def test_ddt_counts_are_even_and_rows_sum():
     assert all(v % 2 == 0 for v in s.histogram)
 
 
-def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
-    """Textbook DDT tally, one derivative direction a at a time, with the
-    witnesses (a, b) attaining delta taken in scan order up to 16."""
-    order = lut.size
-    zs = np.arange(order)
-    hist: dict[int, int] = {}
-    delta, witnesses = 0, []
-    for a in range(1, order):
-        counts = np.bincount(lut[zs ^ a] ^ lut, minlength=order)
-        for v in counts.tolist():
-            hist[v] = hist.get(v, 0) + 1
-        top = int(counts.max())
-        if top > delta:
-            delta, witnesses = top, []
-        if top == delta:
-            for b in np.flatnonzero(counts == top)[: 16 - len(witnesses)]:
-                witnesses.append((a, int(b)))
-    return delta, hist, witnesses
+#: Kinds of :func:`random_quadratic_lut`, of algebraic degree 2, 2, 1 and 0.
+QUADRATIC_KINDS = ("quadratic", "sparse", "affine", "constant")
+
+
+def random_quadratic_lut(rng, n: int, kind: str) -> np.ndarray:
+    """LUT of c + sum_i l_i x_i + sum_{i<j} q_ij x_i x_j with random n-bit
+    coefficients over the input bits x_i: every q_ij drawn ("quadratic"),
+    a random third of them, so that low ranks and non-APN functions are
+    common ("sparse"), no q_ij ("affine"), or c alone ("constant")."""
+    zs = np.arange(1 << n)
+    bits = [(zs >> i) & 1 for i in range(n)]
+    lut = np.full(1 << n, rng.integers(0, 1 << n), dtype=np.int64)
+    if kind == "constant":
+        return lut.astype(np.uint32)
+    for i in range(n):
+        lut ^= bits[i] * rng.integers(0, 1 << n)
+    if kind == "affine":
+        return lut.astype(np.uint32)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "quadratic" or rng.random() < 1 / 3:
+                lut ^= bits[i] * bits[j] * rng.integers(0, 1 << n)
+    return lut.astype(np.uint32)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 10])
@@ -101,17 +106,34 @@ def test_ddt_matches_row_by_row_tally(monkeypatch, n):
     # at n=1 and 2 each top-bit group holds one direction; n=10 takes
     # several vectorised passes over the directions of one top bit, so a new
     # maximum can come inside a pass; with 64 cells a pass is one direction
-    # from n=6, and each new maximum comes with a new pass
+    # from n=6, and each new maximum comes with a new pass.  The random
+    # quadratics, affine and constant maps take the derivative ranks, with
+    # 64 cells in passes of 64 // n directions
     f = get_field(n)
     rng = np.random.default_rng(n)
     luts = [rng.integers(0, f.order, f.order).astype(np.uint32)
             for _ in range(2)]
     luts.append(to_table(UnivariatePoly.monomial(f, 3)).lut)
+    luts += [random_quadratic_lut(rng, n, kind) for kind in QUADRATIC_KINDS]
     for cells in (analysis._DDT_CELLS_PER_PASS, 64):
         monkeypatch.setattr(analysis, "_DDT_CELLS_PER_PASS", cells)
         for lut in luts:
             s = ddt(FunctionTable(f, lut))
             assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_quadratic_ddt_matches_row_by_row_tally(n):
+    # 34 functions of degree <= 2 per n, 306 in all: delta, the histogram
+    # and the witnesses read off the derivative ranks equal the tally's
+    rng = np.random.default_rng(1900 + n)
+    f = get_field(n)
+    for k in range(34):
+        lut = random_quadratic_lut(rng, n, QUADRATIC_KINDS[k % 4])
+        t = FunctionTable(f, lut)
+        assert algebraic_degree(t) <= 2
+        s = ddt(t)
+        assert (s.delta, s.histogram, s.witnesses) == row_by_row_ddt(lut), k
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
@@ -184,7 +206,7 @@ def test_is_apn_and_shortcut_agree_on_quadratics():
         terms = [(int(rng.integers(1, 64)), int(e))
                  for e in rng.choice(quadratic_exponents, k, replace=False)]
         t = to_table(UnivariatePoly(f, terms))
-        assert (ddt(t).delta == 2) == is_apn_quadratic(t)
+        assert (row_by_row_ddt(t.lut)[0] == 2) == is_apn_quadratic(t)
 
 
 def test_algebraic_degree_of_monomials_is_exponent_weight():
@@ -221,19 +243,45 @@ def test_quadratic_shortcut_rejects_non_apn_quadratics():
         f = get_field(n)
         for i in range(1, n):
             t = to_table(UnivariatePoly.monomial(f, (1 << i) + 1))
-            assert is_apn_quadratic(t) == (math.gcd(i, n) == 1) == (ddt(t).delta == 2)
+            apn = row_by_row_ddt(t.lut)[0] == 2
+            assert is_apn_quadratic(t) == (math.gcd(i, n) == 1) == apn
         weight2 = [e for e in range(1, f.order) if bin(e).count("1") == 2]
         for _ in range(6):
             terms = [(int(rng.integers(1, f.order)), int(e))
                      for e in rng.choice(weight2, 2, replace=False)]
             t = to_table(UnivariatePoly(f, terms))
-            assert is_apn_quadratic(t) == (ddt(t).delta == 2), (n, terms)
+            apn = row_by_row_ddt(t.lut)[0] == 2
+            assert is_apn_quadratic(t) == apn, (n, terms)
 
 
 def test_quadratic_shortcut_reaches_past_the_ddt():
-    # the DDT stops at n = 16; the rank test is 2^n (n x n) eliminations
+    # the tally stops at n = 16; the rank test is 2^n (n x n) eliminations
     for m in (8, 10):
         assert is_apn_quadratic(make_new_bivariate(m).table), m
+
+
+def test_ddt_answers_a_quadratic_past_the_tally():
+    # n = 20: the derivative ranks give an APN function's forced spectrum,
+    # half the cells of each row 2 and half 0
+    t = make_new_bivariate(10).table
+    n = t.field.n
+    s = ddt(t)
+    half_cells = ((1 << n) - 1) << (n - 1)
+    assert (s.delta, s.histogram) == (2, {0: half_cells, 2: half_cells})
+    zs = np.arange(1 << n, dtype=np.uint32)
+    assert len(s.witnesses) == 16
+    for a, b in s.witnesses[::15]:
+        assert np.count_nonzero(t.lut[zs ^ a] ^ t.lut == b) == 2
+
+
+def test_quadratic_ddt_sizes_its_witness_sweep_first(monkeypatch):
+    # Gold n=18: a half sweep's 16 B per element is 4 MiB, above 2 MiB; the
+    # refusal comes before the rank passes
+    t = build_from_descriptor('{tag:"Gold", n:18, i:1}').table
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(2 / 1024))
+    monkeypatch.setattr(analysis, "_derivative_rank_passes", None)
+    with pytest.raises(MemoryBudgetError, match=r"^DDT witnesses at n=18"):
+        ddt(t)
 
 
 def test_trinomial_family_m5_sample_is_quadratic_apn():
@@ -249,7 +297,7 @@ def test_trinomial_family_m5_sample_is_quadratic_apn():
     for t in tables:
         assert algebraic_degree(t) == 2
         assert is_apn_quadratic(t)
-    assert ddt(tables[0]).delta == 2
+    assert analysis._ddt_tally(tables[0]).delta == 2
 
 
 def test_is_apn_answers_a_quadratic_past_the_ddt():
@@ -273,6 +321,24 @@ def test_is_apn_takes_the_ddt_above_degree_2(monkeypatch):
 
     monkeypatch.setattr(analysis, "is_apn_quadratic", refuse)
     assert is_apn(to_table(UnivariatePoly.monomial(get_field(7), 7))) is False
+
+
+def test_ddt_takes_the_rank_passes_on_quadratics(monkeypatch):
+    def refuse(_):
+        raise AssertionError("DDT pass on a quadratic")
+
+    monkeypatch.setattr(analysis, "_half_derivative_passes", refuse)
+    assert ddt(to_table(UnivariatePoly.monomial(get_field(7), 3))).delta == 2
+    assert ddt(to_table(UnivariatePoly.monomial(get_field(6), 5))).delta == 4
+
+
+def test_ddt_tallies_above_degree_2(monkeypatch):
+    # z^7 on GF(2^7) is cubic with delta 6
+    def refuse(_):
+        raise AssertionError("rank pass on a cubic")
+
+    monkeypatch.setattr(analysis, "_derivative_rank_passes", refuse)
+    assert ddt(to_table(UnivariatePoly.monomial(get_field(7), 7))).delta == 6
 
 
 def test_is_apn_rejects_differentially_4_uniform():

@@ -28,6 +28,8 @@ from apnlab.errors import MemoryBudgetError, PreconditionError
 from conftest import naive_rank
 
 GIB = 1 << 30
+#: A 256-row basis of 8-word rows with its pivot arrays and index maps.
+BASIS_256_BYTES = 256 * (64 + bitlinalg._ROW_INDEX_BYTES)
 SRC = Path(__file__).resolve().parent.parent / "src" / "apnlab"
 
 
@@ -242,9 +244,11 @@ def test_basis_respects_budget(monkeypatch):
 
 
 def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
-    # 16 rows of 8 words: the 256-row basis (16 KiB) and the chunk copy fit,
-    # the basis, the chunk and one 256-entry table (16 KiB more) do not
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((256 + 16) * 64 / GIB))
+    # 16 rows of 8 words: the 256-row basis (30 KiB with its pivot arrays
+    # and index maps), the chunk copy and its gathered slice of table rows
+    # fit; one 256-entry table (16 KiB) more does not
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB",
+                       str((BASIS_256_BYTES + 2 * 16 * 64) / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="1 tables"):
         basis.absorb(pack(np.eye(16, 512, dtype=np.uint8)))
@@ -261,16 +265,21 @@ def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
 
 
 def test_check_absorb_counts_the_callers_copies(monkeypatch):
-    # absorbing 16 rows of 8 words takes the 256-row basis, one chunk copy
-    # and one table, exactly the budget; two more copies of the chunk do not
-    # fit beside them
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((256 + 16 + 256) * 64 / GIB))
+    # absorbing 16 rows of 8 words takes the 256-row basis, one chunk copy,
+    # its gathered slice and one table, exactly the budget; two more copies
+    # of the chunk do not fit beside them
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB",
+                       str((BASIS_256_BYTES + (16 + 16 + 256) * 64) / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="3 chunks and 1 tables"):
         basis.check_absorb(16, 2)
     assert basis._rows.nbytes == 0
     basis.check_absorb(16, 0)
     assert basis.absorb(pack(np.eye(16, 512, dtype=np.uint8))) == 16
+    # the per-row arrays are what _ROW_INDEX_BYTES counts
+    per_row = (basis._piv_col, basis._piv_word, basis._piv_mask,
+               basis._index_map)
+    assert sum(a.nbytes for a in per_row) == BASIS_256_BYTES - basis._rows.nbytes
 
 
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:

@@ -168,6 +168,16 @@ def test_ddt_family(capsys):
     assert sum(int(k) * v for k, v in out["histogram"].items()) == 31 * 32
 
 
+def test_ddt_answers_a_quadratic_past_the_tally(capsys):
+    # NewBivariate m=10 lives on GF(2^20), past the tally's n <= 16; its
+    # derivative ranks give the spectrum
+    code, out, _ = run(capsys, "ddt", "--family", '{tag:"NewBivariate", m:10}')
+    assert code == 0
+    half_cells = ((1 << 20) - 1) << 19
+    assert out["delta"] == 2 and out["histogram"] == {"0": half_cells,
+                                                       "2": half_cells}
+
+
 def test_ddt_lut_file(tmp_path, capsys):
     inst = build_from_descriptor('{tag:"Gold", n:5, i:1}')
     p = tmp_path / "gold5.lut"
@@ -483,6 +493,17 @@ def test_verify_key_checks_its_size_before_building_tuples(capsys,
     assert code == 3
     assert out["status"] == "resource-limit"
     assert "5292 tuples" in out["error"]
+
+
+def test_verify_key_names_its_tuples_under_a_small_budget(capsys,
+                                                         monkeypatch):
+    # m=6: the search's 442,260 (s, mu) pairs hold 8 B each, inside 0.05 GiB;
+    # the key verifier's 27,862,380 tuples are what does not fit
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "0.05")
+    monkeypatch.setattr(analysis, "_sweep_key_group", _no_key_pass)
+    code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "6")
+    assert code == 3
+    assert out["error"].startswith("key verifier at m=6 (27862380 tuples")
 
 
 def _no_key_pass(*args):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from apnlab import bitlinalg, invariants
-from apnlab.bitlinalg import xor_permute_columns
+from apnlab.bitlinalg import check_alloc, xor_permute_columns
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.invariants import (
     code_matrix,
@@ -96,12 +96,34 @@ def test_incidence_budget_guard(monkeypatch):
         gamma_rank(table)
 
 
+def test_closure_memory_stays_within_its_largest_check(monkeypatch):
+    # at Gold n=6 (512 B rows) the basis's pivot arrays and index maps, 56 B
+    # per row of capacity, and each worker's gathered slice of table rows
+    # are a sixth of the peak; the largest count must cover all of it
+    table = gold_table(6)  # its field's tables are built before the trace
+    counted = []
+
+    def recorded(nbytes, what, budget=None):
+        counted.append(nbytes)
+        return check_alloc(nbytes, what, budget)
+
+    monkeypatch.setattr(bitlinalg, "check_alloc", recorded)
+    tracemalloc.start()
+    try:
+        rank = gamma_rank(table).gamma_rank
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == 1102
+    assert peak <= max(counted)
+
+
 def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
-    # absorb's own check counts the basis, its chunk copy and its tables;
-    # the closure's gathered and translated copies of a chunk come on top,
-    # which takes Gold n=6's traced peak about 40% above that count.  A
-    # budget between the two must stop the closure at its check of a chunk,
-    # before it translates that chunk.
+    # absorb's own check counts the basis, its chunk copy, its tables and
+    # gathers; the closure's gathered and translated copies of a chunk come
+    # on top, which takes Gold n=6's traced peak about 14% above that count.
+    # A budget between the two must stop the closure at its check of a
+    # chunk, before it translates that chunk.
     table = gold_table(6)  # its field's tables are built before the budget is set
     checks, events = [], []
     real_check = bitlinalg.check_alloc
@@ -124,8 +146,8 @@ def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
     finally:
         tracemalloc.stop()
     absorbed = max(nbytes for nbytes, what in checks if what.startswith("absorbing"))
-    budget = int(1.2 * absorbed)
-    assert budget < peak
+    budget = (absorbed + peak) // 2
+    assert absorbed < budget < peak
 
     def recording_absorb_check(self, rows, copies):
         events.append("check")
