@@ -21,7 +21,8 @@ Four groups of tools:
   recomputes every displayed quantity and factorization at each point.
 
 Everything here is exact GF(2^m) arithmetic; no floating point, no
-sampling.  Each exhaustive sweep checks its size with ``check_alloc`` first.
+sampling.  Each exhaustive sweep checks its size with ``check_alloc`` first;
+the resultant and key-lemma sweeps run each pass across the process's CPUs.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .bitlinalg import check_alloc, row_ranks
+from .bitlinalg import check_alloc, row_ranks, split_run
 from .errors import PreconditionError
 from .families import _trinomial_mus, validate_trinomial_params
 from .gf2n import Field, cube_class, field_new, subfield_embedding
@@ -75,6 +76,10 @@ _WITNESS_BYTES_PER_ELEMENT = 4 + 8 + 2 + 2
 _DDT_CELLS_PER_PASS = 1 << 16
 #: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
 _KEY_ELEMS_PER_PASS = 1 << 18
+#: Fewest (tuple, point) pairs in one range of a split key-lemma pass.  On
+#: a 2-core x86-64 host, two ranges took 1.31x the one-thread time of a
+#: pass of 16 x 511 pairs, 0.80x at 32 x 511 and 0.49x at 512 x 511.
+_KEY_MIN_PART_PAIRS = 1 << 13
 #: Bytes each key-lemma tuple holds until the sweep returns.  Measured
 #: (tracemalloc, m = 3): 301 B over 5,292 tuples, 307 B over 882.
 _KEY_BYTES_PER_TUPLE = 384
@@ -84,6 +89,10 @@ _KEY_BYTES_PER_PAIR = 160
 
 #: Points per pass of the resultant sweep (2^14..2^16 fastest at m = 7).
 _RESULTANT_POINTS_PER_PASS = 1 << 16
+#: Fewest points in one range of a split resultant pass.  On a 2-core
+#: x86-64 host, two ranges took 1.43x the one-thread time of a 2^13-point
+#: pass, 0.83x at 2^14 and 0.59x at 2^16.
+_RESULTANT_MIN_PART_POINTS = 1 << 13
 #: Peak bytes per (a, b, x) point of one resultant pass: 4 B for each uint32
 #: array live at the determinant's widest step, i.e. 15 inputs (a, b, x,
 #: a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the Sylvester entries f2, f1, f0,
@@ -595,7 +604,8 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     ``H(x) = x^3 + (a^2+ab+a+b^2+b+1) x + (a^3+a^2b+a+b^3+b^2+1)``.
 
     Every (a, b, x) in GF(2^m)^3 is checked, in passes of
-    ``_RESULTANT_POINTS_PER_PASS`` points.  The passes' x = 0 points, which
+    ``_RESULTANT_POINTS_PER_PASS`` points, each split across the CPUs by
+    :func:`~apnlab.bitlinalg.split_run`.  The passes' x = 0 points, which
     meet every (a, b) once, also give two side facts: the constant term of
     H vanishes only at (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the
     origin.
@@ -608,21 +618,18 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
     check_alloc(per_pass * _RESULTANT_BYTES_PER_POINT,
                 f"resultant check at m={m} (one pass of {per_pass} points)")
-    mul, sq = field.mul_vec, field.sqr_vec
+    field._tables()  # built once, before the ranges share them
     mismatches: list[tuple[int, int, int]] = []
     const_zeros: set[tuple[int, int]] = set()
     denom_zeros: set[tuple[int, int]] = set()
     for start in range(0, checked, per_pass):
-        a, b, x = _sweep_points(m, start, min(start + per_pass, checked))
-        for i in _resultant_mismatches(field, a, b, x)[: _WITNESS_CAP - len(mismatches)]:
-            mismatches.append((int(a[i]), int(b[i]), int(x[i])))
-        at0 = x == 0
-        pa, pb = a[at0], b[at0]
-        pa2, pb2 = sq(pa), sq(pb)
-        pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
-        for zeros, value in ((const_zeros, pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1),
-                             (denom_zeros, pa3 ^ mul(pa, pb2) ^ pb3)):
-            zeros.update(zip(pa[value == 0].tolist(), pb[value == 0].tolist()))
+        ranges = split_run(
+            lambda _, lo, hi: _resultant_range(field, start + lo, start + hi),
+            min(per_pass, checked - start), _RESULTANT_MIN_PART_POINTS)
+        for found, const, denom in ranges:  # in scan order
+            mismatches += found[: _WITNESS_CAP - len(mismatches)]
+            const_zeros.update(const)
+            denom_zeros.update(denom)
     return ResultantIdentityReport(
         m=m,
         checked=checked,
@@ -630,6 +637,24 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
         b_coeff_zero_set_ok=const_zeros == {(1, 1)},
         denominator_nonzero_ok=denom_zeros == {(0, 0)},
     )
+
+
+def _resultant_range(field: Field, start: int, stop: int) -> tuple[list, list, list]:
+    """The first ``_WITNESS_CAP`` mismatch witnesses (a, b, x) at the flat
+    indices start..stop-1, and the (a, b) of their x = 0 points where the
+    constant term of H and where a^3+ab^2+b^3 vanish."""
+    mul, sq = field.mul_vec, field.sqr_vec
+    a, b, x = _sweep_points(field.n, start, stop)
+    found = [(int(a[i]), int(b[i]), int(x[i]))
+             for i in _resultant_mismatches(field, a, b, x)[:_WITNESS_CAP]]
+    at0 = x == 0
+    pa, pb = a[at0], b[at0]
+    pa2, pb2 = sq(pa), sq(pb)
+    pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
+    const, denom = (list(zip(pa[value == 0].tolist(), pb[value == 0].tolist()))
+                    for value in (pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1,
+                                  pa3 ^ mul(pa, pb2) ^ pb3))
+    return found, const, denom
 
 
 def _sweep_points(m: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
@@ -994,9 +1019,10 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
     Each (s, mu) of :func:`search_trinomial_params`, which establishes the
     preconditions, meets each unit v = g^(j (2^(3m)-1)/(2^m-1)) of GF(2^m)
     in turn.  The tuples of one s share passes of at most
-    ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs, mu and v as columns.  The
-    results and one pass are checked against the budget before any tuple is
-    built.
+    ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs, mu and v as columns, and
+    each pass's tuples are split across the CPUs by
+    :func:`~apnlab.bitlinalg.split_run`.  The results and one pass are
+    checked against the budget before any tuple is built.
     """
     groups = [(t, mus) for t, mus in _trinomial_mus(m)
               if mus.size and (s is None or t == s)]
@@ -1012,12 +1038,18 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
                 + per_pass * field.mult_order * _KEY_BYTES_PER_PAIR,
                 f"key verifier at m={m} ({count} tuples and a pass of "
                 f"{per_pass})")
+    field._tables()  # built once, before the ranges share them
+    min_part = max(1, _KEY_MIN_PART_PAIRS // field.mult_order)
     out: list[KeyLemmaSweep] = []
     for t, mus in groups:
         mu_col, v_col = np.repeat(mus, vs.size), np.tile(vs, mus.size)
         for i in range(0, mu_col.size, per_pass):
-            out += _sweep_key_group(field, m, t, mu_col[i:i + per_pass],
-                                    v_col[i:i + per_pass])
+            mu_pass, v_pass = mu_col[i:i + per_pass], v_col[i:i + per_pass]
+            for part in split_run(
+                    lambda _, lo, hi: _sweep_key_group(
+                        field, m, t, mu_pass[lo:hi], v_pass[lo:hi]),
+                    mu_pass.size, min_part):
+                out += part
     return out
 
 

@@ -9,8 +9,12 @@ incremental echelon basis.  A stored row is written once and never
 rewritten; each finished block of 8 rows carries a 256-entry index map from
 pivot bits to table entries, so one 256-entry XOR table per block clears
 the block's pivot columns from a work chunk with one gather (four-Russians
-style).  The rows of a chunk are split into one contiguous range per CPU
-the process may run on, each reduced on its own thread with its own table.
+style).
+
+:func:`split_run` runs one job over contiguous ranges of its items, one
+range per CPU the process may run on: the rows of a :class:`GF2Basis` chunk
+(each range reduced with its own table), and the points or tuples of a pass
+of the resultant and key-lemma sweeps in :mod:`apnlab.analysis`.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "pack",
     "rank",
     "row_ranks",
+    "split_run",
     "xor_permute_columns",
 ]
 
@@ -37,7 +42,7 @@ _CHUNK_ROWS = 2048
 # Bytes of chunk rows per table gather: a slice stays in cache while it is
 # XORed in (64 rows of the GF(2^8) incidence matrix).
 _SLICE_BYTES = 1 << 19
-#: CPUs this process may run on; the rows of a chunk are split across them.
+#: CPUs this process may run on; :func:`split_run` splits work across them.
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 #: Fewest rows per worker: a table's entry count, so that no worker spends
@@ -97,17 +102,39 @@ def _words_for(cols: int) -> int:
     return (cols + 63) >> 6
 
 
-def _parts(rows: int) -> int:
-    """Number of row ranges a reduction of ``rows`` rows is split into."""
-    return max(1, min(_WORKERS, rows // _MIN_PART_ROWS))
+def _parts(size: int, minimum: int) -> int:
+    """Number of ranges :func:`split_run` cuts ``size`` items into."""
+    return max(1, min(_WORKERS, size // minimum))
 
 
 @functools.cache
 def _pool():
-    """The process's reduction threads, started by the first split; NumPy's
-    gathers and XORs release the GIL, so the ranges run side by side."""
+    """The package's worker threads, started by the first split; the ranges
+    run NumPy gathers and arithmetic, which release the GIL, side by side."""
     from concurrent.futures import ThreadPoolExecutor  # 8 ms: import on use
-    return ThreadPoolExecutor(_WORKERS, thread_name_prefix="gf2basis")
+    return ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="apnlab")
+
+
+def split_run(work, size: int, minimum: int) -> list:
+    """``[work(k, lo, hi), ...]`` over contiguous ranges ``lo..hi-1`` that
+    cover ``range(size)``, one per CPU but none under ``minimum`` items (at
+    least one range; the first ``size % parts`` hold one item more).
+
+    Range 0 runs on the calling thread and the others on the pool, so one
+    range starts no thread.  Results come in range order; every range has
+    finished when this returns or raises, and a worker's error is re-raised.
+    """
+    parts = _parts(size, minimum)
+    q, r = divmod(size, parts)
+    cuts = [k * q + min(k, r) for k in range(parts + 1)]
+    futures = [_pool().submit(work, k, cuts[k], cuts[k + 1])
+               for k in range(1, parts)]
+    try:
+        head = work(0, 0, cuts[1])
+    finally:
+        for future in futures:
+            future.exception()  # waits; no range outlives the call
+    return [head] + [future.result() for future in futures]
 
 
 def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
@@ -199,7 +226,7 @@ class GF2Basis:
         while cap < self.count + extra:
             cap *= 2
         held = cap + have if cap > have else have
-        parts = _parts(extra)
+        parts = _parts(extra, _MIN_PART_ROWS)
         tables = max(len(self._tables), parts)
         row = self.words * 8
         gathers = parts * min(_SLICE_BYTES, -(-extra // parts) * row)
@@ -278,13 +305,15 @@ class GF2Basis:
         """
         if lo >= hi:
             return
-        parts = _parts(chunk.shape[0])
+        parts = _parts(chunk.shape[0], _MIN_PART_ROWS)
         while len(self._tables) < parts:
             self._tables.append(np.empty((256, self.words), dtype=np.uint64))
-        ranges = np.array_split(chunk, parts)  # views: reduced in place
-        reduce = functools.partial(self._reduce_range, lo=lo, hi=hi)
-        run = map if parts == 1 else _pool().map
-        list(run(reduce, ranges, self._tables))  # re-raises a worker's error
+
+        def reduce(k: int, r0: int, r1: int) -> None:
+            # a view: the range is reduced in place
+            self._reduce_range(chunk[r0:r1], self._tables[k], lo, hi)
+
+        split_run(reduce, chunk.shape[0], _MIN_PART_ROWS)
 
     def _reduce_range(self, rows: np.ndarray, table: np.ndarray, lo: int,
                       hi: int) -> None:

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from apnlab import analysis, gf2n
+from apnlab import analysis, bitlinalg, gf2n
 from apnlab.analysis import (
     _KEY_QUANTITIES,
     KeyLemmaSweep,
@@ -638,6 +640,8 @@ def _fold_key_lemma(m, s, mu, v) -> tuple[KeyLemmaSweep, list]:
 
 
 def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
+    # one worker: every pass is one _key_point_values call, whatever the CPUs
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 1)
     params = _key_tuples(2)
     assert len(params) == 72
     folds = [_fold_key_lemma(2, *p) for p in params]
@@ -699,7 +703,11 @@ def test_key_sweep_refuses_before_building_an_element(monkeypatch):
 
 def test_key_sweep_memory_stays_within_its_check(monkeypatch):
     # the tuples' results and one full pass of 513 tuples x 511 points are
-    # what check_alloc counts; the sweep's peak must stay inside that
+    # what check_alloc counts; the sweep's peak must stay inside that.  One
+    # worker: split ranges peak together only when the threads keep step,
+    # which a busy host does not promise (test_split_sweeps_stay_within_
+    # their_checks covers the split peak)
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 1)
     counted = []
 
     def recorded(nbytes, what, budget=None):
@@ -717,6 +725,137 @@ def test_key_sweep_memory_stays_within_its_check(monkeypatch):
     assert len(sweeps) == 882 and all(w.all_pass for w in sweeps)
     assert len(counted) == 1 and peak <= counted[0]
     assert peak >= 0.8 * counted[0]  # the count is not loose either
+
+
+# ---------------------------------------------------------------------------
+# the lemma sweeps split across workers
+# ---------------------------------------------------------------------------
+
+def _split_everywhere(monkeypatch, workers):
+    """Split every pass into ``workers`` ranges where it has that many items;
+    with one worker, fail on any use of the thread pool."""
+    monkeypatch.setattr(bitlinalg, "_WORKERS", workers)
+    monkeypatch.setattr(analysis, "_RESULTANT_MIN_PART_POINTS", 1)
+    monkeypatch.setattr(analysis, "_KEY_MIN_PART_PAIRS", 1)
+    if workers == 1:
+        def no_pool():
+            raise AssertionError("one worker runs every pass inline")
+
+        monkeypatch.setattr(bitlinalg, "_pool", no_pool)
+
+
+@pytest.fixture
+def frequent_switches():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_resultant_sweep_keeps_scan_order(monkeypatch, frequent_switches,
+                                                workers):
+    # passes of 1000 points cut into ranges of 500 or 334; the planted
+    # witnesses 400, 425, ... put the first 16 (400..775) on both sides of
+    # the range boundary at 500 and at 667
+    m, order = 4, 16
+    real = verify_resultant_identity(m)
+    flagged = np.arange(400, order**3, 25)[:40]
+    seen = []
+
+    def flag(field, a, b, x):
+        flat = (a.astype(np.int64) * order + b) * order + x
+        seen.append(flat)
+        return np.flatnonzero(np.isin(flat, flagged))
+
+    _split_everywhere(monkeypatch, workers)
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    assert verify_resultant_identity(m) == real
+    monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
+    rep = verify_resultant_identity(m)
+    ranges = sorted(seen, key=lambda flat: flat[0])
+    assert np.array_equal(np.concatenate(ranges), np.arange(order**3))
+    assert len(ranges) == 5 * workers
+    assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
+                              for i in flagged[:16]]
+    assert rep.checked == order**3
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_key_sweep_equals_one_worker(monkeypatch, frequent_switches,
+                                           workers):
+    # claim 1 is forced false wherever A is 0 mod 7, so the reports carry
+    # failure lists; 36 tuples a pass, cut into 2 or 3 ranges
+    claims = analysis._key_claims
+
+    def forced_claims(field, s, q, vec):
+        out = claims(field, s, q, vec)
+        out[0] = out[0] & (q["A"] % 7 != 0)
+        return out
+
+    monkeypatch.setattr(analysis, "_key_claims", forced_claims)
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 1)
+    ref = sweep_key_lemmas(2)
+    assert sum(bool(w.claim_failures) for w in ref) > 36
+    _split_everywhere(monkeypatch, workers)
+    calls = []
+    point_values = analysis._key_point_values
+
+    def recorded(*args, **kwargs):
+        q = point_values(*args, **kwargs)
+        calls.append(q["A"].shape)
+        return q
+
+    monkeypatch.setattr(analysis, "_key_point_values", recorded)
+    assert sweep_key_lemmas(2) == ref
+    sizes = {1: [36], 2: [18, 18], 3: [12, 12, 12]}[workers]
+    assert sorted(calls) == sorted([(t, 63) for t in sizes] * 2)
+
+
+@pytest.mark.parametrize("sweep", ["resultant", "key"])
+def test_split_sweep_builds_field_tables_once(monkeypatch, sweep):
+    # a fresh field has no tables; both ranges of a split pass need them.
+    # A build that takes 20 ms lets the second range see them unbuilt,
+    # unless the sweep builds them before it splits
+    builds = []
+
+    def slow_count(nbytes, what, budget=None):
+        if "log/exp table" in what:
+            builds.append(what)
+            time.sleep(0.02)
+
+    monkeypatch.setattr(analysis, "field_new", gf2n.Field)
+    monkeypatch.setattr(gf2n, "check_alloc", slow_count)
+    _split_everywhere(monkeypatch, 2)
+    if sweep == "resultant":
+        assert verify_resultant_identity(3).identity_holds
+    else:
+        assert all(w.all_pass for w in sweep_key_lemmas(2, 3))
+    assert len(builds) == 1
+
+
+def test_split_sweeps_stay_within_their_checks(monkeypatch):
+    # at two workers the ranges of a pass together hold one pass, inside
+    # what the budget checks count
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 2)
+    counted = []
+
+    def recorded(nbytes, what, budget=None):
+        counted.append(nbytes)
+        return check_alloc(nbytes, what, budget)
+
+    monkeypatch.setattr(analysis, "check_alloc", recorded)
+    search_trinomial_params(3)
+    for sweep in (lambda: sweep_key_lemmas(3, 1),
+                  lambda: verify_resultant_identity(6)):
+        counted.clear()
+        tracemalloc.start()
+        try:
+            sweep()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(counted) == 1 and peak <= counted[0]
 
 
 @pytest.mark.parametrize("name,bend,claim", [

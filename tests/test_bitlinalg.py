@@ -6,6 +6,8 @@ import ast
 import math
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -353,8 +355,50 @@ def test_split_reduction_is_bit_identical(monkeypatch, workers):
     assert gave.tolist() == ref_gave.tolist()
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_run_returns_ranges_in_order(monkeypatch, workers):
+    monkeypatch.setattr(bitlinalg, "_WORKERS", workers)
+    threads = set()
+
+    def work(k, lo, hi):
+        threads.add(threading.current_thread().name)
+        time.sleep(0.01 * (workers - k))  # later ranges finish first
+        return k, lo, hi
+
+    if workers == 1:
+        monkeypatch.setattr(bitlinalg, "_pool", None)  # one range: no thread
+    cuts = {1: [(0, 0, 16)], 2: [(0, 0, 8), (1, 8, 16)],
+            3: [(0, 0, 6), (1, 6, 11), (2, 11, 16)]}[workers]
+    assert bitlinalg.split_run(work, 16, 4) == cuts
+    assert bitlinalg.split_run(work, 7, 4) == [(0, 0, 7)]  # 7 // 4 = 1 range
+    assert threading.current_thread().name in threads
+    assert all(name == threading.current_thread().name
+               or name.startswith("apnlab") for name in threads)
+
+
+def test_split_run_waits_for_every_range_and_reraises(monkeypatch):
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 3)
+    done = []
+
+    def work(k, lo, hi):
+        if k == 0:
+            raise ValueError("range 0")
+        time.sleep(0.02)
+        done.append(k)
+        if k == 2:
+            raise KeyError("range 2")
+
+    with pytest.raises(ValueError, match="range 0"):
+        bitlinalg.split_run(work, 3, 1)
+    assert sorted(done) == [1, 2]  # no range outlives the call
+    done.clear()
+    with pytest.raises(KeyError, match="range 2"):
+        bitlinalg.split_run(lambda k, lo, hi: k and work(k, lo, hi), 3, 1)
+    assert sorted(done) == [1, 2]
+
+
 def test_import_leaves_the_thread_pool_unloaded():
-    # the pool's module is imported by the first split reduction only
+    # the pool's module is imported by the first split only
     src = str(Path(bitlinalg.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import apnlab.cli; "
             "print('concurrent.futures' in sys.modules)")
