@@ -77,8 +77,8 @@ _DDT_CELLS_PER_PASS = 1 << 16
 #: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
 _KEY_ELEMS_PER_PASS = 1 << 18
 #: Fewest (tuple, point) pairs in one range of a split key-lemma pass.  On
-#: a 2-core x86-64 host, two ranges took 1.31x the one-thread time of a
-#: pass of 16 x 511 pairs, 0.80x at 32 x 511 and 0.49x at 512 x 511.
+#: a 2-core x86-64 host, two ranges took 1.51x the one-thread time of a
+#: pass of 16 x 511 pairs, 0.88x at 32 x 511 and 0.45x at 512 x 511.
 _KEY_MIN_PART_PAIRS = 1 << 13
 #: Bytes each key-lemma tuple holds until the sweep returns.  Measured
 #: (tracemalloc, m = 3): 301 B over 5,292 tuples, 307 B over 882.
@@ -87,20 +87,22 @@ _KEY_BYTES_PER_TUPLE = 384
 #: (tracemalloc, full passes): 144.9 B at m = 3, 145.5 B at m = 4.
 _KEY_BYTES_PER_PAIR = 160
 
-#: Points per pass of the resultant sweep (2^14..2^16 fastest at m = 7).
+#: Points per pass of the resultant sweep, rounded down to whole rows of
+#: 2^m points (one row per (a, b) pair).  At m = 7 on a 2-core x86-64 host
+#: the sweep took 0.135 s at 2^16, 0.179 s at 2^15 and 0.142 s at 2^17.
 _RESULTANT_POINTS_PER_PASS = 1 << 16
-#: Fewest points in one range of a split resultant pass.  On a 2-core
-#: x86-64 host, two ranges took 1.43x the one-thread time of a 2^13-point
-#: pass, 0.83x at 2^14 and 0.59x at 2^16.
-_RESULTANT_MIN_PART_POINTS = 1 << 13
-#: Peak bytes per (a, b, x) point of one resultant pass: 4 B for each uint32
-#: array live at the determinant's widest step, i.e. 15 inputs (a, b, x,
-#: a^2, b^2, a^3, b^3, a^4, b^4, x^2 and the Sylvester entries f2, f1, f0,
-#: g1, g0) and 25 partial minors; 12 B of one ``mul_vec`` call's scratch (two
-#: int32 log gathers and their int32 sum); and 4 B for the arrays that do not
-#: grow with the pass (the field tables), 2.1 B/point at m = 4.  Measured
-#: peak (tracemalloc): 174.1 B/point at m = 4, 172.2 at m = 5 and 7.
-_RESULTANT_BYTES_PER_POINT = 4 * (15 + 25) + 12 + 4
+#: Fewest points in one range of a split resultant pass, rounded up to whole
+#: rows.  On a 2-core x86-64 host at m = 7, two ranges took 1.28x the
+#: one-thread time of a 2^14-point pass, 0.75x at 2^15 and 0.58x at 2^16.
+_RESULTANT_MIN_PART_POINTS = 1 << 14
+#: Peak bytes per (a, b, x) point of one resultant pass.  The widest step is
+#: the determinant's fifth Sylvester column, where 4 B a point is held by
+#: each of f0 and g0, 13 partial minors (7 of the fourth column, 6 of the
+#: fifth) and one multiply-and-add's int32 log gather and sum, product and
+#: new sum: 76 B.  The (a, b) columns add about 40 x 4 / 2^m B.  Measured
+#: (tracemalloc): 80.8 B/point at m = 7, 82.7 at m = 5 and 87.0 at m = 4 on
+#: one thread, and 93.1 at m = 5 in two ranges.
+_RESULTANT_BYTES_PER_POINT = 96
 
 
 # ----------------------------------------------------------------------
@@ -603,29 +605,32 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     determinant must equal ``(a^3+ab^2+b^3)^2 x (x+a) H(x) H(x+a)`` with
     ``H(x) = x^3 + (a^2+ab+a+b^2+b+1) x + (a^3+a^2b+a+b^3+b^2+1)``.
 
-    Every (a, b, x) in GF(2^m)^3 is checked, in passes of
-    ``_RESULTANT_POINTS_PER_PASS`` points, each split across the CPUs by
-    :func:`~apnlab.bitlinalg.split_run`.  The passes' x = 0 points, which
-    meet every (a, b) once, also give two side facts: the constant term of
-    H vanishes only at (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the
-    origin.
+    Every (a, b, x) in GF(2^m)^3 is checked.  A pass holds whole rows: the
+    2^m points x of each of a block of (a, b) pairs, about
+    ``_RESULTANT_POINTS_PER_PASS`` points in all, split across the CPUs by
+    :func:`~apnlab.bitlinalg.split_run` on row boundaries.  Each row also
+    gives two side facts: the constant term of H vanishes only at
+    (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the origin.
 
     Raises :class:`MemoryBudgetError` before allocating when one pass would
     exceed ``APNLAB_MEM_BUDGET_GIB``.
     """
     field = field_new(m)
-    checked = field.order**3
-    per_pass = min(checked, _RESULTANT_POINTS_PER_PASS)
-    check_alloc(per_pass * _RESULTANT_BYTES_PER_POINT,
-                f"resultant check at m={m} (one pass of {per_pass} points)")
+    order = field.order
+    checked = order**3
+    pairs = order * order
+    per_pass = min(pairs, max(1, _RESULTANT_POINTS_PER_PASS // order))
+    check_alloc(per_pass * order * _RESULTANT_BYTES_PER_POINT,
+                f"resultant check at m={m} (one pass of {per_pass * order} points)")
     field._tables()  # built once, before the ranges share them
+    min_part = -(-_RESULTANT_MIN_PART_POINTS // order)  # rows
     mismatches: list[tuple[int, int, int]] = []
     const_zeros: set[tuple[int, int]] = set()
     denom_zeros: set[tuple[int, int]] = set()
-    for start in range(0, checked, per_pass):
+    for start in range(0, pairs, per_pass):
         ranges = split_run(
             lambda _, lo, hi: _resultant_range(field, start + lo, start + hi),
-            min(per_pass, checked - start), _RESULTANT_MIN_PART_POINTS)
+            min(per_pass, pairs - start), min_part)
         for found, const, denom in ranges:  # in scan order
             mismatches += found[: _WITNESS_CAP - len(mismatches)]
             const_zeros.update(const)
@@ -639,34 +644,34 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     )
 
 
-def _resultant_range(field: Field, start: int, stop: int) -> tuple[list, list, list]:
-    """The first ``_WITNESS_CAP`` mismatch witnesses (a, b, x) at the flat
-    indices start..stop-1, and the (a, b) of their x = 0 points where the
+def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
+    """The first ``_WITNESS_CAP`` mismatch witnesses (a, b, x) in the rows
+    of the pairs a 2^m + b = lo..hi-1, and the (a, b) among them where the
     constant term of H and where a^3+ab^2+b^3 vanish."""
     mul, sq = field.mul_vec, field.sqr_vec
-    a, b, x = _sweep_points(field.n, start, stop)
-    found = [(int(a[i]), int(b[i]), int(x[i]))
-             for i in _resultant_mismatches(field, a, b, x)[:_WITNESS_CAP]]
-    at0 = x == 0
-    pa, pb = a[at0], b[at0]
-    pa2, pb2 = sq(pa), sq(pb)
-    pa3, pb3 = mul(pa2, pa), mul(pb2, pb)
-    const, denom = (list(zip(pa[value == 0].tolist(), pb[value == 0].tolist()))
-                    for value in (pa3 ^ mul(pa2, pb) ^ pa ^ pb3 ^ pb2 ^ 1,
-                                  pa3 ^ mul(pa, pb2) ^ pb3))
+    ab = np.arange(lo, hi, dtype=np.uint32)
+    a, b = ab >> field.n, ab & np.uint32(field.order - 1)
+    x = field.all_elements_vec()
+    hits = _resultant_mismatches(field, a[:, None], b[:, None], x[None, :])
+    row, col = np.divmod(hits[:_WITNESS_CAP], field.order)
+    found = list(zip(a[row].tolist(), b[row].tolist(), x[col].tolist()))
+    a2, b2 = sq(a), sq(b)
+    a3, b3 = mul(a2, a), mul(b2, b)
+    const, denom = (list(zip(a[value == 0].tolist(), b[value == 0].tolist()))
+                    for value in (a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1,
+                                  a3 ^ mul(a, b2) ^ b3))
     return found, const, denom
 
 
-def _sweep_points(m: int, start: int, stop: int) -> tuple[np.ndarray, ...]:
-    """uint32 a, b, x at the flat indices (a 2^m + b) 2^m + x in start..stop-1."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    return tuple(((idx >> shift) & ((1 << m) - 1)).astype(np.uint32)
-                 for shift in (2 * m, m, 0))
-
-
 def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
-    """Indices i where the determinant at (a[i], b[i], x[i]) != its factors."""
-    mul, sq = field.mul_vec, field.sqr_vec
+    """Flat indices, over the broadcast of ``(P, 1)`` columns a, b against
+    the row x, where the determinant differs from its factors.
+
+    Every value that depends on (a, b) alone is computed on the columns;
+    the determinant runs over the Sylvester matrix's columns, whose first
+    two hold no x, so their partial minors stay column-sized too.
+    """
+    mul, sq, pw = field.mul_vec, field.sqr_vec, field.pow_vec
     a2, b2 = sq(a), sq(b)
     a3, b3 = mul(a2, a), mul(b2, b)
     a4, b4 = sq(a2), sq(b2)
@@ -684,15 +689,15 @@ def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
     g0 = mul(a ^ b, sq(x2)) ^ mul(b2, x2) ^ mul(a4 ^ b, x)
 
     rows = _sylvester_rows([f0, f1, f2], [g0, g1, g2, None, g4], None)
-    lhs = _det_masked(rows, mul=mul, add=lambda x, y: x ^ y,
-                      is_zero=lambda x: x is None)
+    lhs = _det_masked([list(col) for col in zip(*rows)], mul=mul,
+                      add=lambda x, y: x ^ y, is_zero=lambda x: x is None)
 
     h_lin = a2 ^ mul(a, b) ^ a ^ b2 ^ b ^ 1
     h_const = a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1
     xa = x ^ a
 
     def h_at(t: np.ndarray) -> np.ndarray:
-        return mul(sq(t), t) ^ mul(h_lin, t) ^ h_const
+        return pw(t, 3) ^ mul(h_lin, t) ^ h_const
 
     lead = a3 ^ mul(a, b2) ^ b3
     rhs = mul(mul(mul(sq(lead), mul(x, xa)), h_at(x)), h_at(xa))

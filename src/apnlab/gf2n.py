@@ -2,16 +2,18 @@
 
 Field elements are integers in ``[0, 2^n)`` whose bits are the coefficients of
 the polynomial representative (bit i = coefficient of x^i).  A :class:`Field`
-carries the modulus and lazily built log/exp tables; :class:`FieldElement` is a
-thin operator-overloading wrapper used by the symbolic layers.  Bulk paths
-(truth tables, difference counting, rank feeds) work on numpy integer arrays
-through the ``*_vec`` methods.
+carries the modulus, lazily built log/exp tables and, for n <= 16, one lazily
+built map x -> x^e per exponent in use; :class:`FieldElement` is a thin
+operator-overloading wrapper used by the symbolic layers.  Bulk paths (truth
+tables, difference counting, rank feeds) work on numpy integer arrays through
+the ``*_vec`` methods.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from functools import lru_cache
 
 import numpy as np
@@ -68,6 +70,13 @@ _MAX_TABLE_N = 24  # log/exp tables are built only up to this size
 #: Peak bytes per element of a table build: exp 16, log 4, log's index run 4.
 #: Measured (tracemalloc): 24.02 B at n = 22, 20.0 B held afterwards.
 _TABLE_BYTES_PER_ELEMENT = 24
+#: Largest n whose :meth:`Field.pow_vec` gathers through a map x -> x^e
+#: (4 B per element, 256 KiB at n = 16); larger fields multiply logs.
+_POWER_MAP_MAX_N = 16
+#: Bytes of maps a field keeps (64 maps at n = 16); a new map past this
+#: replaces the oldest, so evaluating many exponents cannot grow a cached
+#: field without bound.
+_POWER_MAP_BYTES = 16 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +165,7 @@ class Field:
     """
 
     __slots__ = ("n", "modulus", "order", "mult_order", "primitive",
-                 "_exp", "_log")
+                 "_exp", "_log", "_maps", "_maps_lock")
 
     def __init__(self, n: int, modulus: int | None = None):
         if not 1 <= n <= 64:
@@ -176,6 +185,8 @@ class Field:
         self.mult_order = self.order - 1
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
+        self._maps: dict[int, np.ndarray] = {}  # e mod (2^n - 1) -> x^e
+        self._maps_lock = threading.Lock()
         self.primitive = self._find_primitive()
 
     # -- identity ----------------------------------------------------------
@@ -348,17 +359,41 @@ class Field:
         """Elementwise c * a for a scalar field element c."""
         return self.mul_vec(c, a)
 
+    def _power_map(self, r: int) -> np.ndarray:
+        """The map x -> x^r over all 2^n elements (0 -> 0), for 0 <= r <
+        2^n - 1; built once, under a lock, so the ranges of a split pass
+        that meet it unbuilt share one build."""
+        table = self._maps.get(r)
+        if table is None:
+            exp, log = self._tables()
+            with self._maps_lock:
+                table = self._maps.get(r)
+                if table is None:
+                    check_alloc(4 << self.n, f"GF(2^{self.n}) map x -> x^{r}")
+                    table = np.zeros(self.order, dtype=np.uint32)
+                    m = self.mult_order
+                    table[1:] = exp.take(log[1:].astype(np.int64) * r % m)
+                    if len(self._maps) >= _POWER_MAP_BYTES >> (self.n + 2):
+                        del self._maps[next(iter(self._maps))]  # the oldest
+                    self._maps[r] = table
+        return table
+
     def pow_vec(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise a**e (scalar integer e; 0^0 = 1, 0^e = 0 for e > 0)."""
-        exp, log = self._tables()
+        """Elementwise a**e (scalar integer e; 0^0 = 1, 0^e = 0 for e > 0).
+
+        Up to n = 16 one gather through the map x -> x^(e mod 2^n - 1);
+        above, log arithmetic."""
         a = np.asarray(a, dtype=np.uint32)
         if e == 0:
             return np.ones_like(a)
+        if e < 0 and not a.all():
+            raise ZeroDivisionError("inverse of 0 in " + repr(self))
         m = self.mult_order
+        if self.n <= _POWER_MAP_MAX_N:
+            return self._power_map(e % m).take(a)
+        exp, log = self._tables()
         la = log.take(a.ravel())
         zero = la == 2 * m
-        if e < 0 and zero.any():
-            raise ZeroDivisionError("inverse of 0 in " + repr(self))
         # int64 before the product: log * e overflows int32 from n = 16 on
         idx = la.astype(np.int64)
         idx *= e % m
@@ -370,7 +405,7 @@ class Field:
         return self.pow_vec(a, -1)
 
     def sqr_vec(self, a: np.ndarray) -> np.ndarray:
-        return self.mul_vec(a, a)
+        return self.pow_vec(a, 2)
 
     def frob_vec(self, a: np.ndarray, k: int = 1) -> np.ndarray:
         """Elementwise a^(2^k) (k-fold Frobenius)."""

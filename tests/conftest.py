@@ -1,5 +1,6 @@
 """Shared fixtures: cached small fields, the textbook GF(2) rank and DDT
-oracles, the unskipped translate closure and an extended-run gate."""
+oracles, a Gaussian-elimination determinant over GF(2^m), the unskipped
+translate closure and an extended-run gate."""
 
 from __future__ import annotations
 
@@ -41,6 +42,47 @@ def naive_rank(dense: np.ndarray) -> int:
         if r == rows:
             break
     return r
+
+
+def shift_add_mul(a: int, b: int, modulus: int) -> int:
+    """a * b in GF(2)[x] / (modulus), by shift and add on plain ints."""
+    top = 1 << (modulus.bit_length() - 1)
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        b >>= 1
+        a <<= 1
+        if a & top:
+            a ^= modulus
+    return out
+
+
+def gauss_det(matrix: list[list[int]], modulus: int) -> int:
+    """Determinant over GF(2^m) = GF(2)[x] / (modulus) by Gaussian
+    elimination; a row swap changes no sign in characteristic 2."""
+    a = [list(row) for row in matrix]
+    k, order = len(a), 1 << (modulus.bit_length() - 1)
+    det = 1
+    for c in range(k):
+        p = next((r for r in range(c, k) if a[r][c]), None)
+        if p is None:
+            return 0
+        a[c], a[p] = a[p], a[c]
+        det = shift_add_mul(det, a[c][c], modulus)
+        inv = 1  # a^(2^m - 2), by square and multiply
+        base, e = a[c][c], order - 2
+        while e:
+            if e & 1:
+                inv = shift_add_mul(inv, base, modulus)
+            base = shift_add_mul(base, base, modulus)
+            e >>= 1
+        for r in range(c + 1, k):
+            if a[r][c]:
+                q = shift_add_mul(a[r][c], inv, modulus)
+                a[r] = [x ^ shift_add_mul(q, y, modulus)
+                        for x, y in zip(a[r], a[c])]
+    return det
 
 
 def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:

@@ -16,8 +16,10 @@ from apnlab import analysis, bitlinalg, gf2n
 from apnlab.analysis import (
     _KEY_QUANTITIES,
     KeyLemmaSweep,
+    _det_masked,
     _key_claims,
     _key_point_values,
+    _sylvester_rows,
     algebraic_degree,
     brute_cubic_root_count,
     cubic_root_count,
@@ -48,7 +50,7 @@ from apnlab.families import (
 )
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
-from conftest import get_field, row_by_row_ddt
+from conftest import gauss_det, get_field, row_by_row_ddt
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +475,80 @@ def test_resultant_bivariate_eliminates_named_variable():
                             [(1, 0, 1), (1, 0, 2)], eliminate="x")
 
 
+def _xor(x, y):
+    return x ^ y
+
+
+def _scalar_det(field, matrix, hole):
+    """``_det_masked`` of ``matrix`` with scalar entries, ``hole`` marking
+    the structural zeros, as an int."""
+    det = _det_masked(matrix, field.mul, _xor, lambda x: x is hole)
+    return 0 if det is None else det
+
+
+def _transpose(matrix):
+    return [list(col) for col in zip(*matrix)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_det_masked_matches_gaussian_elimination(m):
+    # dense k x k matrices with zero entries, fed by rows and by columns
+    field = get_field(m)
+    rng = np.random.default_rng(m)
+    for k in range(1, 7):
+        for _ in range(12):
+            dense = rng.integers(0, field.order, (k, k))
+            dense[rng.random((k, k)) < 0.3] = 0
+            matrix = dense.tolist()
+            want = gauss_det(matrix, field.modulus)
+            assert _scalar_det(field, matrix, 0) == want
+            assert _scalar_det(field, _transpose(matrix), 0) == want
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_det_masked_sylvester_matches_gaussian_elimination(m):
+    # Sylvester matrices of random u, v of degrees 1..4, with None holes
+    # and zero coefficients, fed by rows and by columns
+    field = get_field(m)
+    rng = np.random.default_rng(10 + m)
+    for du in range(1, 4):
+        for dv in range(1, 5):
+            for _ in range(6):
+                u, v = ([c if rng.random() > 0.2 else None
+                         for c in rng.integers(0, field.order, d + 1).tolist()]
+                        for d in (du, dv))
+                rows = _sylvester_rows(u, v, None)
+                want = gauss_det([[0 if e is None else e for e in row]
+                                  for row in rows], field.modulus)
+                assert _scalar_det(field, rows, None) == want
+                assert _scalar_det(field, _transpose(rows), None) == want
+
+
+def test_det_masked_broadcasts_array_entries():
+    # the resultant's shape: x-free entries as (P, 1) columns, the constant
+    # terms as (1, q) rows; every cell of the broadcast determinant is the
+    # determinant of its scalar matrix
+    field = get_field(4)
+    rng = np.random.default_rng(4)
+    p, q = 5, 7
+
+    def draw(shape):
+        return rng.integers(0, 16, shape).astype(np.uint32)
+
+    col, row = (p, 1), (1, q)
+    u = [draw(row), draw(col), draw(col)]
+    v = [draw(row), draw(col), draw(col), None, draw(col)]
+    rows = _sylvester_rows(u, v, None)
+    for matrix in (rows, _transpose(rows)):
+        det = _det_masked(matrix, field.mul_vec, _xor, lambda x: x is None)
+        assert det.shape == (p, q)
+        for i in range(p):
+            for j in range(q):
+                scalar = [[0 if e is None else int(np.broadcast_to(e, (p, q))[i, j])
+                           for e in r] for r in rows]
+                assert int(det[i, j]) == gauss_det(scalar, field.modulus)
+
+
 @pytest.mark.parametrize("m,side_facts", [(2, True), (3, False), (4, True)])
 def test_resultant_identity_report(m, side_facts):
     rep = verify_resultant_identity(m)
@@ -492,23 +568,24 @@ def test_resultant_sweep_in_short_passes_matches_one_pass(monkeypatch):
 
 
 def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
-    # a stand-in check flags 40 fixed points spread over the five passes;
-    # the report keeps the first 16 by flat index (a 2^m + b) 2^m + x
+    # a stand-in check flags 40 fixed points spread over the five passes of
+    # 63 (a, b) rows; the report keeps the first 16 by flat index
+    # (a 2^m + b) 2^m + x
     m, order = 4, 16
     flagged = np.random.default_rng(3).choice(order**3, 40, replace=False)
     seen = []
 
     def flag(field, a, b, x):
-        flat = (a.astype(np.int64) * order + b) * order + x
+        flat = ((a.astype(np.int64) * order + b) * order + x).ravel()
         seen.append(flat)
         return np.flatnonzero(np.isin(flat, flagged))
 
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 63 * order)
     monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
     rep = verify_resultant_identity(m)
     assert np.array_equal(np.concatenate(seen), np.arange(order**3))
     first = np.sort(flagged)[:16]
-    assert len({int(i) // 1000 for i in first}) > 1
+    assert len({int(i) // (63 * order) for i in first}) > 1
     assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
                               for i in first]
     assert not rep.identity_holds and rep.checked == order**3
@@ -755,21 +832,22 @@ def frequent_switches():
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_split_resultant_sweep_keeps_scan_order(monkeypatch, frequent_switches,
                                                 workers):
-    # passes of 1000 points cut into ranges of 500 or 334; the planted
-    # witnesses 400, 425, ... put the first 16 (400..775) on both sides of
-    # the range boundary at 500 and at 667
+    # passes of 63 (a, b) rows (1008 points) cut into ranges of 32 or 21
+    # rows; the planted witnesses 500, 540, ... put the first 16 (500..1100)
+    # on both sides of the range boundary at 512 and at 672, and of the
+    # pass boundary at 1008
     m, order = 4, 16
     real = verify_resultant_identity(m)
-    flagged = np.arange(400, order**3, 25)[:40]
+    flagged = np.arange(500, order**3, 40)[:40]
     seen = []
 
     def flag(field, a, b, x):
-        flat = (a.astype(np.int64) * order + b) * order + x
+        flat = ((a.astype(np.int64) * order + b) * order + x).ravel()
         seen.append(flat)
         return np.flatnonzero(np.isin(flat, flagged))
 
     _split_everywhere(monkeypatch, workers)
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 63 * order)
     assert verify_resultant_identity(m) == real
     monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
     rep = verify_resultant_identity(m)
@@ -814,15 +892,15 @@ def test_split_key_sweep_equals_one_worker(monkeypatch, frequent_switches,
 
 @pytest.mark.parametrize("sweep", ["resultant", "key"])
 def test_split_sweep_builds_field_tables_once(monkeypatch, sweep):
-    # a fresh field has no tables; both ranges of a split pass need them.
-    # A build that takes 20 ms lets the second range see them unbuilt,
-    # unless the sweep builds them before it splits
+    # a fresh field has no tables or power maps; both ranges of a split
+    # pass need them.  A build that takes 20 ms lets the second range see
+    # them unbuilt, unless the sweep builds the tables before it splits and
+    # the field builds each map under its lock
     builds = []
 
     def slow_count(nbytes, what, budget=None):
-        if "log/exp table" in what:
-            builds.append(what)
-            time.sleep(0.02)
+        builds.append(what)
+        time.sleep(0.02)
 
     monkeypatch.setattr(analysis, "field_new", gf2n.Field)
     monkeypatch.setattr(gf2n, "check_alloc", slow_count)
@@ -831,7 +909,8 @@ def test_split_sweep_builds_field_tables_once(monkeypatch, sweep):
         assert verify_resultant_identity(3).identity_holds
     else:
         assert all(w.all_pass for w in sweep_key_lemmas(2, 3))
-    assert len(builds) == 1
+    assert sum("log/exp table" in what for what in builds) == 1
+    assert len(builds) == len(set(builds)) > 1
 
 
 def test_split_sweeps_stay_within_their_checks(monkeypatch):

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apnlab import gf2n
+from apnlab import bitlinalg, gf2n
 from apnlab.errors import PreconditionError
 from apnlab.gf2n import (
     DEFAULT_MODULI,
@@ -207,7 +209,7 @@ def test_vector_ops_match_scalar(n):
                for x, p in zip(f.mul_scalar_vec(c, a), a))
 
 
-@pytest.mark.parametrize("n", [1, 8, 21, 24])
+@pytest.mark.parametrize("n", [1, 8, 16, 17, 21, 24])
 def test_vector_kernels_match_table_free_scalar_ops(n):
     # the oracle field never builds tables, so its mul/pow run shift-and-add
     oracle, f = Field(n), Field(n)
@@ -240,6 +242,56 @@ def test_vector_kernels_match_table_free_scalar_ops(n):
     with pytest.raises(ZeroDivisionError):
         f.pow_vec(a, -1)
     assert oracle._exp is None and oracle._log is None
+    # powers gather through maps x -> x^e up to n = 16, one per e mod 2^n-1
+    assert bool(f._maps) == (n <= 16)
+    assert all(t.shape == (f.order,) and t.dtype == np.uint32
+               for t in f._maps.values())
+
+
+def test_field_keeps_a_bounded_set_of_power_maps(monkeypatch):
+    # room for three maps of GF(2^6): a fourth exponent replaces the oldest,
+    # and every power is still right
+    monkeypatch.setattr(gf2n, "_POWER_MAP_BYTES", 3 * 4 << 6)
+    f, oracle = Field(6), Field(6)
+    a = f.all_elements_vec()
+    for e in (2, 3, 5, 7, 3, 11):
+        assert f.pow_vec(a, e).tolist() == [oracle.pow(x, e) for x in a.tolist()]
+    assert list(f._maps) == [5, 7, 11]
+
+
+def test_power_maps_built_by_split_ranges_at_once_match_one_thread(monkeypatch):
+    # three ranges of a split meet the same unbuilt maps at once (a build
+    # that takes 10 ms lets the others see it unbuilt); each map is built
+    # once and equals a one-thread build on another fresh field
+    exponents = [2, 3, 7, -1, 255, 1 << 9, 5 * 1023 + 3]
+    serial = Field(10)
+    want = [serial.pow_vec(serial.all_elements_vec()[1:], e) for e in exponents]
+    shared = Field(10)
+    builds = []
+    count = gf2n.check_alloc
+
+    def counted(nbytes, what, budget=None):
+        builds.append(what)
+        time.sleep(0.01)
+        return count(nbytes, what, budget)
+
+    shared._tables()
+    monkeypatch.setattr(gf2n, "check_alloc", counted)
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ranges = bitlinalg.split_run(
+            lambda _, lo, hi: [shared.pow_vec(shared.all_elements_vec()[1:], e)
+                               for e in exponents], 3, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(ranges) == 3
+    assert all(np.array_equal(g, w) for part in ranges for g, w in zip(part, want))
+    assert sorted(shared._maps) == sorted(serial._maps)
+    assert all(np.array_equal(shared._maps[r], serial._maps[r])
+               for r in serial._maps)
+    assert len(builds) == len(set(builds)) == len(serial._maps)
 
 
 def test_log_readers_keep_their_output():
