@@ -10,15 +10,13 @@ Four groups of tools:
 * root classification of cubics ``z^3 + az + b`` over GF(2^m) via the
   quadratic resolvent ``t^2 + bt + a^3`` (:func:`cubic_root_count`),
   checked against brute force by :func:`sweep_cubic_classifier`;
-* polynomial resultants as Sylvester determinants — scalar
-  (:func:`resultant`), with one variable eliminated from a bivariate pair
-  (:func:`resultant_bivariate`), and the full factored-identity check for
-  the bivariate APN family's derivative system
-  (:func:`verify_resultant_identity`);
+* the factored-identity check for the bivariate APN family's derivative
+  system (:func:`verify_resultant_identity`): its y-resultant, a Sylvester
+  determinant, against the printed factors at every (a, b, x);
 * the algebraic identity suite behind the trinomial family's APN proof
-  (:func:`verify_key_lemma`, :func:`sweep_key_lemma`, and
-  :func:`sweep_key_lemmas` over every valid (s, mu, v) of an m), which
-  recomputes every displayed quantity and factorization at each point.
+  (:func:`sweep_key_lemmas` over every valid (s, mu, v) of an m, and
+  :func:`sweep_key_lemma` for one tuple), which recomputes every displayed
+  quantity, claim and factorization at every point, one tuple a row.
 
 Everything here is exact GF(2^m) arithmetic; no floating point, no
 sampling.  Each exhaustive sweep checks its size with ``check_alloc`` first;
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,21 +41,16 @@ __all__ = [
     "CubicClass",
     "brute_cubic_root_count",
     "DdtSummary",
-    "KeyLemmaReport",
     "ResultantIdentityReport",
     "algebraic_degree",
     "cubic_root_count",
-    "cubic_trinomial_has_root",
     "ddt",
     "is_apn",
     "is_apn_quadratic",
-    "resultant",
-    "resultant_bivariate",
     "sweep_cubic_classifier",
     "sweep_key_lemma",
     "sweep_key_lemmas",
     "verify_adjoint_permutation_agreement",
-    "verify_key_lemma",
     "verify_resultant_identity",
     "verify_subfield_scaled_permutations",
 ]
@@ -372,21 +365,8 @@ def sweep_cubic_classifier(m: int) -> tuple[int, list[tuple[int, int, int, int]]
     return (field.order - 1) ** 2, mismatches
 
 
-def cubic_trinomial_has_root(m: int) -> bool:
-    """Whether z^3 + z + 1 has a root in GF(2^m)."""
-    field = field_new(m)
-    return brute_cubic_root_count(field, 1, 1) > 0
-
-
 # ----------------------------------------------------------------------
-# resultants (Sylvester determinants)
-
-
-def _trimmed(field: Field, coeffs) -> list[int]:
-    out = [field.coerce(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+# the new bivariate family's derivative-system resultant identity
 
 
 def _sylvester_rows(u: list, v: list, zero) -> list[list]:
@@ -410,7 +390,7 @@ def _det_masked(rows: list[list], mul, add, is_zero) -> object:
     sign bookkeeping disappears: D[mask] accumulates the permanent of the
     first popcount(mask) rows against the column set ``mask``.  The DP
     starts from the first row's entries, so no multiplication by one is
-    made; entries may be scalars, polynomials or arrays (elementwise).
+    made; entries may be scalars or arrays (elementwise).
     """
     k = len(rows)
     prev = {1 << j: e for j, e in enumerate(rows[0]) if not is_zero(e)}
@@ -430,137 +410,6 @@ def _det_masked(rows: list[list], mul, add, is_zero) -> object:
         if not prev:
             return None  # all contributions vanished structurally
     return prev.get((1 << k) - 1)
-
-
-def resultant(field: Field, u, v, formal_degrees: tuple[int, int] | None = None) -> int:
-    """Resultant of two polynomials with GF(2^m) coefficients.
-
-    ``u``/``v`` are ascending coefficient sequences (ints or FieldElement).
-    By default degrees are the actual ones (trailing zeros dropped; zero
-    polynomials are an error).  ``formal_degrees`` pins the Sylvester block
-    sizes instead, evaluating the determinant with declared degrees even if
-    a leading coefficient is zero.
-    """
-    if formal_degrees is None:
-        uu = _trimmed(field, u)
-        vv = _trimmed(field, v)
-        if not uu or not vv:
-            raise PreconditionError("resultant of a zero polynomial")
-    else:
-        du, dv = formal_degrees
-        uu = [field.coerce(c) for c in u] + [0] * (du + 1 - len(u))
-        vv = [field.coerce(c) for c in v] + [0] * (dv + 1 - len(v))
-        uu = uu[: du + 1]
-        vv = vv[: dv + 1]
-    du, dv = len(uu) - 1, len(vv) - 1
-    if du == 0 and dv == 0:
-        return 1
-    if du == 0:
-        return field.pow(uu[0], dv)
-    if dv == 0:
-        return field.pow(vv[0], du)
-    rows = _sylvester_rows(uu, vv, 0)
-    det = _det_masked(
-        rows,
-        mul=field.mul,
-        add=lambda x, y: x ^ y,
-        is_zero=lambda x: x == 0,
-    )
-    return 0 if det is None else det
-
-
-class _XPolyRing:
-    """Dense univariate polynomials over GF(2^m), as ascending bit-tuples."""
-
-    def __init__(self, field: Field):
-        self.field = field
-        self.zero: tuple[int, ...] = ()
-
-    def trim(self, p: tuple[int, ...]) -> tuple[int, ...]:
-        n = len(p)
-        while n and p[n - 1] == 0:
-            n -= 1
-        return p[:n]
-
-    def add(self, p, q):
-        if len(p) < len(q):
-            p, q = q, p
-        out = list(p)
-        for i, c in enumerate(q):
-            out[i] ^= c
-        return self.trim(tuple(out))
-
-    def mul(self, p, q):
-        if not p or not q:
-            return ()
-        out = [0] * (len(p) + len(q) - 1)
-        fmul = self.field.mul
-        for i, c in enumerate(p):
-            if not c:
-                continue
-            for j, d in enumerate(q):
-                if d:
-                    out[i + j] ^= fmul(c, d)
-        return self.trim(tuple(out))
-
-    def is_zero(self, p) -> bool:
-        return not p
-
-
-def _bivariate_to_y_coeffs(
-    field: Field, terms, eliminate: str
-) -> list[tuple[int, ...]]:
-    """Collect (coeff, ex, ey) terms into ascending-in-y list of x-polys."""
-    acc: dict[int, dict[int, int]] = {}
-    for c, ex, ey in terms:
-        c = field.coerce(c)
-        if not c:
-            continue
-        if eliminate == "x":
-            ex, ey = ey, ex
-        acc.setdefault(ey, {})[ex] = acc.get(ey, {}).get(ex, 0) ^ c
-    out: list[tuple[int, ...]] = []
-    top = max(acc) if acc else 0
-    for ey in range(top + 1):
-        row = acc.get(ey, {})
-        width = max(row) + 1 if row else 0
-        poly = [0] * width
-        for ex, c in row.items():
-            poly[ex] = c
-        ring = _XPolyRing(field)
-        out.append(ring.trim(tuple(poly)))
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def resultant_bivariate(
-    field: Field, f_terms, g_terms, eliminate: str = "y"
-) -> tuple[int, ...]:
-    """Eliminate one variable from two bivariate polynomials over GF(2^m).
-
-    ``f_terms``/``g_terms`` are iterables of (coeff, x-exponent, y-exponent)
-    with *formal* (non-reduced) exponents.  Returns the resultant with
-    respect to the eliminated variable as an ascending coefficient tuple in
-    the remaining variable.  Every common zero of the inputs is a root of
-    the result.
-    """
-    if eliminate not in ("x", "y"):
-        raise PreconditionError("eliminate must be 'x' or 'y'")
-    fu = _bivariate_to_y_coeffs(field, f_terms, eliminate)
-    gu = _bivariate_to_y_coeffs(field, g_terms, eliminate)
-    if len(fu) <= 1 or len(gu) <= 1:
-        raise PreconditionError(
-            "input is degenerate (degree 0) in the eliminated variable"
-        )
-    ring = _XPolyRing(field)
-    rows = _sylvester_rows(fu, gu, ring.zero)
-    det = _det_masked(rows, mul=ring.mul, add=ring.add, is_zero=ring.is_zero)
-    return () if det is None else det
-
-
-# ----------------------------------------------------------------------
-# derivative-system resultant identity for the new bivariate family
 
 
 @dataclass
@@ -709,65 +558,15 @@ def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
 # identity suite for the trinomial family's APN proof
 
 
-@dataclass
-class KeyLemmaReport:
-    """All displayed quantities of the trinomial proof, recomputed at one point.
+def _key_point_values(field: Field, m: int, s: int, mu_bits, v_bits,
+                      a: np.ndarray, la: np.ndarray) -> dict:
+    """The proof's displayed quantities at the points ``a``, elementwise.
 
-    Stores the five primary values A..E, the two derived quadruples U1..U4
-    and V1..V4, and the diagnostics U, V, T, P; ``claim_results`` recomputes
-    the five claims from these stored values on access.
+    ``a`` is a uint32 array of points, ``la`` holds L(a) for each tuple, and
+    ``mu_bits``/``v_bits`` are per-tuple ``(T, 1)`` columns (or ints); every
+    value is an array of the broadcast shape, one row per tuple.
     """
-
-    field: Field
-    m: int
-    s: int
-    mu: int
-    v: int
-    a: int
-    A: int
-    B: int
-    C: int
-    D: int
-    E: int
-    U1: int
-    U2: int
-    U3: int
-    U4: int
-    V1: int
-    V2: int
-    V3: int
-    V4: int
-    U: int
-    V: int
-    T: int
-    P: int
-    la: int  # L(a)
-    factorization_failures: list[str] = dataclass_field(default_factory=list)
-
-    @property
-    def claim_results(self) -> tuple[bool, bool, bool, bool, bool]:
-        """The five claims, in :func:`_key_claims` order."""
-        q = {k: getattr(self, k) for k in _KEY_QUANTITIES}
-        return tuple(bool(c) for c in _key_claims(self.field, self.s, q, vec=False))
-
-    @property
-    def all_claims_hold(self) -> bool:
-        return all(self.claim_results) and not self.factorization_failures
-
-
-def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
-                      a, la, vec: bool) -> dict:
-    """The proof's displayed quantities at ``a`` (scalar or elementwise).
-
-    With ``vec`` false, every argument is an int and every value is an int.
-    With ``vec`` true, ``a`` is a uint32 array of points, ``la`` holds L(a)
-    for each tuple, and ``mu_bits``/``v_bits`` are ints or per-tuple
-    ``(T, 1)`` columns; every value is an array of the broadcast shape,
-    one row per tuple.  One body serves both so the exhaustive sweep cannot
-    drift from the single-point report.
-    """
-    mul = field.mul_vec if vec else field.mul
-    pw = field.pow_vec if vec else field.pow
+    mul, pw = field.mul_vec, field.pow_vec
     qm = 1 << m
     q2 = 1 << (2 * m)
     qs = 1 << s
@@ -857,12 +656,7 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits: int, v_bits: int,
     }
 
 
-#: The displayed quantities a :class:`KeyLemmaReport` stores.
-_KEY_QUANTITIES = ("A", "B", "C", "D", "E", "U1", "U2", "U3", "U4",
-                   "V1", "V2", "V3", "V4", "U", "V", "T", "P", "la")
-
-
-def _key_claims(field: Field, s: int, q: dict, vec: bool) -> list:
+def _key_claims(field: Field, s: int, q: dict) -> list[np.ndarray]:
     """The lemma's five claims on the quantities ``q``, in order:
 
     1. A+B+C+D+E = 0 with every summand nonzero and C+E nonzero;
@@ -871,10 +665,9 @@ def _key_claims(field: Field, s: int, q: dict, vec: bool) -> list:
     4. U2 V1^(2^s) + U1 V2^(2^s) + U3 V1^(2^s) + U1 V3^(2^s) = 0;
     5. U2 V1^(2^s) + U1 V2^(2^s) != 0.
 
-    Each is a bool (scalar mode) or a boolean array (vector mode).
+    Each is a boolean array of the quantities' shape.
     """
-    mul = field.mul_vec if vec else field.mul
-    pw = field.pow_vec if vec else field.pow
+    mul, pw = field.mul_vec, field.pow_vec
     A, B, C, D, E = (q[k] for k in "ABCDE")
     U1, U2, U3, U4 = (q[f"U{i}"] for i in range(1, 5))
     V1, V2, V3, V4 = (q[f"V{i}"] for i in range(1, 5))
@@ -891,17 +684,16 @@ def _key_claims(field: Field, s: int, q: dict, vec: bool) -> list:
     ]
 
 
-def _key_factorization_checks(field: Field, m: int, s: int, mu_bits: int,
-                              v_bits: int, a, q: dict, vec: bool) -> list[tuple[str, object]]:
+def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
+                              a: np.ndarray, q: dict) -> list[tuple[str, np.ndarray]]:
     """(name, equality) pairs for the proof's printed product forms.
 
     Covers both displayed shapes of the first product, the three-fold
     Frobenius ladder of each triple, the closed forms of the diagnostics,
-    and the proportionality tying E to C.  ``equality`` is a bool (scalar
-    mode) or a boolean array (vector mode).
+    and the proportionality tying E to C.  ``equality`` is a boolean array
+    of the quantities' shape.
     """
-    mul = field.mul_vec if vec else field.mul
-    pw = field.pow_vec if vec else field.pow
+    mul, pw = field.mul_vec, field.pow_vec
     qm = 1 << m
     q2 = 1 << (2 * m)
     qs = 1 << s
@@ -942,43 +734,10 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits: int,
     return [(name, lhs == rhs) for name, (lhs, rhs) in pairs]
 
 
-def verify_key_lemma(m: int, s: int, mu, v, a) -> KeyLemmaReport:
-    """Recompute the trinomial proof's displayed quantities at one point ``a``.
-
-    ``mu``/``v`` follow the coefficient convention (FieldElement, or an int
-    primitive-power exponent); ``a`` is a FieldElement or a raw bit
-    pattern.  Besides the five claims (exposed as properties of the report), the
-    printed product factorizations of U1..U3 and V1..V3, the closed forms
-    of U and V in terms of the diagnostics, and the proportionality
-    E = C^(2^m) a^(1-2^(2m)) are each checked; any that fail are listed in
-    ``factorization_failures``.
-    """
-    field, L, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
-    a_bits = field.coerce(a)
-    if a_bits == 0:
-        raise PreconditionError("a != 0")
-    la = L.eval(a_bits)
-    q = _key_point_values(field, m, s, mu_bits, v_bits, a_bits, la, vec=False)
-    failures = [
-        name
-        for name, ok in _key_factorization_checks(
-            field, m, s, mu_bits, v_bits, a_bits, q, vec=False
-        )
-        if not ok
-    ]
-    return KeyLemmaReport(
-        field=field, m=m, s=s, mu=mu_bits, v=v_bits, a=a_bits,
-        A=q["A"], B=q["B"], C=q["C"], D=q["D"], E=q["E"],
-        U1=q["U1"], U2=q["U2"], U3=q["U3"], U4=q["U4"],
-        V1=q["V1"], V2=q["V2"], V3=q["V3"], V4=q["V4"],
-        U=q["U"], V=q["V"], T=q["T"], P=q["P"], la=la,
-        factorization_failures=failures,
-    )
-
-
 @dataclass
 class KeyLemmaSweep:
-    """Aggregate of :func:`verify_key_lemma` over every nonzero point."""
+    """The key lemma's claims and factorizations at every nonzero point of
+    one tuple (s, mu, v), with the first failing points of each."""
 
     m: int
     s: int
@@ -1006,11 +765,11 @@ class KeyLemmaSweep:
 
 
 def sweep_key_lemma(m: int, s: int, mu, v) -> KeyLemmaSweep:
-    """Check every claim and factorization at every a != 0, vectorized.
+    """Check every claim and factorization at every a != 0 for one tuple.
 
-    Equivalent to folding :func:`verify_key_lemma` over the whole field
-    (the two share one quantity-evaluation body) but computed elementwise
-    on arrays, in one pass.
+    The one-tuple pass of :func:`sweep_key_lemmas`; ``mu``/``v`` follow the
+    coefficient convention (FieldElement, or an int primitive-power
+    exponent).
     """
     field, _, mu_bits, v_bits = validate_trinomial_params(m, s, mu, v)
     check_alloc(field.mult_order * _KEY_BYTES_PER_PAIR,
@@ -1064,9 +823,9 @@ def _sweep_key_group(field: Field, m: int, s: int, mus, vs) -> list[KeyLemmaSwee
     mu = np.asarray(mus, dtype=np.uint32)[:, None]
     v = np.asarray(vs, dtype=np.uint32)[:, None]
     la = field.frob_vec(a, m + s) ^ field.mul_vec(mu, field.frob_vec(a, s)) ^ a  # L(a)
-    q = _key_point_values(field, m, s, mu, v, a, la, vec=True)
-    claims_ok = functools.reduce(np.logical_and, _key_claims(field, s, q, vec=True))
-    checks = _key_factorization_checks(field, m, s, mu, v, a, q, vec=True)
+    q = _key_point_values(field, m, s, mu, v, a, la)
+    claims_ok = functools.reduce(np.logical_and, _key_claims(field, s, q))
+    checks = _key_factorization_checks(field, m, s, mu, v, a, q)
     fact_ok = functools.reduce(np.logical_and, (ok for _, ok in checks))
     claims_all = claims_ok.all(axis=1)
     fact_all = fact_ok.all(axis=1)

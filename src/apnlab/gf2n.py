@@ -392,6 +392,11 @@ class Field:
         if self.n <= _POWER_MAP_MAX_N:
             return self._power_map(e % m).take(a)
         exp, log = self._tables()
+        if e % m in (1, 2):
+            # a nonzero log times 1 or 2 stays below 2m, and a zero's log 2m
+            # lands in the zero tail, so no reduction and no mask; times 3 a
+            # nonzero log can reach the tail and a zero's passes the end
+            return exp.take(log.take(a) * (e % m))
         la = log.take(a.ravel())
         zero = la == 2 * m
         # int64 before the product: log * e overflows int32 from n = 16 on

@@ -1,6 +1,7 @@
 """Shared fixtures: cached small fields, the textbook GF(2) rank and DDT
-oracles, a Gaussian-elimination determinant over GF(2^m), the unskipped
-translate closure and an extended-run gate."""
+oracles, plain-integer GF(2^m) arithmetic with a Gaussian-elimination
+determinant and the key lemma's quantities on it, the unskipped translate
+closure and an extended-run gate."""
 
 from __future__ import annotations
 
@@ -58,6 +59,18 @@ def shift_add_mul(a: int, b: int, modulus: int) -> int:
     return out
 
 
+def shift_add_pow(a: int, e: int, modulus: int) -> int:
+    """a^e (e >= 0, 0^0 = 1) in GF(2)[x] / (modulus), by square and
+    multiply on :func:`shift_add_mul`."""
+    out = 1
+    while e:
+        if e & 1:
+            out = shift_add_mul(out, a, modulus)
+        a = shift_add_mul(a, a, modulus)
+        e >>= 1
+    return out
+
+
 def gauss_det(matrix: list[list[int]], modulus: int) -> int:
     """Determinant over GF(2^m) = GF(2)[x] / (modulus) by Gaussian
     elimination; a row swap changes no sign in characteristic 2."""
@@ -70,19 +83,78 @@ def gauss_det(matrix: list[list[int]], modulus: int) -> int:
             return 0
         a[c], a[p] = a[p], a[c]
         det = shift_add_mul(det, a[c][c], modulus)
-        inv = 1  # a^(2^m - 2), by square and multiply
-        base, e = a[c][c], order - 2
-        while e:
-            if e & 1:
-                inv = shift_add_mul(inv, base, modulus)
-            base = shift_add_mul(base, base, modulus)
-            e >>= 1
+        inv = shift_add_pow(a[c][c], order - 2, modulus)
         for r in range(c + 1, k):
             if a[r][c]:
                 q = shift_add_mul(a[r][c], inv, modulus)
                 a[r] = [x ^ shift_add_mul(q, y, modulus)
                         for x, y in zip(a[r], a[c])]
     return det
+
+
+def key_lemma_oracle(m: int, s: int, mu: int, v: int, modulus: int) -> list[dict]:
+    """The trinomial proof's displayed quantities and five claims at each
+    a = 1..2^(3m)-1, from the printed formulas in plain-integer GF(2^(3m))
+    arithmetic (``modulus`` of degree 3m): one dict per point with L(a) as
+    ``la``, A..E, U1..U4, V1..V4, U, V, T, P, and ``claims``, five bools."""
+    mult_order = (1 << (3 * m)) - 1
+    q, q2, qs = 1 << m, 1 << (2 * m), 1 << s
+    qms, q2ms = 1 << (m + s), 1 << (2 * m + s)
+
+    def mono(*pairs) -> int:
+        """The product of x^e over the (x, e) pairs, flattened."""
+        out = 1
+        for x, e in zip(pairs[::2], pairs[1::2]):
+            power = shift_add_pow(x, e % mult_order, modulus) if x else int(e == 0)
+            out = shift_add_mul(out, power, modulus)
+        return out
+
+    rows = []
+    for a in range(1, mult_order + 1):
+        la = mono(a, qms) ^ mono(mu, 1, a, qs) ^ a
+        cv = la ^ mono(v, 1, a, 1)
+        A = mono(la, 1, a, q2ms)
+        B = mono(mono(la, q) ^ mono(mu, q, la, 1), 1, a, qms)
+        C = mono(cv, 1, a, q)
+        D = mono(mu, 1, la, q, a, qs)
+        E = mono(cv, q, a, 1)
+        U1 = mono(D, q2, E, q + 1) ^ mono(A, 1, C, q2, E, q) ^ mono(B, q, C, q2 + 1)
+        U2 = mono(A, q2, E, q + 1) ^ mono(B, 1, C, q2, E, q) ^ mono(C, q2 + 1, D, q)
+        U3 = mono(B, q2, E, q + 1) ^ mono(C, q2, D, 1, E, q) ^ mono(A, q, C, q2 + 1)
+        U4 = mono(C, q2 + q + 1) ^ mono(E, q2 + q + 1)
+        V1 = (mono(A, q2 + 2, C, q) ^ mono(A, 1, B, 1, C, q, D, q2)
+              ^ mono(A, 1, B, q + 1, E, q2) ^ mono(A, 2, D, q, E, q2))
+        V2 = (mono(A, q2 + 2, E, q) ^ mono(A, 1, B, 1, D, q2, E, q)
+              ^ mono(A, q2 + 1, B, q, C, 1) ^ mono(A, 1, C, 1, D, q2 + q))
+        V3 = (mono(A, q2 + 1, B, q, E, 1) ^ mono(A, 1, B, q + 1, C, q2)
+              ^ mono(A, 2, C, q2, D, q) ^ mono(A, 1, D, q2 + q, E, 1))
+        V4 = (mono(mono(B, q + 1) ^ mono(A, 1, D, q), 1,
+                   mono(A, 1, B, q2) ^ mono(D, q2 + 1), 1)
+              ^ mono(mono(A, q2 + 1) ^ mono(B, 1, D, q2), 1,
+                     mono(A, q + 1) ^ mono(B, q, D, 1), 1))
+        U = (mono(mu, q, a, qms + 1) ^ mono(a, q2ms + 1) ^ mono(a, qms + q)
+             ^ mono(mu, q + 1, a, q2 + qms) ^ mono(mu, q2 + 1, a, q2ms + q)
+             ^ mono(mu, 1, a, q2ms + q2))
+        V = (mono(a, q + qs) ^ mono(mu, q, a, q2 + qms)
+             ^ mono(mu, q2, a, q2ms + q) ^ mono(a, q2ms + q2))
+        T = (mono(mono(mu, q2 + q + 1) ^ 1, 1, a, qs) ^ mono(mu, q2 + q, a, 1)
+             ^ mono(mu, q2, a, q) ^ mono(a, q2))
+        P = mono(a, q2ms) ^ mono(mu, q, a, qms)
+        lead = mono(U2, 1, V1, qs) ^ mono(U1, 1, V2, qs)
+        claims = (
+            A ^ B ^ C ^ D ^ E == 0 and 0 not in (A, B, C, D, E, C ^ E),
+            0 not in (U1, V1, U2, V2, U3, V3),
+            U4 == 0 and V4 == 0,
+            lead ^ mono(U3, 1, V1, qs) ^ mono(U1, 1, V3, qs) == 0,
+            lead != 0,
+        )
+        rows.append({
+            "la": la, "A": A, "B": B, "C": C, "D": D, "E": E,
+            "U1": U1, "U2": U2, "U3": U3, "U4": U4,
+            "V1": V1, "V2": V2, "V3": V3, "V4": V4,
+            "U": U, "V": V, "T": T, "P": P, "claims": claims,
+        })
+    return rows
 
 
 def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:

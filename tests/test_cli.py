@@ -545,15 +545,14 @@ def test_verify_key_failures_keep_tuple_order_and_cap(capsys, monkeypatch,
     forced[heavy] = list(range(3, 63, 3))
     claims, seen = analysis._key_claims, [0]
 
-    def forced_claims(field, s, q, vec):
-        out = claims(field, s, q, vec)
-        if vec:
-            first = out[0].copy()
-            for row in range(first.shape[0]):
-                for a in forced.get(seen[0] + row, ()):
-                    first[row, a - 1] = False
-            seen[0] += first.shape[0]
-            out[0] = first
+    def forced_claims(field, s, q):
+        out = claims(field, s, q)
+        first = out[0].copy()
+        for row in range(first.shape[0]):
+            for a in forced.get(seen[0] + row, ()):
+                first[row, a - 1] = False
+        seen[0] += first.shape[0]
+        out[0] = first
         return out
 
     code, clean, _ = run(capsys, "verify", "--lemma", "key", "--m", "2")

@@ -248,6 +248,23 @@ def test_vector_kernels_match_table_free_scalar_ops(n):
                for t in f._maps.values())
 
 
+def test_small_powers_above_the_map_limit_cover_the_whole_field():
+    # n = 17 takes powers by log arithmetic; e = 1 and 2 (mod 2^n - 1) skip
+    # the reduction and the zero mask, which only the zero tail makes safe
+    f = get_field(17)
+    m = f.mult_order
+    a = f.all_elements_vec().reshape(2, -1)
+    sq = f.mul_vec(a, a)
+    for e, want in ((1, a), (m + 1, a), (2, sq), (2 * m + 2, sq),
+                    (3, f.mul_vec(sq, a)), (m + 3, f.mul_vec(sq, a))):
+        got = f.pow_vec(a, e)
+        assert got.shape == a.shape and got.dtype == np.uint32, e
+        assert np.array_equal(got, want), e
+    nz = a.ravel()[1:]
+    assert np.all(f.mul_vec(f.pow_vec(nz, -1), nz) == 1)
+    assert np.array_equal(f.inv_vec(nz), f.pow_vec(nz, m - 1))
+
+
 def test_field_keeps_a_bounded_set_of_power_maps(monkeypatch):
     # room for three maps of GF(2^6): a fourth exponent replaces the oldest,
     # and every power is still right
