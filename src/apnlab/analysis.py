@@ -77,8 +77,9 @@ _KEY_MIN_PART_PAIRS = 1 << 13
 #: (tracemalloc, m = 3): 301 B over 5,292 tuples, 307 B over 882.
 _KEY_BYTES_PER_TUPLE = 384
 #: Peak bytes per (tuple, point) pair of one key-lemma pass.  Measured
-#: (tracemalloc, full passes): 144.9 B at m = 3, 145.5 B at m = 4.
-_KEY_BYTES_PER_PAIR = 160
+#: (tracemalloc, full passes, results included): 120.1 B at m = 3, and
+#: 141.4 B at m = 4, of which the 16,380 results are about 24 B.
+_KEY_BYTES_PER_PAIR = 128
 
 #: Points per pass of the resultant sweep, rounded down to whole rows of
 #: 2^m points (one row per (a, b) pair).  At m = 7 on a 2-core x86-64 host
@@ -305,7 +306,7 @@ def brute_cubic_root_count(field: Field, a, b) -> int:
     a = field.coerce(a)
     b = field.coerce(b)
     zs = field.all_elements_vec()
-    vals = field.pow_vec(zs, 3) ^ field.mul_scalar_vec(a, zs) ^ b
+    vals = field.pow_vec(zs, 3) ^ field.mul_vec(a, zs) ^ b
     return int((vals == 0).sum())
 
 
@@ -471,7 +472,7 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     per_pass = min(pairs, max(1, _RESULTANT_POINTS_PER_PASS // order))
     check_alloc(per_pass * order * _RESULTANT_BYTES_PER_POINT,
                 f"resultant check at m={m} (one pass of {per_pass * order} points)")
-    field._tables()  # built once, before the ranges share them
+    field._product_table()  # the tables, built once before the ranges share them
     min_part = -(-_RESULTANT_MIN_PART_POINTS // order)  # rows
     mismatches: list[tuple[int, int, int]] = []
     const_zeros: set[tuple[int, int]] = set()
@@ -708,30 +709,31 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
         mul(v_bits, ap((1 << (2 * m + s + 1)) + (1 << (m + s)))),
         mul(q["la"], q["T"]),
     )
-    pairs = [
+    # each side is compared as it is made, so a pass holds one product
+    # form at a time, not ten
+    return [
         ("U1 = v a^(2^m) C^(2^2m) (a^(2^s) U)^(2^2m)",
-         (q["U1"], mul(vcb, pw(asu, q2)))),
+         q["U1"] == mul(vcb, pw(asu, q2))),
         ("U1 = v a^(2^(2m+s)+2^m) C^(2^2m) U^(2^2m)",
-         (q["U1"], mul(mul(v_bits, ap((1 << (2 * m + s)) + qm)),
-                       mul(pw(q["C"], q2), pw(q["U"], q2))))),
+         q["U1"] == mul(mul(v_bits, ap((1 << (2 * m + s)) + qm)),
+                        mul(pw(q["C"], q2), pw(q["U"], q2)))),
         ("U2 = v a^(2^m) C^(2^2m) (a^(2^s) U)^(2^m)",
-         (q["U2"], mul(vcb, pw(asu, qm)))),
+         q["U2"] == mul(vcb, pw(asu, qm))),
         ("U3 = v a^(2^m) C^(2^2m) (a^(2^s) U)",
-         (q["U3"], mul(vcb, asu))),
+         q["U3"] == mul(vcb, asu)),
         ("V1 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)^(2^2m)",
-         (q["V1"], mul(vlt, pw(av, q2)))),
+         q["V1"] == mul(vlt, pw(av, q2))),
         ("V2 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)^(2^m)",
-         (q["V2"], mul(vlt, pw(av, qm)))),
+         q["V2"] == mul(vlt, pw(av, qm))),
         ("V3 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)",
-         (q["V3"], mul(vlt, av))),
+         q["V3"] == mul(vlt, av)),
         ("V = a^(2^2m) P + a^(2^m) P^(2^m)",
-         (q["V"], mul(ap(q2), q["P"]) ^ mul(ap(qm), pw(q["P"], qm)))),
+         q["V"] == mul(ap(q2), q["P"]) ^ mul(ap(qm), pw(q["P"], qm))),
         ("U = V^(2^2m) + mu V",
-         (q["U"], pw(q["V"], q2) ^ mul(mu_bits, q["V"]))),
+         q["U"] == pw(q["V"], q2) ^ mul(mu_bits, q["V"])),
         ("E = C^(2^m) a^(1-2^2m)",
-         (q["E"], mul(pw(q["C"], qm), pw(a, 1 - q2)))),
+         q["E"] == mul(pw(q["C"], qm), pw(a, 1 - q2))),
     ]
-    return [(name, lhs == rhs) for name, (lhs, rhs) in pairs]
 
 
 @dataclass
@@ -802,7 +804,7 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
                 + per_pass * field.mult_order * _KEY_BYTES_PER_PAIR,
                 f"key verifier at m={m} ({count} tuples and a pass of "
                 f"{per_pass})")
-    field._tables()  # built once, before the ranges share them
+    field._product_table()  # the tables, built once before the ranges share them
     min_part = max(1, _KEY_MIN_PART_PAIRS // field.mult_order)
     out: list[KeyLemmaSweep] = []
     for t, mus in groups:

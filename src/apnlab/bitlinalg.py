@@ -52,6 +52,11 @@ _MIN_PART_ROWS = 256
 #: word and mask (3 x 8 B) and its share of its block's 256-entry uint8
 #: index map (256 / 8 B).
 _ROW_INDEX_BYTES = 3 * 8 + 256 // 8
+#: Bytes per chunk row of a reduction's temporaries while it reads a block's
+#: pivot bits: the row's 8 pivot words and their masked copy (64 B each),
+#: their flags, packed bits and table index.  Measured (tracemalloc, 2048
+#: rows of 16 words): 155 B per row.
+_PIVOT_BIT_BYTES = 160
 
 # Butterfly masks: bit positions whose t-th index bit is 0.
 _BFLY = (
@@ -210,38 +215,41 @@ class GF2Basis:
         rewritten, so the view keeps its values while the basis grows."""
         return self._rows[: self.count]
 
-    def _room(self, extra: int, copies: int, what: str) -> int:
+    def _room(self, extra: int, copies: int, what: str, held: int = 0) -> int:
         """Capacity that holds ``extra`` more rows: 256 rows, doubled as
         needed.
 
         Raises :class:`MemoryBudgetError` when the basis at that capacity
         (with the arrays it grows out of, while it copies), its per-row pivot
-        arrays and index maps, ``copies`` chunks of ``extra`` rows, the
-        tables of every worker such a chunk can use and the slice of table
-        rows each of its workers gathers would exceed the budget read at
+        arrays and index maps, ``copies`` chunks of ``extra`` rows, their
+        pivot-bit temporaries, the tables of every worker such a chunk can
+        use, the slice of table rows each of its workers gathers and
+        ``held`` bytes of the caller's would exceed the budget read at
         construction.
         """
         have = self._rows.shape[0]
         cap = max(have, 256)
         while cap < self.count + extra:
             cap *= 2
-        held = cap + have if cap > have else have
+        rows = cap + have if cap > have else have
         parts = _parts(extra, _MIN_PART_ROWS)
         tables = max(len(self._tables), parts)
         row = self.words * 8
         gathers = parts * min(_SLICE_BYTES, -(-extra // parts) * row)
-        check_alloc(held * (row + _ROW_INDEX_BYTES) + gathers
+        check_alloc(rows * (row + _ROW_INDEX_BYTES) + gathers + held
+                    + extra * _PIVOT_BIT_BYTES
                     + (copies * extra + 256 * tables) * row,
                     f"{what} (basis, {copies} chunks and {tables} tables)",
                     self._budget)
         return cap
 
-    def check_absorb(self, rows: int, copies: int) -> None:
+    def check_absorb(self, rows: int, copies: int, held: int = 0) -> None:
         """Before a caller makes ``copies`` copies of a ``rows``-row chunk to
         absorb: raise :class:`MemoryBudgetError` when those copies, the
-        basis's own copy of the chunk, its growth and its tables would exceed
-        the budget."""
-        self._room(rows, copies + 1, f"{copies} copies of {rows} rows to absorb")
+        basis's own copy of the chunk, its growth and its tables, with
+        ``held`` bytes the caller keeps meanwhile, would exceed the budget."""
+        self._room(rows, copies + 1, f"{copies} copies of {rows} rows to absorb",
+                   held)
 
     def _take_chunk(self, rows: np.ndarray) -> np.ndarray:
         """Copy ``rows`` for reduction and make room for them in the basis,

@@ -334,8 +334,8 @@ def _build_f3(field: Field, params: dict) -> UnivariatePoly:
     unit_circle = xs[field.pow_vec(xs, q + 1) == 1]
     val = (
         field.pow_vec(unit_circle, (1 << i) + 1)
-        ^ field.mul_scalar_vec(c_bits, field.pow_vec(unit_circle, 1 << i))
-        ^ field.mul_scalar_vec(cq, unit_circle)
+        ^ field.mul_vec(c_bits, field.pow_vec(unit_circle, 1 << i))
+        ^ field.mul_vec(cq, unit_circle)
         ^ 1
     )
     _require(
@@ -538,7 +538,7 @@ def _build_bivariate_known(
             not _poly_has_root(
                 component,
                 lambda zs: component.pow_vec(zs, e)
-                ^ component.mul_scalar_vec(a, zs)
+                ^ component.mul_vec(a, zs)
                 ^ b,
             ),
             "P1(z)=z^(2^k+1)+az+b has no root in GF(2^m)",
@@ -563,8 +563,8 @@ def _build_bivariate_known(
 
         def p2(zs):
             inner = (
-                component.mul_scalar_vec(c, component.pow_vec(zs, e))
-                ^ component.mul_scalar_vec(b, component.pow_vec(zs, 1 << i))
+                component.mul_vec(c, component.pow_vec(zs, e))
+                ^ component.mul_vec(b, component.pow_vec(zs, 1 << i))
                 ^ 1
             )
             return component.pow_vec(inner, (1 << h) + 1) ^ component.pow_vec(

@@ -2,11 +2,11 @@
 
 Field elements are integers in ``[0, 2^n)`` whose bits are the coefficients of
 the polynomial representative (bit i = coefficient of x^i).  A :class:`Field`
-carries the modulus, lazily built log/exp tables and, for n <= 16, one lazily
-built map x -> x^e per exponent in use; :class:`FieldElement` is a thin
-operator-overloading wrapper used by the symbolic layers.  Bulk paths (truth
-tables, difference counting, rank feeds) work on numpy integer arrays through
-the ``*_vec`` methods.
+carries the modulus, lazily built log/exp tables, for n <= 10 a lazily built
+table of all products and, for n <= 16, one lazily built map x -> x^e per
+exponent in use; :class:`FieldElement` is a thin operator-overloading wrapper
+used by the symbolic layers.  Bulk paths (truth tables, difference counting,
+rank feeds) work on numpy integer arrays through the ``*_vec`` methods.
 """
 
 from __future__ import annotations
@@ -70,6 +70,12 @@ _MAX_TABLE_N = 24  # log/exp tables are built only up to this size
 #: Peak bytes per element of a table build: exp 16, log 4, log's index run 4.
 #: Measured (tracemalloc): 24.02 B at n = 22, 20.0 B held afterwards.
 _TABLE_BYTES_PER_ELEMENT = 24
+#: Largest n whose :meth:`Field.mul_vec` gathers through the table of all
+#: products (4 B per pair, 4 MiB at n = 10); larger fields add logs.
+_PRODUCT_TABLE_MAX_N = 10
+#: Elements of a product table built per step (a block of rows), so the
+#: build's temporaries stay at 512 KiB whatever the field.
+_PRODUCT_BLOCK_ELEMENTS = 1 << 15
 #: Largest n whose :meth:`Field.pow_vec` gathers through a map x -> x^e
 #: (4 B per element, 256 KiB at n = 16); larger fields multiply logs.
 _POWER_MAP_MAX_N = 16
@@ -165,7 +171,7 @@ class Field:
     """
 
     __slots__ = ("n", "modulus", "order", "mult_order", "primitive",
-                 "_exp", "_log", "_maps", "_maps_lock")
+                 "_exp", "_log", "_products", "_maps", "_lock")
 
     def __init__(self, n: int, modulus: int | None = None):
         if not 1 <= n <= 64:
@@ -185,8 +191,9 @@ class Field:
         self.mult_order = self.order - 1
         self._exp: np.ndarray | None = None
         self._log: np.ndarray | None = None
+        self._products: np.ndarray | None = None  # entry (a << n) | b = a * b
         self._maps: dict[int, np.ndarray] = {}  # e mod (2^n - 1) -> x^e
-        self._maps_lock = threading.Lock()
+        self._lock = threading.Lock()  # one build of each table and map
         self.primitive = self._find_primitive()
 
     # -- identity ----------------------------------------------------------
@@ -350,14 +357,73 @@ class Field:
     def all_elements_vec(self) -> np.ndarray:
         return np.arange(self.order, dtype=np.uint32)
 
-    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two arrays of field elements (broadcasting)."""
-        exp, log = self._tables()
-        return exp.take(log.take(a) + log.take(b))
+    def _product_table(self) -> np.ndarray | None:
+        """The table of all products, entry ``(a << n) | b`` = a * b, for
+        n <= ``_PRODUCT_TABLE_MAX_N`` (None above); the log/exp tables are
+        built first either way, so a split pass calls this before its ranges
+        share the tables.
 
-    def mul_scalar_vec(self, c: int, a: np.ndarray) -> np.ndarray:
-        """Elementwise c * a for a scalar field element c."""
-        return self.mul_vec(c, a)
+        Built once, under the field's lock, so the ranges of a split pass
+        that meet it unbuilt share one build, and in blocks of rows, so the
+        log sums never take a temporary of the table's size.
+        """
+        table = self._products
+        if table is None:
+            exp, log = self._tables()
+            if self.n > _PRODUCT_TABLE_MAX_N:
+                return None
+            with self._lock:
+                table = self._products
+                if table is None:
+                    order = self.order
+                    rows = min(order, _PRODUCT_BLOCK_ELEMENTS >> self.n)
+                    # a block's int32 log sums, take's intp copy of them
+                    # and its buffered output: 16 B an entry
+                    check_alloc((4 << 2 * self.n) + 16 * rows * order,
+                                f"GF(2^{self.n}) product table")
+                    table = np.empty(order * order, dtype=np.uint32)
+                    for lo in range(0, order, rows):
+                        hi = min(order, lo + rows)
+                        exp.take(log[lo:hi, None] + log,
+                                 out=table[lo * order: hi * order].reshape(-1, order))
+                    self._products = table
+        return table
+
+    def _uint32(self, a: np.ndarray) -> np.ndarray:
+        """Integer array ``a`` as uint32; IndexError for another dtype or an
+        entry outside ``[0, 2^n)``, which the cast could wrap into it."""
+        if a.dtype.kind not in "biu" or (
+                a.size and (a.min() < 0 or a.max() >= self.order)):
+            raise IndexError(f"GF(2^{self.n}) operands are ints in [0, 2^{self.n})")
+        return a.astype(np.uint32)
+
+    def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of two arrays of field elements (broadcasting;
+        either may be an int).
+
+        Up to n = 10 one gather through the table of all products; above,
+        log arithmetic.  An operand outside ``[0, 2^n)`` raises IndexError.
+        """
+        table = self._product_table()
+        if table is None:
+            exp, log = self._tables()
+            return exp.take(log.take(a) + log.take(b))
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype != np.uint32 or b.dtype != np.uint32:
+            a, b = self._uint32(a), self._uint32(b)
+        if a.size > b.size:
+            # the product commutes: shift the operand with fewer entries,
+            # a (P, 1) column rather than the grid it is broadcast against
+            a, b = b, a
+        # a flat index has no room for b >= 2^n, and a << n wraps from
+        # a >= 2^(32-n): neither may reach the gather
+        if a.size and (a.max() >= self.order or b.max() >= self.order):
+            raise IndexError(f"GF(2^{self.n}) operands are ints in [0, 2^{self.n})")
+        return table.take((a << self.n) | b)
+
+    #: c * a for a scalar c: the same call as :meth:`mul_vec`, kept under
+    #: this name because the benchmark's tracer wraps it by name.
+    mul_scalar_vec = mul_vec
 
     def _power_map(self, r: int) -> np.ndarray:
         """The map x -> x^r over all 2^n elements (0 -> 0), for 0 <= r <
@@ -366,7 +432,7 @@ class Field:
         table = self._maps.get(r)
         if table is None:
             exp, log = self._tables()
-            with self._maps_lock:
+            with self._lock:
                 table = self._maps.get(r)
                 if table is None:
                     check_alloc(4 << self.n, f"GF(2^{self.n}) map x -> x^{r}")
@@ -622,7 +688,7 @@ class SubfieldMap:
         m = component.n
         xs = np.repeat(self._sub, component.order)       # embed(x), x major
         ys = np.tile(self._sub, component.order)         # embed(y), y minor
-        pair = xs ^ parent.mul_scalar_vec(beta, ys)
+        pair = xs ^ parent.mul_vec(beta, ys)
         self._embed = pair  # index (x << m) | y
         split = np.empty(parent.order, dtype=np.uint32)
         split[pair] = np.arange(parent.order, dtype=np.uint32)

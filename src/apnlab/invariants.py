@@ -48,6 +48,10 @@ __all__ = [
 #: ``np.take``'s result or a butterfly step's two temporaries (tracemalloc:
 #: 3.0 chunks at the peak of ``xor_permute_columns``).
 _CHUNK_COPIES = 3
+#: Bytes per basis row of the closure's labels while a chunk is absorbed:
+#: the round's labels, the labels it has grown and the index array whose
+#: first chunk is the live snapshot rows (8 B each).
+_LABEL_BYTES = 24
 #: Bytes per code-matrix column, besides its 2n+1 entries of 1 B, while the
 #: matrix is built: the column's element and image (uint32 each) and two
 #: uint32 temporaries of one bit-row (tracemalloc: 57.0 B per column at
@@ -172,7 +176,8 @@ def _translate_closure_rank(f: FunctionTable) -> int:
             take = pos + live
             pos = int(take[-1]) + 1
             gave = np.zeros(take.size, dtype=bool)
-            basis.check_absorb(take.size, _CHUNK_COPIES)
+            basis.check_absorb(take.size, _CHUNK_COPIES,
+                               _LABEL_BYTES * (basis.count + take.size) + dead.nbytes)
             basis.absorb(xor_permute_columns(basis.rows_view()[take], 1 << t,
                                              side), out=gave)
             grown.append(labels[take[gave]] | (1 << t))

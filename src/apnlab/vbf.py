@@ -123,7 +123,7 @@ class UnivariatePoly:
         f = self.field
         acc = np.zeros(np.asarray(zs).shape, dtype=np.uint32)
         for c, e in self.terms:
-            acc = acc ^ f.mul_scalar_vec(c, f.pow_vec(zs, e))
+            acc = acc ^ f.mul_vec(c, f.pow_vec(zs, e))
         return acc
 
     def to_table(self) -> FunctionTable:
@@ -208,7 +208,7 @@ class LinearizedPoly:
         cur = np.asarray(zs, dtype=np.uint32)
         for c in self.coeffs:
             if c:
-                acc = acc ^ f.mul_scalar_vec(c, cur)
+                acc = acc ^ f.mul_vec(c, cur)
             cur = f.sqr_vec(cur)
         return acc
 
@@ -279,8 +279,8 @@ class BivariateFunc:
         f = self.field
         acc = np.zeros(np.asarray(xs).shape, dtype=np.uint32)
         for c, ex, ey in terms:
-            acc = acc ^ f.mul_scalar_vec(c, f.mul_vec(f.pow_vec(xs, ex),
-                                                      f.pow_vec(ys, ey)))
+            acc = acc ^ f.mul_vec(c, f.mul_vec(f.pow_vec(xs, ex),
+                                               f.pow_vec(ys, ey)))
         return acc
 
     def eval(self, x: int | FieldElement, y: int | FieldElement) -> tuple[int, int]:

@@ -247,10 +247,11 @@ def test_basis_respects_budget(monkeypatch):
 
 def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
     # 16 rows of 8 words: the 256-row basis (30 KiB with its pivot arrays
-    # and index maps), the chunk copy and its gathered slice of table rows
-    # fit; one 256-entry table (16 KiB) more does not
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB",
-                       str((BASIS_256_BYTES + 2 * 16 * 64) / GIB))
+    # and index maps), the chunk copy, its gathered slice of table rows and
+    # its pivot-bit temporaries fit; one 256-entry table (16 KiB) more does
+    # not
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(
+        (BASIS_256_BYTES + 16 * (2 * 64 + bitlinalg._PIVOT_BIT_BYTES)) / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="1 tables"):
         basis.absorb(pack(np.eye(16, 512, dtype=np.uint8)))
@@ -268,15 +269,19 @@ def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
 
 def test_check_absorb_counts_the_callers_copies(monkeypatch):
     # absorbing 16 rows of 8 words takes the 256-row basis, one chunk copy,
-    # its gathered slice and one table, exactly the budget; two more copies
-    # of the chunk do not fit beside them
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB",
-                       str((BASIS_256_BYTES + (16 + 16 + 256) * 64) / GIB))
+    # its gathered slice, its pivot-bit temporaries and one table, with
+    # 1000 bytes the caller holds exactly the budget; two more copies of the
+    # chunk, or one byte more held, do not fit beside them
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(
+        (BASIS_256_BYTES + (16 + 16 + 256) * 64
+         + 16 * bitlinalg._PIVOT_BIT_BYTES + 1000) / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="3 chunks and 1 tables"):
         basis.check_absorb(16, 2)
+    with pytest.raises(MemoryBudgetError, match="1 chunks and 1 tables"):
+        basis.check_absorb(16, 0, 1001)
     assert basis._rows.nbytes == 0
-    basis.check_absorb(16, 0)
+    basis.check_absorb(16, 0, 1000)
     assert basis.absorb(pack(np.eye(16, 512, dtype=np.uint8))) == 16
     # the per-row arrays are what _ROW_INDEX_BYTES counts
     per_row = (basis._piv_col, basis._piv_word, basis._piv_mask,

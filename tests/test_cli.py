@@ -642,3 +642,22 @@ def test_stdout_is_byte_identical_across_runs(capsys):
     main(list(argv))
     second = capsys.readouterr().out
     assert first == second and first.strip()
+
+
+@pytest.mark.parametrize("value", [
+    {},
+    [],
+    {"empty_list": [], "empty_dict": {}, "nested": {"a": {"b": [[], {}]}}},
+    {"escaped": 'quote " backslash \\ newline \n tab \t nul \x00 é ☃ , [x]',
+     "strings": ["a, b", "[c]", "{d}", ""]},
+    {"floats": [1.5, -0.0, 1e300, 2.0, float("nan"), float("inf"),
+                -float("inf")],
+     "flags": [True, False, None], "mixed": [1, True, None, 2.5, "s"]},
+    {"ints": list(range(-3, 40)), "rows": [[1, 2], [3], []],
+     "records": [{"s": 1, "mu": [5, 7]}, {"s": 2, "mu": []}], "pair": (1, 2),
+     "tail": [1, [2, {"k": [3]}]]},
+    {"non_str_keys": {1: "a", 2.5: [True], None: {}, False: 0}},
+    [[[]]], "top-level string", 7, 3.25, None, True,
+])
+def test_emitter_matches_json_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)

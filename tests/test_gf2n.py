@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apnlab import bitlinalg, gf2n
-from apnlab.errors import PreconditionError
+from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.gf2n import (
     DEFAULT_MODULI,
     Field,
@@ -26,7 +26,7 @@ from apnlab.gf2n import (
     trace,
 )
 
-from conftest import get_field
+from conftest import get_field, shift_add_mul
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def test_vector_ops_match_scalar(n):
                for x, p in zip(f.trace_vec(1, a), a))
     c = int(b[0])
     assert all(int(x) == f.mul(c, int(p))
-               for x, p in zip(f.mul_scalar_vec(c, a), a))
+               for x, p in zip(f.mul_vec(c, a), a))
 
 
 @pytest.mark.parametrize("n", [1, 8, 16, 17, 21, 24])
@@ -224,7 +224,7 @@ def test_vector_kernels_match_table_free_scalar_ops(n):
     assert f.mul_vec(a, b).tolist() == [oracle.mul(p, q) for p, q in pairs]
     assert f.sqr_vec(a).tolist() == [oracle.mul(p, p) for p in a.tolist()]
     for c in {0, 1, m, int(b[-1])}:
-        assert f.mul_scalar_vec(c, a).tolist() == [oracle.mul(c, p)
+        assert f.mul_vec(c, a).tolist() == [oracle.mul(c, p)
                                                    for p in a.tolist()]
     # one row per left operand, broadcast against the whole right operand
     grid = f.mul_vec(a[:6, None], b)
@@ -309,6 +309,113 @@ def test_power_maps_built_by_split_ranges_at_once_match_one_thread(monkeypatch):
     assert all(np.array_equal(shared._maps[r], serial._maps[r])
                for r in serial._maps)
     assert len(builds) == len(set(builds)) == len(serial._maps)
+
+
+# ---------------------------------------------------------------------------
+# the product table: mul_vec up to n = 10, against shift-and-add on ints
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_product_table_holds_every_product(n):
+    f = Field(n)
+    x = f.all_elements_vec()
+    want = [[shift_add_mul(a, b, f.modulus) for b in range(f.order)]
+            for a in range(f.order)]
+    got = f.mul_vec(x[:, None], x)
+    assert got.dtype == np.uint32 and got.tolist() == want
+    assert f._products.shape == (f.order * f.order,)
+
+
+@pytest.mark.parametrize("n", [10, 11])
+def test_mul_vec_samples_on_both_sides_of_the_table_cap(n):
+    f = Field(n)
+    rng = np.random.default_rng(n)
+    a = rng.integers(0, f.order, 2000, dtype=np.uint32)
+    b = rng.integers(0, f.order, 2000, dtype=np.uint32)
+    a[:4] = b[-4:] = [0, 1, f.order - 1, f.primitive]
+    want = [shift_add_mul(p, q, f.modulus) for p, q in zip(a.tolist(), b.tolist())]
+    assert f.mul_vec(a, b).tolist() == want
+    assert f.mul_vec(b, a).tolist() == want
+    assert (f._products is None) == (n > gf2n._PRODUCT_TABLE_MAX_N)
+
+
+@pytest.mark.parametrize("n", [5, 10, 11])
+def test_mul_vec_broadcasts_scalars_columns_and_rows(n):
+    f = Field(n)
+    rng = np.random.default_rng(3 * n)
+    col = rng.integers(0, f.order, (7, 1), dtype=np.uint32)
+    row = rng.integers(0, f.order, 300, dtype=np.uint32)
+    grid = f.mul_vec(col, row)
+    assert grid.shape == (7, 300) and grid.dtype == np.uint32
+    assert grid.tolist() == [[shift_add_mul(c, r, f.modulus) for r in row.tolist()]
+                             for c in col.ravel().tolist()]
+    assert np.array_equal(f.mul_vec(row, col), grid)
+    for c in (0, 1, f.order - 1, int(col[0, 0])):
+        want = [shift_add_mul(c, r, f.modulus) for r in row.tolist()]
+        assert f.mul_vec(c, row).tolist() == want
+        assert f.mul_vec(row, c).tolist() == want
+        assert f.mul_vec(np.int64(c), row.astype(np.int64)).tolist() == want
+    assert int(f.mul_vec(3, 5)) == shift_add_mul(3, 5, f.modulus)
+    assert f.mul_vec(row[:0], row[:0]).size == 0
+
+
+def test_product_table_built_by_split_ranges_at_once_is_built_once(monkeypatch):
+    # three ranges of a split meet the unbuilt table at once (a build that
+    # takes 10 ms lets the others see it unbuilt); one build serves them all
+    f = Field(10)
+    f._tables()
+    x = f.all_elements_vec()
+    want = [shift_add_mul(a, 0x2A5, f.modulus) for a in x.tolist()]
+    builds = []
+    count = gf2n.check_alloc
+
+    def counted(nbytes, what, budget=None):
+        builds.append(what)
+        time.sleep(0.01)
+        return count(nbytes, what, budget)
+
+    monkeypatch.setattr(gf2n, "check_alloc", counted)
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        ranges = bitlinalg.split_run(
+            lambda _, lo, hi: (f.mul_vec(x, 0x2A5), f._products), 3, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [got.tolist() for got, _ in ranges] == [want] * 3
+    assert all(table is f._products for _, table in ranges)
+    assert builds == ["GF(2^10) product table"]
+
+
+def test_product_table_is_sized_before_it_is_built(monkeypatch):
+    # 4 MiB of products at n = 10 under a 1 MiB budget: refused, nothing kept
+    f = Field(10)
+    f._tables()
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
+    with pytest.raises(MemoryBudgetError, match=r"^GF\(2\^10\) product table"):
+        f.mul_vec(f.all_elements_vec(), 3)
+    assert f._products is None
+
+
+@pytest.mark.parametrize("n", [7, 10, 11])
+def test_mul_vec_refuses_operands_outside_the_field(n):
+    f = Field(n)
+    x = f.all_elements_vec()
+    bad = [f.order, f.order + 1, 1 << (32 - n), (1 << 32) - 1]
+    for v in bad:
+        for a, b in ((x, v), (v, x), (x[:, None], v), (np.uint32(v), x[:3])):
+            with pytest.raises(IndexError):
+                f.mul_vec(a, b)
+        arr = x.copy()
+        arr[-1] = v
+        for a, b in ((arr, x), (x, arr), (arr[:, None], x[:5]), (x[:5], arr[:, None])):
+            with pytest.raises(IndexError):
+                f.mul_vec(a, b)
+    if n <= gf2n._PRODUCT_TABLE_MAX_N:
+        for a in (-1, np.array([1, -1]), np.array([1.0, 2.0])):
+            with pytest.raises(IndexError):
+                f.mul_vec(a, x[:2])
 
 
 def test_log_readers_keep_their_output():

@@ -149,9 +149,9 @@ def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
     budget = (absorbed + peak) // 2
     assert absorbed < budget < peak
 
-    def recording_absorb_check(self, rows, copies):
+    def recording_absorb_check(self, rows, copies, held=0):
         events.append("check")
-        real_absorb_check(self, rows, copies)
+        real_absorb_check(self, rows, copies, held)
 
     monkeypatch.setattr(bitlinalg.GF2Basis, "check_absorb", recording_absorb_check)
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / (1 << 30)))
