@@ -74,7 +74,7 @@ def mem_budget_bytes() -> int:
     of 12 GiB and 0.8 x the MemAvailable of ``/proc/meminfo``."""
     text = os.environ.get("APNLAB_MEM_BUDGET_GIB")
     if text is None:
-        return int(min(12 << 30, 0.8 * _mem_available_bytes()))
+        return int(min(12 << 30, 0.8 * _meminfo_bytes(("MemAvailable",))))
     try:
         gib = float(text)
     except ValueError:
@@ -93,12 +93,13 @@ def check_alloc(nbytes: int, what: str, budget: int | None = None) -> None:
         raise MemoryBudgetError(f"{what} needs {nbytes} bytes, budget is {limit}")
 
 
-def _mem_available_bytes(path: str = "/proc/meminfo") -> float:
-    """MemAvailable in bytes, or infinity where ``path`` does not give it."""
+def _meminfo_bytes(keys: tuple[str, ...], path: str = "/proc/meminfo") -> float:
+    """Sum of the ``keys`` fields of ``path`` in bytes, or infinity where
+    ``path`` does not give them all."""
     try:
         with open(path, encoding="ascii") as fh:
             fields = dict(line.split(":", 1) for line in fh)
-        return int(fields["MemAvailable"].split()[0]) << 10
+        return sum(int(fields[key].split()[0]) for key in keys) << 10
     except (OSError, ValueError, KeyError, IndexError):
         return math.inf
 
@@ -173,15 +174,16 @@ def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
 
 
 class GF2Basis:
-    """Growing echelon basis of a GF(2) row space.
+    """Echelon basis of a GF(2) row space in one row store, reserved once.
 
     Invariants: every stored row was fully reduced against the rows stored
     before it, and a stored row is never rewritten, so ``rows_view`` of a
     past moment stays valid.  Each finished block of 8 rows carries an index
     map: entry ``h`` is the combination of block rows whose pivot bits are
     ``h`` (the inverse of the block's unitriangular pivot-bit map).
-    ``absorb`` reduces incoming rows in chunks and appends the survivors; the
-    final ``rank`` equals the rank of everything absorbed.
+    ``absorb`` stages incoming rows in chunks after the stored rows, reduces
+    them there and moves the survivors down; the final ``rank`` equals the
+    rank of everything absorbed.
     """
 
     #: Elimination backend, recorded by benchmark run metadata.
@@ -192,14 +194,12 @@ class GF2Basis:
             raise PreconditionError("column count must be positive")
         self.cols = cols
         self.words = _words_for(cols)
-        # read once: the default follows MemAvailable, which the basis lowers
-        self._budget = mem_budget_bytes()
-        # empty until the first absorb has sized its room against the budget
-        self._rows = np.zeros((0, self.words), dtype=np.uint64)
-        self._piv_col = np.zeros(0, dtype=np.int64)
-        self._piv_word = np.zeros(0, dtype=np.int64)
-        self._piv_mask = np.zeros(0, dtype=np.uint64)
-        self._index_map = np.zeros((0, 256), dtype=np.uint8)
+        # read once: the default follows MemAvailable, which the basis lowers;
+        # the OS refuses a store past RAM and swap
+        self._budget = int(min(mem_budget_bytes(),
+                               _meminfo_bytes(("MemTotal", "SwapTotal"))))
+        # empty until the first absorb has checked its rows against the budget
+        self._reserve(0)
         self.count = 0
         self._tables: list[np.ndarray] = []  # one per worker, made on use
 
@@ -211,63 +211,49 @@ class GF2Basis:
         return sorted(int(c) for c in self._piv_col[: self.count])
 
     def rows_view(self) -> np.ndarray:
-        """Read-only view of the stored rows (do not mutate); rows are never
-        rewritten, so the view keeps its values while the basis grows."""
+        """Read-only view of the stored rows (do not mutate); stored rows are
+        never rewritten, so the view keeps its values across later absorbs,
+        which stage their chunks in the rows after it."""
         return self._rows[: self.count]
 
-    def _room(self, extra: int, copies: int, what: str, held: int = 0) -> int:
-        """Capacity that holds ``extra`` more rows: 256 rows, doubled as
-        needed.
-
-        Raises :class:`MemoryBudgetError` when the basis at that capacity
-        (with the arrays it grows out of, while it copies), its per-row pivot
-        arrays and index maps, ``copies`` chunks of ``extra`` rows, their
-        pivot-bit temporaries, the tables of every worker such a chunk can
-        use, the slice of table rows each of its workers gathers and
-        ``held`` bytes of the caller's would exceed the budget read at
-        construction.
-        """
-        have = self._rows.shape[0]
-        cap = max(have, 256)
-        while cap < self.count + extra:
-            cap *= 2
-        rows = cap + have if cap > have else have
+    def _room(self, extra: int, copies: int, what: str, held: int = 0) -> None:
+        """Raise :class:`MemoryBudgetError` when the basis with ``extra`` more
+        rows written, its per-row pivot arrays and index maps, ``copies``
+        chunks of ``extra`` rows, their pivot-bit temporaries, the tables of
+        every worker such a chunk can use, the slice of table rows each of
+        its workers gathers and ``held`` bytes of the caller's would exceed
+        the budget read at construction (which every reserved row fits)."""
         parts = _parts(extra, _MIN_PART_ROWS)
         tables = max(len(self._tables), parts)
         row = self.words * 8
         gathers = parts * min(_SLICE_BYTES, -(-extra // parts) * row)
-        check_alloc(rows * (row + _ROW_INDEX_BYTES) + gathers + held
-                    + extra * _PIVOT_BIT_BYTES
+        check_alloc((self.count + extra) * (row + _ROW_INDEX_BYTES) + gathers
+                    + held + extra * _PIVOT_BIT_BYTES
                     + (copies * extra + 256 * tables) * row,
                     f"{what} (basis, {copies} chunks and {tables} tables)",
                     self._budget)
-        return cap
 
     def check_absorb(self, rows: int, copies: int, held: int = 0) -> None:
         """Before a caller makes ``copies`` copies of a ``rows``-row chunk to
-        absorb: raise :class:`MemoryBudgetError` when those copies, the
-        basis's own copy of the chunk, its growth and its tables, with
-        ``held`` bytes the caller keeps meanwhile, would exceed the budget."""
-        self._room(rows, copies + 1, f"{copies} copies of {rows} rows to absorb",
+        absorb: raise :class:`MemoryBudgetError` when those copies, the basis
+        with the chunk staged in it and its tables, with ``held`` bytes the
+        caller keeps meanwhile, would exceed the budget."""
+        self._room(rows, copies, f"{copies} copies of {rows} rows to absorb",
                    held)
 
-    def _take_chunk(self, rows: np.ndarray) -> np.ndarray:
-        """Copy ``rows`` for reduction and make room for them in the basis,
-        both sized by :meth:`_room` first.  The copy is made before the basis
-        grows: that order kept Table 4 row 12 at 10-20 MiB less peak RSS.
-        """
-        extra = rows.shape[0]
-        cap = self._room(extra, 1, f"absorbing {extra} rows")
-        chunk = np.array(rows, dtype=np.uint64)
-        if cap > self._rows.shape[0]:
-            grown = np.zeros((cap, self.words), dtype=np.uint64)
-            grown[: self.count] = self._rows[: self.count]
-            self._rows = grown
-            self._piv_col = np.resize(self._piv_col, cap)
-            self._piv_word = np.resize(self._piv_word, cap)
-            self._piv_mask = np.resize(self._piv_mask, cap)
-            self._index_map = np.resize(self._index_map, (cap // 8, 256))
-        return chunk
+    def _reserve(self, cap: int) -> None:
+        """Allocate the row store and per-row arrays for ``cap`` rows as one
+        block: ``np.zeros`` commits a page only when it is written, and no
+        array of the basis is left in the malloc heap among the closure's
+        temporaries (five arrays apart raised Table 4 row 12's peak RSS by
+        about 2 MiB over repeated rounds)."""
+        block = np.zeros(cap * (self.words + 3) + cap // 8 * 32, dtype=np.uint64)
+        rows, piv, index = np.split(block, [cap * self.words,
+                                            cap * (self.words + 3)])
+        self._rows = rows.reshape(cap, self.words)
+        self._piv_col, self._piv_word = piv[: 2 * cap].view(np.int64).reshape(2, cap)
+        self._piv_mask = piv[2 * cap:]
+        self._index_map = index.view(np.uint8).reshape(cap // 8, 256)
 
     def absorb(self, rows: np.ndarray, out: np.ndarray | None = None) -> int:
         """Absorb packed rows (k, words); return the number of new pivots.
@@ -284,10 +270,17 @@ class GF2Basis:
             raise PreconditionError("out must hold one flag per row")
         before = self.count
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
-            chunk = self._take_chunk(rows[start: start + _CHUNK_ROWS])
-            gave = self._absorb_chunk(chunk)
+            part = rows[start: start + _CHUNK_ROWS]
+            k = part.shape[0]
+            self._room(k, 0, f"absorbing {k} rows")
+            if not self._rows.shape[0]:
+                # every pivot row and a chunk after them, or all the budget holds
+                self._reserve(min(self.cols + _CHUNK_ROWS, self._budget
+                                  // (self.words * 8 + _ROW_INDEX_BYTES)))
+            self._rows[self.count: self.count + k] = part
+            gave = self._absorb_chunk(self._rows[self.count: self.count + k])
             if out is not None:
-                out[start: start + chunk.shape[0]] = gave
+                out[start: start + k] = gave
         return self.count - before
 
     def _build_table8(self, base: int, t: np.ndarray) -> None:
@@ -365,7 +358,9 @@ class GF2Basis:
             self._index_map[base >> 3, bits] = np.arange(256, dtype=np.uint8)
 
     def _absorb_chunk(self, chunk: np.ndarray) -> np.ndarray:
-        """Reduce and append the chunk; return which rows gave pivots."""
+        """Reduce the chunk staged at row ``count`` and append its survivors;
+        return which rows gave pivots.  A survivor moves to row ``count``,
+        never past its own, so no unreduced row is overwritten."""
         applied = self.count // 8
         self._reduce_blocks(chunk, 0, applied)
         nrows = chunk.shape[0]

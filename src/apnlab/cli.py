@@ -327,11 +327,11 @@ def main(argv: list[str] | None = None) -> int:
         })
         _stderr(f"precondition failed: {exc}")
         return _EXIT_PRECONDITION
-    except MemoryBudgetError as exc:
+    except (MemoryBudgetError, MemoryError) as exc:  # refused by us or the OS
         _emit({
             "schema": "apnlab/error/v1",
             "status": "resource-limit",
-            "error": str(exc),
+            "error": str(exc) or type(exc).__name__,
         })
         _stderr(f"resource limit: {exc}")
         return _EXIT_RESOURCE

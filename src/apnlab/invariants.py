@@ -43,10 +43,10 @@ __all__ = [
     "parse_code_export",
 ]
 
-#: Copies of a chunk the closure holds at once, before ``absorb`` makes its
-#: own: the gathered rows and, while they are translated by one bit, either
-#: ``np.take``'s result or a butterfly step's two temporaries (tracemalloc:
-#: 3.0 chunks at the peak of ``xor_permute_columns``).
+#: Copies of a chunk the closure holds at once, besides the rows ``absorb``
+#: stages it in: the gathered rows and, while they are translated by one
+#: bit, either ``np.take``'s result or a butterfly step's two temporaries
+#: (tracemalloc: 3.0 chunks at the peak of ``xor_permute_columns``).
 _CHUNK_COPIES = 3
 #: Bytes per basis row of the closure's labels while a chunk is absorbed:
 #: the round's labels, the labels it has grown and the index array whose
@@ -141,8 +141,7 @@ def _translate_closure_rank(f: FunctionTable) -> int:
     inside the span, so one pass over the bits suffices even though the
     basis keeps growing.  Stored rows are never rewritten, so the rows
     stored before a round starts stay its snapshot; each chunk reads them
-    from the current ``rows_view``, so no array the basis grew out of is
-    kept alive.
+    from the current ``rows_view``, and no view is held across an absorb.
 
     Each stored row carries a label, the bitmask of the translate bits that
     made it: the indicator has label 0, and the row that round ``t`` stores

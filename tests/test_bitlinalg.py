@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,8 @@ from apnlab.errors import MemoryBudgetError, PreconditionError
 from conftest import naive_rank
 
 GIB = 1 << 30
-#: A 256-row basis of 8-word rows with its pivot arrays and index maps.
-BASIS_256_BYTES = 256 * (64 + bitlinalg._ROW_INDEX_BYTES)
+#: One written basis row of 8 words with its pivot arrays and index map.
+ROW_BYTES = 64 + bitlinalg._ROW_INDEX_BYTES
 SRC = Path(__file__).resolve().parent.parent / "src" / "apnlab"
 
 
@@ -148,7 +149,7 @@ def test_basis_incremental_absorb():
     rng = np.random.default_rng(8)
     d = random_dense(rng, 90, 130, 0.3)
     data = pack(d)
-    assert mem_budget_bytes() > 0  # the default budget this basis grows under
+    assert mem_budget_bytes() > 0  # the default budget this basis works under
     basis = GF2Basis(130)
     total = 0
     for start in range(0, 90, 13):
@@ -217,7 +218,7 @@ def test_mem_budget_rejects_malformed_values(monkeypatch, text):
 def test_default_mem_budget_is_capped_by_available_memory(monkeypatch, avail,
                                                           want):
     monkeypatch.delenv("APNLAB_MEM_BUDGET_GIB", raising=False)
-    monkeypatch.setattr(bitlinalg, "_mem_available_bytes", lambda: avail)
+    monkeypatch.setattr(bitlinalg, "_meminfo_bytes", lambda keys: avail)
     assert mem_budget_bytes() == want
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "12")
     assert mem_budget_bytes() == 12 << 30  # a set budget is taken as given
@@ -233,33 +234,42 @@ def test_default_mem_budget_is_capped_by_available_memory(monkeypatch, avail,
 def test_mem_available_reads_meminfo(tmp_path, text, want):
     path = tmp_path / "meminfo"
     path.write_text(text)
-    assert bitlinalg._mem_available_bytes(str(path)) == want
-    assert bitlinalg._mem_available_bytes(str(tmp_path / "absent")) == math.inf
+    available = ("MemAvailable",)
+    assert bitlinalg._meminfo_bytes(available, str(path)) == want
+    assert bitlinalg._meminfo_bytes(available, str(tmp_path / "absent")) == math.inf
 
 
 def test_basis_respects_budget(monkeypatch):
-    # 300 independent rows of 8 words outgrow the first 256-row allocation
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1024 / GIB))
+    # 16-row chunks of 8 words: the first chunk's 16 rows with their gathered
+    # slice, pivot-bit temporaries and one table fit exactly; the second
+    # chunk's 16 rows more do not, and are refused before they are staged
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", 16)
+    budget = 16 * (ROW_BYTES + 64 + bitlinalg._PIVOT_BIT_BYTES) + 256 * 64
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / GIB))
     basis = GF2Basis(512)
-    with pytest.raises(MemoryBudgetError):
-        basis.absorb(pack(np.eye(300, 512, dtype=np.uint8)))
+    with pytest.raises(MemoryBudgetError, match="^absorbing 16 rows"):
+        basis.absorb(pack(np.eye(32, 512, dtype=np.uint8)))
+    assert basis.count == 16
+    # the store holds every row the budget admits, and no more
+    assert basis._rows.shape == (budget // ROW_BYTES, 8)
 
 
 def test_budget_counts_chunk_and_tables_before_reducing(monkeypatch):
-    # 16 rows of 8 words: the 256-row basis (30 KiB with its pivot arrays
-    # and index maps), the chunk copy, its gathered slice of table rows and
-    # its pivot-bit temporaries fit; one 256-entry table (16 KiB) more does
-    # not
+    # 16 rows of 8 words: the rows written (with their pivot arrays and
+    # index maps), their gathered slice of table rows and their pivot-bit
+    # temporaries fit; one 256-entry table (16 KiB) more does not, and
+    # nothing is allocated
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(
-        (BASIS_256_BYTES + 16 * (2 * 64 + bitlinalg._PIVOT_BIT_BYTES)) / GIB))
+        16 * (ROW_BYTES + 64 + bitlinalg._PIVOT_BIT_BYTES) / GIB))
     basis = GF2Basis(512)
     with pytest.raises(MemoryBudgetError, match="1 tables"):
         basis.absorb(pack(np.eye(16, 512, dtype=np.uint8)))
     assert basis.count == 0 and basis._tables == []
+    assert basis._rows.nbytes == 0
 
 
 def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
-    # the first 256 rows of 2^28 columns (Gold n=14's Γ-rank) are 8 GiB
+    # one 256-entry table of 2^28-column rows (Gold n=14's Γ-rank) is 8 GiB
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
     basis = GF2Basis(1 << 28)
     assert basis._rows.nbytes == 0 and basis.rows_view().shape == (0, 1 << 22)
@@ -268,25 +278,109 @@ def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
 
 
 def test_check_absorb_counts_the_callers_copies(monkeypatch):
-    # absorbing 16 rows of 8 words takes the 256-row basis, one chunk copy,
-    # its gathered slice, its pivot-bit temporaries and one table, with
-    # 1000 bytes the caller holds exactly the budget; two more copies of the
-    # chunk, or one byte more held, do not fit beside them
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(
-        (BASIS_256_BYTES + (16 + 16 + 256) * 64
-         + 16 * bitlinalg._PIVOT_BIT_BYTES + 1000) / GIB))
+    # absorbing 16 rows of 8 words takes those rows written, their gathered
+    # slice, their pivot-bit temporaries and one table, with 1000 bytes the
+    # caller holds exactly the budget; two copies of the chunk, or one byte
+    # more held, do not fit beside them
+    budget = (16 * ROW_BYTES + (16 + 256) * 64
+              + 16 * bitlinalg._PIVOT_BIT_BYTES + 1000)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / GIB))
     basis = GF2Basis(512)
-    with pytest.raises(MemoryBudgetError, match="3 chunks and 1 tables"):
+    with pytest.raises(MemoryBudgetError, match="2 chunks and 1 tables"):
         basis.check_absorb(16, 2)
-    with pytest.raises(MemoryBudgetError, match="1 chunks and 1 tables"):
+    with pytest.raises(MemoryBudgetError, match="0 chunks and 1 tables"):
         basis.check_absorb(16, 0, 1001)
     assert basis._rows.nbytes == 0
     basis.check_absorb(16, 0, 1000)
     assert basis.absorb(pack(np.eye(16, 512, dtype=np.uint8))) == 16
-    # the per-row arrays are what _ROW_INDEX_BYTES counts
+    # the per-row arrays are what _ROW_INDEX_BYTES counts: 24 B of pivot
+    # arrays per row and 256 B of index map per whole block of 8
+    cap = basis._rows.shape[0]
+    assert cap == budget // ROW_BYTES
     per_row = (basis._piv_col, basis._piv_word, basis._piv_mask,
                basis._index_map)
-    assert sum(a.nbytes for a in per_row) == BASIS_256_BYTES - basis._rows.nbytes
+    assert sum(a.nbytes for a in per_row) == 24 * cap + 256 * (cap // 8)
+    assert 24 * cap + 256 * (cap // 8) <= cap * bitlinalg._ROW_INDEX_BYTES
+
+
+def test_basis_budget_is_capped_by_ram_and_swap(monkeypatch):
+    # a budget set above MemTotal + SwapTotal would reserve a store the OS
+    # refuses; the basis takes the smaller of the two
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "12")
+    fields = {}
+
+    def meminfo(keys, path="/proc/meminfo"):
+        fields["keys"] = keys
+        return 3 << 30
+
+    monkeypatch.setattr(bitlinalg, "_meminfo_bytes", meminfo)
+    assert GF2Basis(64)._budget == 3 << 30
+    assert fields["keys"] == ("MemTotal", "SwapTotal")
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
+    assert GF2Basis(64)._budget == 1 << 30
+
+
+def test_meminfo_sums_ram_and_swap(tmp_path):
+    path = tmp_path / "meminfo"
+    path.write_text("MemTotal: 8000 kB\nMemAvailable: 7000 kB\n"
+                    "SwapTotal: 2000 kB\n")
+    keys = ("MemTotal", "SwapTotal")
+    assert bitlinalg._meminfo_bytes(keys, str(path)) == 10000 << 10
+    path.write_text("MemTotal: 8000 kB\n")
+    assert bitlinalg._meminfo_bytes(keys, str(path)) == math.inf
+
+
+def test_gf512_row_7_fits_its_budget_as_it_grows():
+    # Table 5 row 7 (z^255) has rank 130,816 in 32 KiB rows.  A 2048-row
+    # chunk with the closure's 3 copies beside a basis of 65,000 and of
+    # 128,768 rows is 2.3 and 4.2 GiB; counting a doubled store beside the
+    # one it is copied from asked 6.2 GiB at 65,000 rows
+    basis = GF2Basis(1 << 18)
+    basis._budget = 5 * GIB  # on any host, whatever its RAM and swap
+    tracemalloc.start()
+    try:
+        for count in (65_000, 128_768):
+            # a basis of ``count`` rows, stood in for by a zero-stride view
+            basis.count = count
+            basis._rows = np.broadcast_to(np.zeros(basis.words, np.uint64),
+                                          (count, basis.words))
+            basis.check_absorb(2048, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # check_absorb reserves nothing
+
+
+@pytest.mark.parametrize("chunk_rows", [2048, 16])
+def test_absorb_stages_chunks_in_its_store(monkeypatch, chunk_rows):
+    # 5,000 rows of 64 columns span several chunks, each staged and reduced
+    # in the store after the stored rows; the caller's rows stay as given
+    monkeypatch.setattr(bitlinalg, "_CHUNK_ROWS", chunk_rows)
+    # rows of a rank-40 space, with new pivots at 10 rows spread to the end
+    rng = np.random.default_rng(13)
+    d = (random_dense(rng, 5000, 40, 0.5).astype(np.int64)
+         @ random_dense(rng, 40, 64, 0.5)) & 1
+    d[np.linspace(100, 4999, 10).astype(int)] = random_dense(rng, 10, 64, 0.5)
+    d[[1, 2]] = 0
+    data = pack(d)
+    before = data.copy()
+    basis = GF2Basis(64)
+    gave = np.zeros(5000, dtype=bool)
+    assert basis.absorb(data, out=gave) == basis.rank == naive_rank(d)
+    assert data.tobytes() == before.tobytes()
+    # row i gives a pivot exactly when it is outside the span of rows 0..i-1
+    by_top, want = {}, []  # the span's rows, by their highest bit
+    for value in data[:, 0].tolist():
+        while value and value.bit_length() in by_top:
+            value ^= by_top[value.bit_length()]
+        want.append(value != 0)
+        if value:
+            by_top[value.bit_length()] = value
+    assert gave.tolist() == want and sum(want) == basis.rank
+    # one store, reserved at the first absorb and kept by every later one
+    store = basis._rows
+    assert store.shape == (64 + chunk_rows, 1)
+    assert basis.absorb(data[:100]) == 0 and basis._rows is store
 
 
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:

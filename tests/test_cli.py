@@ -247,6 +247,29 @@ def test_gamma_rank_past_the_budget_exits_3_before_allocating(capsys,
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 3.00 MiB", ""])
+def test_gamma_rank_store_refused_by_the_os_exits_3(capsys, monkeypatch,
+                                                     message):
+    # the budget admits the basis, but the OS refuses its row store
+    reserve = bitlinalg.GF2Basis._reserve
+    reserved = []
+
+    def refused(self, cap):
+        if cap:
+            reserved.append(cap)
+            raise MemoryError(message)
+        reserve(self, cap)
+
+    monkeypatch.setattr(bitlinalg.GF2Basis, "_reserve", refused)
+    code, out, err = run(capsys, "gamma-rank", "--family",
+                         '{tag:"Gold", n:6, i:1}')
+    assert reserved == [(1 << 12) + bitlinalg._CHUNK_ROWS]
+    assert code == 3 and out == {"schema": "apnlab/error/v1",
+                                 "status": "resource-limit",
+                                 "error": message or "MemoryError"}
+    assert "Traceback" not in err and err.startswith("resource limit: ")
+
+
 def test_field_tables_are_sized_before_they_are_built(capsys, monkeypatch):
     # the GF(2^24) log/exp tables need 24 B per element, 384 MiB, above
     # 0.1 GiB; the build must not start
@@ -443,7 +466,7 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
     # with the variable unset the budget is 0.8 x MemAvailable: 0.8 MiB is
     # below one m=5 pass; a malformed value is still refused first
     monkeypatch.delenv("APNLAB_MEM_BUDGET_GIB", raising=False)
-    monkeypatch.setattr(bitlinalg, "_mem_available_bytes", lambda: 1 << 20)
+    monkeypatch.setattr(bitlinalg, "_meminfo_bytes", lambda keys: 1 << 20)
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 3
     assert out["status"] == "resource-limit"

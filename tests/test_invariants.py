@@ -96,55 +96,68 @@ def test_incidence_budget_guard(monkeypatch):
         gamma_rank(table)
 
 
-def test_closure_memory_stays_within_its_largest_check(monkeypatch):
-    # at Gold n=6 (512 B rows) the basis's pivot arrays and index maps, 56 B
-    # per row of capacity, and each worker's gathered slice of table rows
-    # are a sixth of the peak; the largest count must cover all of it
-    table = gold_table(6)  # its field's tables are built before the trace
-    counted = []
+def _closure_peak(monkeypatch, table: FunctionTable) -> tuple[int, int, list]:
+    """Run the closure on ``table`` under tracemalloc; return the rank, the
+    traced peak less the basis's reserved rows never written, and every
+    ``(nbytes, what)`` checked.  tracemalloc counts the whole reservation,
+    but ``np.zeros`` commits only the pages that are written: the rows up
+    to the highest ``count`` plus staged chunk."""
+    checks, bases = [], []
+    real_check = bitlinalg.check_alloc
+    real_absorb = bitlinalg.GF2Basis.absorb
 
-    def recorded(nbytes, what, budget=None):
-        counted.append(nbytes)
-        return check_alloc(nbytes, what, budget)
+    def recording_check(nbytes, what, budget=None):
+        checks.append((nbytes, what))
+        real_check(nbytes, what, budget)
 
-    monkeypatch.setattr(bitlinalg, "check_alloc", recorded)
+    def recording_absorb(self, rows, out=None):
+        bases.append((self, self.count + len(rows)))
+        return real_absorb(self, rows, out)
+
+    monkeypatch.setattr(bitlinalg, "check_alloc", recording_check)
+    monkeypatch.setattr(bitlinalg.GF2Basis, "absorb", recording_absorb)
     tracemalloc.start()
     try:
         rank = gamma_rank(table).gamma_rank
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    basis = bases[0][0]
+    assert all(b is basis for b, _ in bases) and len(bases) > 1
+    written = max(rows for _, rows in bases)
+    cap = basis._rows.shape[0]
+    reserved = sum(a.nbytes for a in (basis._rows, basis._piv_col,
+                                      basis._piv_word, basis._piv_mask,
+                                      basis._index_map))
+    return rank, peak - reserved * (cap - written) // cap, checks
+
+
+def test_closure_memory_stays_within_its_largest_check(monkeypatch):
+    # at Gold n=6 (512 B rows) the peak holds the rows written with their
+    # pivot arrays and index maps (56 B per row) and each worker's gathered
+    # slice of table rows; the largest count must cover all of it
+    table = gold_table(6)  # its field's tables are built before the trace
+    rank, peak, checks = _closure_peak(monkeypatch, table)
     assert rank == 1102
-    assert peak <= max(counted)
+    assert peak <= max(nbytes for nbytes, _ in checks)
 
 
 def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
-    # absorb's own check counts the basis, its chunk copy, its tables and
-    # gathers; the closure's gathered and translated copies of a chunk come
-    # on top, which takes Gold n=6's traced peak about 14% above that count.
-    # A budget between the two must stop the closure at its check of a
-    # chunk, before it translates that chunk.
+    # absorb's own check counts the basis with the chunk staged in it, its
+    # tables and gathers; the closure's gathered and translated copies of a
+    # chunk come on top, which takes Gold n=6's peak (less the unwritten
+    # reserved rows) above that count.  A budget between the two must stop
+    # the closure at its check of a chunk, before it translates that chunk.
     table = gold_table(6)  # its field's tables are built before the budget is set
-    checks, events = [], []
-    real_check = bitlinalg.check_alloc
+    events = []
     real_absorb_check = bitlinalg.GF2Basis.check_absorb
-
-    def recording_check(nbytes, what, budget=None):
-        checks.append((nbytes, what))
-        real_check(nbytes, what, budget)
 
     def recording_translate(data, mask, cols):
         events.append("translate")
         return xor_permute_columns(data, mask, cols)
 
-    monkeypatch.setattr(bitlinalg, "check_alloc", recording_check)
     monkeypatch.setattr(invariants, "xor_permute_columns", recording_translate)
-    tracemalloc.start()
-    try:
-        gamma_rank(table)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak, checks = _closure_peak(monkeypatch, table)
     absorbed = max(nbytes for nbytes, what in checks if what.startswith("absorbing"))
     budget = (absorbed + peak) // 2
     assert absorbed < budget < peak
