@@ -82,21 +82,26 @@ _KEY_BYTES_PER_TUPLE = 384
 _KEY_BYTES_PER_PAIR = 128
 
 #: Points per pass of the resultant sweep, rounded down to whole rows of
-#: 2^m points (one row per (a, b) pair).  At m = 7 on a 2-core x86-64 host
-#: the sweep took 0.135 s at 2^16, 0.179 s at 2^15 and 0.142 s at 2^17.
-_RESULTANT_POINTS_PER_PASS = 1 << 16
+#: 2^m points (one row per (a, b) pair).  At m = 7 on a 2-core x86-64 host,
+#: with ranges of at least 2^15 points, the sweep took 0.136 s at 2^17
+#: against 0.160 s at 2^16 (medians of 21 alternating runs, faster in 18),
+#: and in another set of 15 runs each 0.122, 0.137 and 0.169 s at 2^17,
+#: 2^16 and 2^15.
+_RESULTANT_POINTS_PER_PASS = 1 << 17
 #: Fewest points in one range of a split resultant pass, rounded up to whole
-#: rows.  On a 2-core x86-64 host at m = 7, two ranges took 1.28x the
-#: one-thread time of a 2^14-point pass, 0.75x at 2^15 and 0.58x at 2^16.
-_RESULTANT_MIN_PART_POINTS = 1 << 14
+#: rows.  Each range runs its own coefficient determinant, under the
+#: interpreter lock.  On a 2-core x86-64 host at m = 7, two ranges took
+#: 1.45x the one-thread time of a 2^15-point pass, 0.87x at 2^16 and 0.73x
+#: at 2^17.
+_RESULTANT_MIN_PART_POINTS = 1 << 15
 #: Peak bytes per (a, b, x) point of one resultant pass.  The widest step is
-#: the determinant's fifth Sylvester column, where 4 B a point is held by
-#: each of f0 and g0, 13 partial minors (7 of the fourth column, 6 of the
-#: fifth) and one multiply-and-add's int32 log gather and sum, product and
-#: new sum: 76 B.  The (a, b) columns add about 40 x 4 / 2^m B.  Measured
-#: (tracemalloc): 80.8 B/point at m = 7, 82.7 at m = 5 and 87.0 at m = 4 on
-#: one thread, and 93.1 at m = 5 in two ranges.
-_RESULTANT_BYTES_PER_POINT = 96
+#: Horner's last multiply by g0, where 4 B a point is held by each of f0,
+#: g0, the polynomial in f0 and the partial sum, and the multiply's uint32
+#: index, its intp copy and the product take 16 B: 32 B.  The (a, b)
+#: columns add about 64 / 2^m B.  Measured (tracemalloc, whole sweeps):
+#: 32.4 B/point at m = 7, 33.4 at m = 5 and 36.0 at m = 4 on one thread;
+#: in two ranges 32.4 at m = 7, 19.6-23.8 at m = 5 and 25.2-30.2 at m = 4.
+_RESULTANT_BYTES_PER_POINT = 40
 
 
 # ----------------------------------------------------------------------
@@ -391,7 +396,8 @@ def _det_masked(rows: list[list], mul, add, is_zero) -> object:
     sign bookkeeping disappears: D[mask] accumulates the permanent of the
     first popcount(mask) rows against the column set ``mask``.  The DP
     starts from the first row's entries, so no multiplication by one is
-    made; entries may be scalars or arrays (elementwise).
+    made; entries may be scalars, arrays (elementwise) or anything else
+    ``mul`` and ``add`` take, such as the resultant's polynomials.
     """
     k = len(rows)
     prev = {1 << j: e for j, e in enumerate(rows[0]) if not is_zero(e)}
@@ -458,8 +464,11 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     Every (a, b, x) in GF(2^m)^3 is checked.  A pass holds whole rows: the
     2^m points x of each of a block of (a, b) pairs, about
     ``_RESULTANT_POINTS_PER_PASS`` points in all, split across the CPUs by
-    :func:`~apnlab.bitlinalg.split_run` on row boundaries.  Each row also
-    gives two side facts: the constant term of H vanishes only at
+    :func:`~apnlab.bitlinalg.split_run` on row boundaries.  Only the
+    equations' constant terms f0 and g0 depend on x, so each range takes
+    the determinant once, as a polynomial in f0 and g0 with coefficients
+    per (a, b) pair, and evaluates it at every point by Horner.  Each row
+    also gives two side facts: the constant term of H vanishes only at
     (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the origin.
 
     Raises :class:`MemoryBudgetError` before allocating when one pass would
@@ -515,33 +524,15 @@ def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
 
 def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
     """Flat indices, over the broadcast of ``(P, 1)`` columns a, b against
-    the row x, where the determinant differs from its factors.
+    the row x, where the y-resultant (:func:`_resultant_lhs`) differs from
+    its printed factors.
 
-    Every value that depends on (a, b) alone is computed on the columns;
-    the determinant runs over the Sylvester matrix's columns, whose first
-    two hold no x, so their partial minors stay column-sized too.
+    Every value that depends on (a, b) alone is computed on the columns.
     """
+    lhs = _resultant_lhs(field, a, b, x)
     mul, sq, pw = field.mul_vec, field.sqr_vec, field.pow_vec
     a2, b2 = sq(a), sq(b)
     a3, b3 = mul(a2, a), mul(b2, b)
-    a4, b4 = sq(a2), sq(b2)
-    x2 = sq(x)
-
-    # first equation in y: (a+b) y^2 + (a+b^2) y + [a x^2 + (a^2+b^2+b) x]
-    f2 = a ^ b
-    f1 = a ^ b2
-    f0 = mul(a, x2) ^ mul(a2 ^ b2 ^ b, x)
-    # second equation in y: b y^4 + a^2 y^2 + (a^4+a+b^4) y
-    #                        + [(a+b) x^4 + b^2 x^2 + (a^4+b) x]
-    g4 = b
-    g2 = a2
-    g1 = a4 ^ a ^ b4
-    g0 = mul(a ^ b, sq(x2)) ^ mul(b2, x2) ^ mul(a4 ^ b, x)
-
-    rows = _sylvester_rows([f0, f1, f2], [g0, g1, g2, None, g4], None)
-    lhs = _det_masked([list(col) for col in zip(*rows)], mul=mul,
-                      add=lambda x, y: x ^ y, is_zero=lambda x: x is None)
-
     h_lin = a2 ^ mul(a, b) ^ a ^ b2 ^ b ^ 1
     h_const = a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1
     xa = x ^ a
@@ -553,6 +544,76 @@ def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
     rhs = mul(mul(mul(sq(lead), mul(x, xa)), h_at(x)), h_at(xa))
 
     return np.flatnonzero(lhs ^ rhs)
+
+
+def _resultant_lhs(field: Field, a, b, x):
+    """The derivative system's y-resultant over the broadcast of a, b, x.
+
+    Of the Sylvester entries only the constant terms f0 and g0 of the two
+    equations depend on x, so the determinant is a polynomial in them whose
+    coefficients (:func:`_resultant_coefficients`) are the size of a and b.
+    It is evaluated at f0 and g0 by Horner, in f0 inside g0, skipping each
+    coefficient that is zero at every (a, b) given.
+    """
+    mul, sq = field.mul_vec, field.sqr_vec
+    a2, b2, x2 = sq(a), sq(b), sq(x)
+    # the constant terms in y of the equations in _resultant_coefficients
+    f0 = mul(a, x2) ^ mul(a2 ^ b2 ^ b, x)
+    g0 = mul(a ^ b, sq(x2)) ^ mul(b2, x2) ^ mul(sq(a2) ^ b, x)
+    coefficients = {key: c for key, c in _resultant_coefficients(field, a, b).items()
+                    if c.any()}
+
+    def horner(terms: list, t):
+        """The sum of terms[i] t^i over the terms that are not None; None
+        if every term is."""
+        acc = None
+        for c in reversed(terms):
+            if acc is not None:
+                acc = mul(acc, t)
+            if c is not None:
+                acc = c if acc is None else acc ^ c
+        return acc
+
+    # of degree 4 in f0 and 2 in g0: one per Sylvester row of each equation
+    lhs = horner([horner([coefficients.get((i, j)) for i in range(5)], f0)
+                  for j in range(3)], g0)
+    return 0 if lhs is None else lhs
+
+
+def _resultant_coefficients(field: Field, a, b) -> dict[tuple[int, int], np.ndarray]:
+    """The derivative system's y-resultant as a polynomial in the constant
+    terms f0, g0 of its two equations: ``{(i, j): c}`` for its terms
+    c f0^i g0^j, each c of the broadcast shape of a and b.
+
+    ``_det_masked`` runs once over the Sylvester rows, whose entries are
+    polynomials in the symbols f0 and g0, so every product it makes is of
+    the size of a and b.
+    """
+    mul, sq = field.mul_vec, field.sqr_vec
+    a2, b2 = sq(a), sq(b)
+    one = np.uint32(1)  # a symbol's coefficient, passed through, not multiplied
+
+    def plus(p: dict, q: dict) -> dict:
+        out = dict(p)
+        for key, d in q.items():
+            out[key] = out[key] ^ d if key in out else d
+        return out
+
+    def times(p: dict, q: dict) -> dict:
+        out: dict = {}
+        for (i, j), c in p.items():
+            out = plus(out, {(i + k, j + l): d if c is one else
+                             c if d is one else mul(c, d) for (k, l), d in q.items()})
+        return out
+
+    # first equation in y: (a+b) y^2 + (a+b^2) y + [a x^2 + (a^2+b^2+b) x]
+    f = [{(1, 0): one}, {(0, 0): a ^ b2}, {(0, 0): a ^ b}]
+    # second equation in y: b y^4 + a^2 y^2 + (a^4+a+b^4) y
+    #                        + [(a+b) x^4 + b^2 x^2 + (a^4+b) x]
+    g = [{(0, 1): one}, {(0, 0): sq(a2) ^ a ^ sq(b2)}, {(0, 0): a2}, None,
+         {(0, 0): b}]
+    return _det_masked(_sylvester_rows(f, g, None), mul=times, add=plus,
+                       is_zero=lambda e: e is None)
 
 
 # ----------------------------------------------------------------------

@@ -16,6 +16,8 @@ from apnlab.analysis import (
     _det_masked,
     _key_claims,
     _key_point_values,
+    _resultant_coefficients,
+    _resultant_lhs,
     _sylvester_rows,
     algebraic_degree,
     brute_cubic_root_count,
@@ -43,7 +45,8 @@ from apnlab.families import (
 )
 from apnlab.vbf import FunctionTable, LinearizedPoly, UnivariatePoly, to_table
 
-from conftest import gauss_det, get_field, key_lemma_oracle, row_by_row_ddt
+from conftest import (gauss_det, get_field, key_lemma_oracle, row_by_row_ddt,
+                      shift_add_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +498,9 @@ def test_det_masked_sylvester_matches_gaussian_elimination(m):
 
 
 def test_det_masked_broadcasts_array_entries():
-    # the resultant's shape: x-free entries as (P, 1) columns, the constant
-    # terms as (1, q) rows; every cell of the broadcast determinant is the
-    # determinant of its scalar matrix
+    # x-free entries as (P, 1) columns, the constant terms as (1, q) rows;
+    # every cell of the broadcast determinant is the determinant of its
+    # scalar matrix
     field = get_field(4)
     rng = np.random.default_rng(4)
     p, q = 5, 7
@@ -517,6 +520,62 @@ def test_det_masked_broadcasts_array_entries():
                 scalar = [[0 if e is None else int(np.broadcast_to(e, (p, q))[i, j])
                            for e in r] for r in rows]
                 assert int(det[i, j]) == gauss_det(scalar, field.modulus)
+
+
+def _derivative_sylvester(a, b, x, modulus):
+    """The derivative system's 6x6 Sylvester matrix in y at (a, b, x), its
+    entries from the printed equations in plain-integer GF(2^m) arithmetic:
+    f = (a+b) y^2 + (a+b^2) y + a x^2 + (a^2+b^2+b) x and
+    g = b y^4 + a^2 y^2 + (a^4+a+b^4) y + (a+b) x^4 + b^2 x^2 + (a^4+b) x."""
+    def mul(p, q):
+        return shift_add_mul(p, q, modulus)
+
+    a2, b2, x2 = mul(a, a), mul(b, b), mul(x, x)
+    a4, b4, x4 = mul(a2, a2), mul(b2, b2), mul(x2, x2)
+    f = [a ^ b, a ^ b2, mul(a, x2) ^ mul(a2 ^ b2 ^ b, x)]  # descending in y
+    g = [b, 0, a2, a4 ^ a ^ b4, mul(a ^ b, x4) ^ mul(b2, x2) ^ mul(a4 ^ b, x)]
+    return ([[0] * i + f + [0] * (3 - i) for i in range(4)]
+            + [[0] * i + g + [0] * (1 - i) for i in range(2)])
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_resultant_lhs_matches_gaussian_elimination(m):
+    # every (a, b, x) at m=3, as the sweep passes them ((P, 1) columns
+    # against the row of x); 2,000 seeded points at m=5, elementwise
+    field = get_field(m)
+    order = field.order
+    if m == 3:
+        ab = np.arange(order * order, dtype=np.uint32)
+        a, b = (ab >> m)[:, None], (ab & (order - 1))[:, None]
+        x = np.arange(order, dtype=np.uint32)[None, :]
+    else:
+        a, b, x = np.random.default_rng(25).integers(0, order, (3, 2000),
+                                                      dtype=np.uint32)
+    got = np.broadcast_to(_resultant_lhs(field, a, b, x), np.broadcast(a, b, x).shape)
+    points = zip(*(np.broadcast_to(v, got.shape).ravel().tolist() for v in (a, b, x)))
+    want = [gauss_det(_derivative_sylvester(*point, field.modulus), field.modulus)
+            for point in points]
+    assert got.ravel().tolist() == want
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_resultant_coefficients_have_eight_terms(m):
+    # the determinant's terms c f0^i g0^j, column-sized: degree 4 in f's
+    # coefficients and 2 in g's, none free of both f0 and g0.  Three vanish
+    # at every (a, b): with r, s the roots of f and G = g - g0, additive in
+    # y, Res = f2^4 g(r) g(s) = f2^4 (G(r) G(s) + g0 G(r+s) + g0^2), where
+    # r+s = f1/f2 holds no f0 (no f0 g0, f0^2 g0), and G(r) G(s), a sum of
+    # (rs)^i and r^i s^j + r^j s^i over i < j in {1, 2, 4}, holds rs = f0/f2
+    # to the powers 1, 2 and 4 only (no f0^3)
+    field = get_field(m)
+    ab = np.arange(field.order**2, dtype=np.uint32)
+    coefficients = _resultant_coefficients(field, (ab >> m)[:, None],
+                                           (ab & (field.order - 1))[:, None])
+    assert sorted(coefficients) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
+                                    (2, 1), (3, 0), (4, 0)]
+    assert all(c.shape == (field.order**2, 1) for c in coefficients.values())
+    assert sorted(key for key, c in coefficients.items()
+                  if not c.any()) == [(1, 1), (2, 1), (3, 0)]
 
 
 @pytest.mark.parametrize("m,side_facts", [(2, True), (3, False), (4, True)])
@@ -563,9 +622,12 @@ def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
 
 def test_resultant_side_facts_stay_within_two_short_passes(monkeypatch):
     # 1024 passes of 2^11 points at m=7: the (a, b) side facts come from
-    # the passes' x = 0 points, so nothing outlives a pass
+    # the passes' x = 0 points, so nothing outlives a pass.  The field's
+    # product table is built first: its build (64 KiB and 256 KiB of block
+    # temporaries) has its own check and happens once per field, not per pass
     m = 7
     monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1 << 11)
+    get_field(m)._product_table()
     tracemalloc.start()
     try:
         rep = verify_resultant_identity(m)
@@ -577,7 +639,7 @@ def test_resultant_side_facts_stay_within_two_short_passes(monkeypatch):
 
 
 def test_resultant_sweep_memory_stays_within_two_passes():
-    # m=7 has 2^21 points, 32 passes; the (a, b) side facts hold about 44 B
+    # m=7 has 2^21 points, 16 passes; the (a, b) side facts hold about 44 B
     # for each of the 2^14 pairs
     m = 7
     tracemalloc.start()

@@ -455,7 +455,7 @@ def test_verify_resultant_requires_m_coprime_to_3(capsys):
 
 
 def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
-    # one m=5 pass counts 32768 points x 96 B (3 MiB), above 1 MiB
+    # one m=5 pass counts 32768 points x 40 B (1.25 MiB), above 1 MiB
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 3
