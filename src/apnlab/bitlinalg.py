@@ -144,7 +144,8 @@ def split_run(work, size: int, minimum: int) -> list:
 
 
 def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
-    """Return a C-ordered copy with column j holding the old column j XOR mask.
+    """Translate the packed rows ``data`` in place, one ``_SLICE_BYTES``
+    slice at a time, so column j holds the old column j XOR mask; return it.
 
     The column count must be a power of two covering the mask (the operation
     is translation by a group element of (F_2^k, +)).
@@ -153,20 +154,29 @@ def xor_permute_columns(data: np.ndarray, mask: int, cols: int) -> np.ndarray:
         raise PreconditionError("xor-permute needs a power-of-two column count")
     if not 0 <= mask < cols:
         raise PreconditionError("mask out of range")
-    data = np.ascontiguousarray(data)
-    out = data
-    hi = mask >> 6
-    if hi:
-        # np.take returns a new C-ordered array; fancy indexing on axis 1
-        # would return an F-ordered one that needs a second copy
-        out = np.take(out, np.arange(data.shape[1]) ^ hi, axis=1)
-    lo = mask & 63
-    for t in range(6):
-        if (lo >> t) & 1:
-            s = np.uint64(1 << t)
-            m = _BFLY[t]
-            out = ((out >> s) & m) | ((out & m) << s)
-    return data.copy() if out is data else out
+    words = _words_for(cols)
+    if data.ndim != 2 or data.shape[1] != words or data.dtype != np.uint64:
+        raise PreconditionError(f"xor-permute needs rows of {words} uint64 words")
+    hi, lo = mask >> 6, mask & 63
+    order = np.arange(words) ^ hi  # below words, a power of two above hi
+    step = max(1, _SLICE_BYTES // (8 * words))
+    scratch = np.empty_like(data[:step])
+    for r0 in range(0, data.shape[0], step):
+        rows = data[r0: r0 + step]
+        tmp = scratch[: rows.shape[0]]
+        if hi:
+            np.take(rows, order, axis=1, out=tmp, mode="clip")
+            rows[...] = tmp
+        for t in range(6):
+            if (lo >> t) & 1:  # swap the bits of _BFLY[t] with those s up
+                s = np.uint64(1 << t)
+                np.right_shift(rows, s, out=tmp)
+                tmp ^= rows
+                tmp &= _BFLY[t]
+                rows ^= tmp
+                tmp <<= s
+                rows ^= tmp
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +193,8 @@ class GF2Basis:
     ``h`` (the inverse of the block's unitriangular pivot-bit map).
     ``absorb`` stages incoming rows in chunks after the stored rows, reduces
     them there and moves the survivors down; the final ``rank`` equals the
-    rank of everything absorbed.
+    rank of everything absorbed.  ``stage`` gathers stored rows there, for a
+    caller to translate in place and absorb with no copy of its own.
     """
 
     #: Elimination backend, recorded by benchmark run metadata.
@@ -207,39 +218,40 @@ class GF2Basis:
     def rank(self) -> int:
         return self.count
 
-    def pivot_cols(self) -> list[int]:
-        return sorted(int(c) for c in self._piv_col[: self.count])
-
     def rows_view(self) -> np.ndarray:
         """Read-only view of the stored rows (do not mutate); stored rows are
         never rewritten, so the view keeps its values across later absorbs,
         which stage their chunks in the rows after it."""
         return self._rows[: self.count]
 
-    def _room(self, extra: int, copies: int, what: str, held: int = 0) -> None:
-        """Raise :class:`MemoryBudgetError` when the basis with ``extra`` more
-        rows written, its per-row pivot arrays and index maps, ``copies``
-        chunks of ``extra`` rows, their pivot-bit temporaries, the tables of
-        every worker such a chunk can use, the slice of table rows each of
-        its workers gathers and ``held`` bytes of the caller's would exceed
-        the budget read at construction (which every reserved row fits)."""
-        parts = _parts(extra, _MIN_PART_ROWS)
+    def check_absorb(self, rows: int, held: int) -> None:
+        """Raise :class:`MemoryBudgetError` when absorbing ``rows`` rows, with
+        ``held`` bytes of the caller's, would exceed the budget read at
+        construction (which every reserved row fits): the basis with the rows
+        written, its pivot arrays and index maps, their pivot-bit temporaries,
+        every worker's table and slice of table rows (or translate scratch)."""
+        parts = _parts(rows, _MIN_PART_ROWS)
         tables = max(len(self._tables), parts)
         row = self.words * 8
-        gathers = parts * min(_SLICE_BYTES, -(-extra // parts) * row)
-        check_alloc((self.count + extra) * (row + _ROW_INDEX_BYTES) + gathers
-                    + held + extra * _PIVOT_BIT_BYTES
-                    + (copies * extra + 256 * tables) * row,
-                    f"{what} (basis, {copies} chunks and {tables} tables)",
+        gathers = parts * min(_SLICE_BYTES, -(-rows // parts) * row)
+        check_alloc((self.count + rows) * (row + _ROW_INDEX_BYTES) + gathers
+                    + held + rows * _PIVOT_BIT_BYTES + 256 * tables * row,
+                    f"absorbing {rows} rows (basis and {tables} tables)",
                     self._budget)
 
-    def check_absorb(self, rows: int, copies: int, held: int = 0) -> None:
-        """Before a caller makes ``copies`` copies of a ``rows``-row chunk to
-        absorb: raise :class:`MemoryBudgetError` when those copies, the basis
-        with the chunk staged in it and its tables, with ``held`` bytes the
-        caller keeps meanwhile, would exceed the budget."""
-        self._room(rows, copies, f"{copies} copies of {rows} rows to absorb",
-                   held)
+    def stage(self, take: np.ndarray, held: int) -> np.ndarray:
+        """Gather up to ``_CHUNK_ROWS`` stored rows ``take`` into the rows
+        after the basis, once :meth:`check_absorb` passes them with ``held``
+        bytes; return those rows, a view that :meth:`absorb` takes in place
+        and the next ``stage`` or ``absorb`` overwrites."""
+        k = take.size
+        if k > _CHUNK_ROWS or k and not 0 <= take.min() <= take.max() < self.count:
+            raise PreconditionError(f"stage takes up to {_CHUNK_ROWS} rows below count")
+        self.check_absorb(k, held)
+        staged = self._rows[self.count: self.count + k]
+        # indices are checked above; mode="raise" would buffer the whole chunk
+        np.take(self._rows[: self.count], take, axis=0, out=staged, mode="clip")
+        return staged
 
     def _reserve(self, cap: int) -> None:
         """Allocate the row store and per-row arrays for ``cap`` rows as one
@@ -272,12 +284,12 @@ class GF2Basis:
         for start in range(0, rows.shape[0], _CHUNK_ROWS):
             part = rows[start: start + _CHUNK_ROWS]
             k = part.shape[0]
-            self._room(k, 0, f"absorbing {k} rows")
+            self.check_absorb(k, 0)
             if not self._rows.shape[0]:
                 # every pivot row and a chunk after them, or all the budget holds
                 self._reserve(min(self.cols + _CHUNK_ROWS, self._budget
                                   // (self.words * 8 + _ROW_INDEX_BYTES)))
-            self._rows[self.count: self.count + k] = part
+            self._rows[self.count: self.count + k] = part  # no-op if staged
             gave = self._absorb_chunk(self._rows[self.count: self.count + k])
             if out is not None:
                 out[start: start + k] = gave

@@ -681,13 +681,13 @@ class SubfieldMap:
                 f"{parent.n} != 2*{component.n}")
         self.parent = parent
         self.component = component
-        self._sub = subfield_embedding(parent, component)
+        sub = subfield_embedding(parent, component)
         sub_set = np.zeros(parent.order, dtype=bool)
-        sub_set[self._sub] = True
+        sub_set[sub] = True
         beta = int(np.flatnonzero(~sub_set)[0])
         m = component.n
-        xs = np.repeat(self._sub, component.order)       # embed(x), x major
-        ys = np.tile(self._sub, component.order)         # embed(y), y minor
+        xs = np.repeat(sub, component.order)       # embed(x), x major
+        ys = np.tile(sub, component.order)         # embed(y), y minor
         pair = xs ^ parent.mul_vec(beta, ys)
         self._embed = pair  # index (x << m) | y
         split = np.empty(parent.order, dtype=np.uint32)
@@ -713,10 +713,6 @@ class SubfieldMap:
     def split_vec(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed = self._split[np.asarray(zs, np.uint32)]
         return packed >> self._m, packed & np.uint32(self.component.order - 1)
-
-    def embed_subfield(self, x: int | FieldElement) -> int:
-        """Image of a single component element under the canonical embedding."""
-        return int(self._sub[self.component.coerce(x)])
 
 
 def subfield_map(parent: Field, component: Field) -> SubfieldMap:

@@ -43,11 +43,6 @@ __all__ = [
     "parse_code_export",
 ]
 
-#: Copies of a chunk the closure holds at once, besides the rows ``absorb``
-#: stages it in: the gathered rows and, while they are translated by one
-#: bit, either ``np.take``'s result or a butterfly step's two temporaries
-#: (tracemalloc: 3.0 chunks at the peak of ``xor_permute_columns``).
-_CHUNK_COPIES = 3
 #: Bytes per basis row of the closure's labels while a chunk is absorbed:
 #: the round's labels, the labels it has grown and the index array whose
 #: first chunk is the live snapshot rows (8 B each).
@@ -140,8 +135,9 @@ def _translate_closure_rank(f: FunctionTable) -> int:
     basis accumulated so far; translating by a processed bit keeps landing
     inside the span, so one pass over the bits suffices even though the
     basis keeps growing.  Stored rows are never rewritten, so the rows
-    stored before a round starts stay its snapshot; each chunk reads them
-    from the current ``rows_view``, and no view is held across an absorb.
+    stored before a round starts stay its snapshot; ``GF2Basis.stage``
+    gathers each chunk of them into the rows after the basis, where it is
+    translated and absorbed with no copy.
 
     Each stored row carries a label, the bitmask of the translate bits that
     made it: the indicator has label 0, and the row that round ``t`` stores
@@ -161,7 +157,7 @@ def _translate_closure_rank(f: FunctionTable) -> int:
     n = f.field.n
     side = 1 << (2 * n)
     basis = GF2Basis(side)
-    basis.check_absorb(1, 1)  # the indicator row
+    basis.check_absorb(1, basis.words * 8)  # the indicator row
     basis.absorb(_graph_indicator_row(f))
     labels = np.zeros(basis.count, dtype=np.int64)
     for t in range(2 * n):
@@ -175,9 +171,8 @@ def _translate_closure_rank(f: FunctionTable) -> int:
             take = pos + live
             pos = int(take[-1]) + 1
             gave = np.zeros(take.size, dtype=bool)
-            basis.check_absorb(take.size, _CHUNK_COPIES,
-                               _LABEL_BYTES * (basis.count + take.size) + dead.nbytes)
-            basis.absorb(xor_permute_columns(basis.rows_view()[take], 1 << t,
+            held = _LABEL_BYTES * (basis.count + take.size) + dead.nbytes
+            basis.absorb(xor_permute_columns(basis.stage(take, held), 1 << t,
                                              side), out=gave)
             grown.append(labels[take[gave]] | (1 << t))
             dead[labels[take[~gave]]] = True

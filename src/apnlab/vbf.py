@@ -142,11 +142,6 @@ class UnivariatePoly:
                  for c1, e1 in self.terms for c2, e2 in other.terms]
         return UnivariatePoly(f, prods)
 
-    def scaled(self, c: int | FieldElement) -> "UnivariatePoly":
-        cb = self.field.coerce(c)
-        return UnivariatePoly(self.field,
-                              [(self.field.mul(cb, ci), e) for ci, e in self.terms])
-
     def frob(self, k: int) -> "UnivariatePoly":
         """The polynomial raised to the 2^k power (as a function form)."""
         f = self.field

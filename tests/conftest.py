@@ -10,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from apnlab import bitlinalg
 from apnlab.bitlinalg import GF2Basis, xor_permute_columns
 from apnlab.gf2n import Field, field_new
 from apnlab.invariants import _graph_indicator_row
@@ -194,11 +195,22 @@ def unskipped_closure(t: FunctionTable, chunk_rows: int):
         for start in range(0, src.shape[0], chunk_rows):
             chunk = src[start: start + chunk_rows]
             gave = np.zeros(chunk.shape[0], dtype=bool)
-            basis.absorb(xor_permute_columns(chunk, 1 << r, side), out=gave)
+            # a copy: the translate is in place, and chunk views stored rows
+            basis.absorb(xor_permute_columns(chunk.copy(), 1 << r, side),
+                         out=gave)
             labels += [a | 1 << r for a, g in zip(labels[start:], gave) if g]
             absorbed += chunk.shape[0]
         pivots.append(basis.count - before)
     return basis, labels, pivots, absorbed
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _started_pool():
+    """The worker pool imports its modules and makes its threads at the
+    first split, once per process.  Start it before any test, so that what
+    a test traces of a split run does not depend on the tests before it."""
+    if bitlinalg._WORKERS > 1:
+        bitlinalg._pool().submit(int).result()
 
 
 @pytest.fixture

@@ -388,10 +388,10 @@ def test_cubic_resolvent_evidence_is_checkable():
             emb = None
             if ext:
                 # the resolvent roots live in GF(2^8) via the subfield injection
-                from apnlab.gf2n import subfield_map
-                emb = subfield_map(g, f)
+                from apnlab.gf2n import subfield_embedding
+                emb = subfield_embedding(g, f)
             def lift(x: int) -> int:
-                return emb.embed_subfield(x) if emb else x
+                return int(emb[x]) if emb is not None else x
             for t in (t1, t2):
                 # t^2 + b t + a^3 = 0
                 lhs = g.sqr(t) ^ g.mul(lift(b), t) ^ lift(f.pow(a, 3))
@@ -965,6 +965,9 @@ def test_split_sweep_builds_field_tables_once(monkeypatch, sweep):
     # them unbuilt, unless the sweep builds the tables before it splits and
     # the field builds each map under its lock
     builds = []
+    # the search's own field work (its shared GF(2^6)), not the sweep's,
+    # whatever ran before
+    search_trinomial_params(2)
 
     def slow_count(nbytes, what, budget=None):
         builds.append(what)

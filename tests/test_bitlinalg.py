@@ -155,9 +155,8 @@ def test_basis_incremental_absorb():
     for start in range(0, 90, 13):
         total += basis.absorb(data[start:start + 13])
     assert total == basis.rank == naive_rank(d)
-    piv = basis.pivot_cols()
-    assert len(piv) == basis.rank
-    assert len(set(piv)) == len(piv)
+    piv = basis._piv_col[: basis.count].tolist()
+    assert len(set(piv)) == len(piv) == basis.rank
 
 
 def test_basis_absorb_reports_which_rows_gave_pivots(monkeypatch):
@@ -273,25 +272,23 @@ def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
     basis = GF2Basis(1 << 28)
     assert basis._rows.nbytes == 0 and basis.rows_view().shape == (0, 1 << 22)
-    with pytest.raises(MemoryBudgetError, match="^1 copies of 1 rows"):
-        basis.check_absorb(1, 1)
+    with pytest.raises(MemoryBudgetError, match="^absorbing 1 rows"):
+        basis.check_absorb(1, basis.words * 8)  # the caller's row held
 
 
 def test_check_absorb_counts_the_callers_copies(monkeypatch):
     # absorbing 16 rows of 8 words takes those rows written, their gathered
     # slice, their pivot-bit temporaries and one table, with 1000 bytes the
-    # caller holds exactly the budget; two copies of the chunk, or one byte
-    # more held, do not fit beside them
+    # caller holds exactly the budget; one byte more held does not fit
     budget = (16 * ROW_BYTES + (16 + 256) * 64
               + 16 * bitlinalg._PIVOT_BIT_BYTES + 1000)
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / GIB))
     basis = GF2Basis(512)
-    with pytest.raises(MemoryBudgetError, match="2 chunks and 1 tables"):
-        basis.check_absorb(16, 2)
-    with pytest.raises(MemoryBudgetError, match="0 chunks and 1 tables"):
-        basis.check_absorb(16, 0, 1001)
+    with pytest.raises(MemoryBudgetError,
+                       match="^absorbing 16 rows .basis and 1 tables"):
+        basis.check_absorb(16, 1001)
     assert basis._rows.nbytes == 0
-    basis.check_absorb(16, 0, 1000)
+    basis.check_absorb(16, 1000)
     assert basis.absorb(pack(np.eye(16, 512, dtype=np.uint8))) == 16
     # the per-row arrays are what _ROW_INDEX_BYTES counts: 24 B of pivot
     # arrays per row and 256 B of index map per whole block of 8
@@ -330,21 +327,34 @@ def test_meminfo_sums_ram_and_swap(tmp_path):
     assert bitlinalg._meminfo_bytes(keys, str(path)) == math.inf
 
 
-def test_gf512_row_7_fits_its_budget_as_it_grows():
+def test_gf512_row_7_fits_its_budget_as_it_grows(monkeypatch):
     # Table 5 row 7 (z^255) has rank 130,816 in 32 KiB rows.  A 2048-row
-    # chunk with the closure's 3 copies beside a basis of 65,000 and of
-    # 128,768 rows is 2.3 and 4.2 GiB; counting a doubled store beside the
-    # one it is copied from asked 6.2 GiB at 65,000 rows
+    # chunk staged beside a basis of 65,000 and of 128,768 rows, with two
+    # workers' tables and gathered slices, is 2.1 and 4.0 GiB; counting a
+    # doubled store beside the one it is copied from asked 6.2 GiB at 65,000
+    # rows.  The larger fits a budget of exactly its bytes, and one byte
+    # less refuses it
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 2)
+    row = 1 << 15
+    need = ((128_768 + 2048) * (row + bitlinalg._ROW_INDEX_BYTES)
+            + 2 * bitlinalg._SLICE_BYTES + 2048 * bitlinalg._PIVOT_BIT_BYTES
+            + 2 * 256 * row)
+    assert 4.0 * GIB < need < 4.1 * GIB
     basis = GF2Basis(1 << 18)
-    basis._budget = 5 * GIB  # on any host, whatever its RAM and swap
     tracemalloc.start()
     try:
-        for count in (65_000, 128_768):
-            # a basis of ``count`` rows, stood in for by a zero-stride view
-            basis.count = count
-            basis._rows = np.broadcast_to(np.zeros(basis.words, np.uint64),
-                                          (count, basis.words))
-            basis.check_absorb(2048, 3)
+        for budget in (need, need - 1):
+            basis._budget = budget  # on any host, whatever its RAM and swap
+            for count in (65_000, 128_768):
+                # a basis of ``count`` rows, stood in for by a zero-stride view
+                basis.count = count
+                basis._rows = np.broadcast_to(
+                    np.zeros(basis.words, np.uint64), (count, basis.words))
+                if budget < need and count == 128_768:
+                    with pytest.raises(MemoryBudgetError, match="2 tables"):
+                        basis.check_absorb(2048, 0)
+                else:
+                    basis.check_absorb(2048, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -381,6 +391,67 @@ def test_absorb_stages_chunks_in_its_store(monkeypatch, chunk_rows):
     store = basis._rows
     assert store.shape == (64 + chunk_rows, 1)
     assert basis.absorb(data[:100]) == 0 and basis._rows is store
+
+
+def _basis_of_40_rows(seed: int) -> GF2Basis:
+    basis = GF2Basis(190)
+    basis.absorb(pack(random_dense(np.random.default_rng(seed), 40, 190, 0.5)))
+    assert basis.count == 40
+    return basis
+
+
+def test_stage_gathers_stored_rows_after_the_basis():
+    basis = _basis_of_40_rows(14)
+    stored = basis.rows_view().copy()
+    take = np.array([5, 0, 39, 3, 3, 17])
+    staged = basis.stage(take, 0)
+    assert np.array_equal(staged, stored[take])
+    assert basis.rows_view().tobytes() == stored.tobytes()
+    # the staged rows are the store's rows after the basis, which absorb
+    # reduces where they stand: every one lies in the span
+    assert staged.base is basis._rows.base and staged.flags.writeable
+    assert np.shares_memory(staged, basis._rows[40: 40 + take.size])
+    gave = np.ones(take.size, dtype=bool)
+    assert basis.absorb(staged, out=gave) == 0 and not gave.any()
+    assert basis.rows_view().tobytes() == stored.tobytes()
+
+
+def test_stage_refuses_rows_outside_the_basis():
+    # an index at or past ``count`` (or below 0) is refused, never clipped
+    # to the last stored row, and nothing is gathered
+    basis = _basis_of_40_rows(15)
+    store = basis._rows.copy()
+    for take in ([0, 40], [41], [-1, 2], [0] * (bitlinalg._CHUNK_ROWS + 1)):
+        with pytest.raises(PreconditionError, match="stage takes"):
+            basis.stage(np.array(take), 0)
+        assert basis._rows.tobytes() == store.tobytes()
+
+
+def test_stage_and_translate_allocate_no_chunk(monkeypatch):
+    # a 2048-row chunk of 8 KiB rows is 16 MiB; gathering it into the staged
+    # rows and translating it there holds one slice-sized scratch array.
+    # The 256 stored rows are written directly: staging reads stored rows,
+    # not the elimination that made them
+    basis = GF2Basis(1 << 16)
+    basis._reserve(256 + 2048)
+    basis._rows[:256] = np.random.default_rng(16).integers(
+        0, 1 << 63, (256, 1024), dtype=np.uint64)
+    basis.count = 256
+    take = np.random.default_rng(17).integers(0, 256, 2048)
+    mask = (37 << 6) | 45  # a word move and three butterfly steps
+    want = [np.unpackbits(basis.rows_view()[i].view(np.uint8),
+                          bitorder="little")[np.arange(1 << 16) ^ mask]
+            for i in take[[0, -1]]]
+    tracemalloc.start()
+    try:
+        staged = xor_permute_columns(basis.stage(take, 0), mask, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * bitlinalg._SLICE_BYTES
+    for row, bits in zip(staged[[0, -1]], want):
+        assert np.array_equal(
+            np.unpackbits(row.view(np.uint8), bitorder="little"), bits)
 
 
 def _calls(tree: ast.AST, name: str) -> list[ast.Call]:
@@ -450,7 +521,8 @@ def test_split_reduction_is_bit_identical(monkeypatch, workers):
         sys.setswitchinterval(interval)
     assert len(basis._tables) == workers
     assert np.array_equal(basis.rows_view(), ref.rows_view())
-    assert basis.pivot_cols() == ref.pivot_cols()
+    assert np.array_equal(basis._piv_col[: basis.count],
+                          ref._piv_col[: ref.count])
     assert gave.tolist() == ref_gave.tolist()
 
 
@@ -516,19 +588,18 @@ def test_basis_rejects_width_mismatch():
 # column translation
 # ---------------------------------------------------------------------------
 
-def test_xor_permute_columns_is_involution():
+def test_xor_permute_columns_is_involution(monkeypatch):
+    # slices of 3 rows: 10 rows take three whole slices and one partial
+    monkeypatch.setattr(bitlinalg, "_SLICE_BYTES", 3 * 32)
     rng = np.random.default_rng(10)
     cols = 256
     d = random_dense(rng, 10, cols, 0.4)
     data = pack(d)
     for mask in (1, 5, 63, 64, 129, 255):
-        once = xor_permute_columns(data, mask, cols)
-        twice = xor_permute_columns(once, mask, cols)
+        once = data.copy()
+        assert xor_permute_columns(once, mask, cols) is once  # in place
+        twice = xor_permute_columns(once.copy(), mask, cols)
         assert np.array_equal(twice, data)
-        # word moves come out C-ordered, with no second copy to get there
-        assert once.flags.c_contiguous
-        fortran = xor_permute_columns(np.asfortranarray(data), mask, cols)
-        assert fortran.flags.c_contiguous and np.array_equal(fortran, once)
         # column j of the permuted matrix is column j ^ mask of the original
         moved = np.unpackbits(once.view(np.uint8), axis=1, bitorder="little")
         assert np.array_equal(moved, d[:, np.arange(cols) ^ mask])
@@ -540,3 +611,7 @@ def test_xor_permute_rejects_bad_shapes():
         xor_permute_columns(data, 1, 100)  # not a power of two
     with pytest.raises(PreconditionError):
         xor_permute_columns(data, 128, 128)  # mask out of range
+    with pytest.raises(PreconditionError):
+        xor_permute_columns(data, 1, 256)  # rows of 2 words, not 4
+    with pytest.raises(PreconditionError):
+        xor_permute_columns(data.astype(np.int64), 1, 128)

@@ -243,7 +243,7 @@ def test_gamma_rank_past_the_budget_exits_3_before_allocating(capsys,
     finally:
         tracemalloc.stop()
     assert code == 3 and out["status"] == "resource-limit"
-    assert "1 copies of 1 rows to absorb" in out["error"]
+    assert "absorbing 1 rows" in out["error"]
     assert peak < 16 << 20
 
 

@@ -143,35 +143,35 @@ def test_closure_memory_stays_within_its_largest_check(monkeypatch):
 
 
 def test_closure_refuses_a_chunk_before_translating_it(monkeypatch):
-    # absorb's own check counts the basis with the chunk staged in it, its
-    # tables and gathers; the closure's gathered and translated copies of a
-    # chunk come on top, which takes Gold n=6's peak (less the unwritten
-    # reserved rows) above that count.  A budget between the two must stop
-    # the closure at its check of a chunk, before it translates that chunk.
+    # staging a chunk counts the basis with the chunk staged in it, its
+    # tables and gathers and the closure's labels, more than absorb's own
+    # check of that chunk.  A budget one byte under the largest count of
+    # Gold n=6 must stop the closure at a chunk's staging, before any of its
+    # rows is gathered or translated.
     table = gold_table(6)  # its field's tables are built before the budget is set
-    events = []
-    real_absorb_check = bitlinalg.GF2Basis.check_absorb
+    _, _, checks = _closure_peak(monkeypatch, table)
+    largest = max(nbytes for nbytes, _ in checks)
+    events, stores = [], []
+
+    class Recording(invariants.GF2Basis):
+        def stage(self, take, held):
+            events.append("stage")
+            stores[:] = [self, self._rows.copy()]
+            return super().stage(take, held)
 
     def recording_translate(data, mask, cols):
         events.append("translate")
         return xor_permute_columns(data, mask, cols)
 
+    monkeypatch.setattr(invariants, "GF2Basis", Recording)
     monkeypatch.setattr(invariants, "xor_permute_columns", recording_translate)
-    _, peak, checks = _closure_peak(monkeypatch, table)
-    absorbed = max(nbytes for nbytes, what in checks if what.startswith("absorbing"))
-    budget = (absorbed + peak) // 2
-    assert absorbed < budget < peak
-
-    def recording_absorb_check(self, rows, copies, held=0):
-        events.append("check")
-        real_absorb_check(self, rows, copies, held)
-
-    monkeypatch.setattr(bitlinalg.GF2Basis, "check_absorb", recording_absorb_check)
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(budget / (1 << 30)))
-    events.clear()
-    with pytest.raises(MemoryBudgetError, match="copies of .* rows to absorb"):
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str((largest - 1) / (1 << 30)))
+    with pytest.raises(MemoryBudgetError, match=f"^absorbing .* needs {largest} "):
         gamma_rank(table)
-    assert events[-1] == "check" and "translate" in events
+    assert events[-1] == "stage"
+    assert events.count("translate") == events.count("stage") - 1 > 0
+    basis, store = stores
+    assert basis._rows.tobytes() == store.tobytes()  # nothing gathered
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_frob_and_scaled():
     p = UnivariatePoly(f, [(1, 3)])
     q = p.frob(1)  # z -> p(z)^2
     c = f.primitive_power(2)
-    s = p.scaled(c)
+    s = UnivariatePoly(f, [(c, 0)]) * p  # p scaled by c
     for z in range(f.order):
         assert q.eval(z) == f.sqr(p.eval(z))
         assert s.eval(z) == f.mul(c, p.eval(z))
