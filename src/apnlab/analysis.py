@@ -12,7 +12,9 @@ Four groups of tools:
   checked against brute force by :func:`sweep_cubic_classifier`;
 * the factored-identity check for the bivariate APN family's derivative
   system (:func:`verify_resultant_identity`): its y-resultant, a Sylvester
-  determinant, against the printed factors at every (a, b, x);
+  determinant, and the printed factors, both as polynomials in x with one
+  coefficient per (a, b), must agree at every (a, b, x); only the (a, b)
+  whose coefficients differ are evaluated point by point;
 * the algebraic identity suite behind the trinomial family's APN proof
   (:func:`sweep_key_lemmas` over every valid (s, mu, v) of an m, and
   :func:`sweep_key_lemma` for one tuple), which recomputes every displayed
@@ -81,27 +83,35 @@ _KEY_BYTES_PER_TUPLE = 384
 #: 141.4 B at m = 4, of which the 16,380 results are about 24 B.
 _KEY_BYTES_PER_PAIR = 128
 
-#: Points per pass of the resultant sweep, rounded down to whole rows of
-#: 2^m points (one row per (a, b) pair).  At m = 7 on a 2-core x86-64 host,
-#: with ranges of at least 2^15 points, the sweep took 0.136 s at 2^17
-#: against 0.160 s at 2^16 (medians of 21 alternating runs, faster in 18),
-#: and in another set of 15 runs each 0.122, 0.137 and 0.169 s at 2^17,
-#: 2^16 and 2^15.
-_RESULTANT_POINTS_PER_PASS = 1 << 17
-#: Fewest points in one range of a split resultant pass, rounded up to whole
-#: rows.  Each range runs its own coefficient determinant, under the
-#: interpreter lock.  On a 2-core x86-64 host at m = 7, two ranges took
-#: 1.45x the one-thread time of a 2^15-point pass, 0.87x at 2^16 and 0.73x
-#: at 2^17.
-_RESULTANT_MIN_PART_POINTS = 1 << 15
-#: Peak bytes per (a, b, x) point of one resultant pass.  The widest step is
-#: Horner's last multiply by g0, where 4 B a point is held by each of f0,
-#: g0, the polynomial in f0 and the partial sum, and the multiply's uint32
-#: index, its intp copy and the product take 16 B: 32 B.  The (a, b)
-#: columns add about 64 / 2^m B.  Measured (tracemalloc, whole sweeps):
-#: 32.4 B/point at m = 7, 33.4 at m = 5 and 36.0 at m = 4 on one thread;
-#: in two ranges 32.4 at m = 7, 19.6-23.8 at m = 5 and 25.2-30.2 at m = 4.
-_RESULTANT_BYTES_PER_POINT = 40
+#: (a, b) pairs per pass of the resultant sweep.  On a 2-core x86-64 host,
+#: with ranges of at least 2^14 pairs, the m = 10 sweep took 0.55 s at
+#: 2^15 and 2^16 against 0.69-0.78 s at 2^14 and 1.20 s at 2^13, and the
+#: m = 8 sweep 31-36 ms at 2^15 against 38-41 ms at 2^14 (medians).
+_RESULTANT_PAIRS_PER_PASS = 1 << 15
+#: Fewest pairs in one range of a split resultant pass.  Each range runs
+#: its own coefficient determinant, in Python under the interpreter lock.
+#: On a 2-core x86-64 host, the m = 10 sweep in passes of 2^15 took 0.55 s
+#: in two ranges against 0.89 s whole; at m = 7 (2^14 pairs) two ranges
+#: gained nothing (11.4 against 11.3 ms).
+_RESULTANT_MIN_PART_PAIRS = 1 << 14
+#: Peak bytes per (a, b) pair of one resultant pass.  The widest step is
+#: the right side's last multiply, the 7 rows in x of H(x) H(x+a) times
+#: lead^2 (x^2 + a x) into 10: the product's 40 B and the multiply's uint32
+#: index, intp copy and output (16 B a row, 112 B), over the 116 B then
+#: held (the left side's 9 rows, the operand, H(x) and the columns).
+#: Measured (tracemalloc, whole sweeps): 293.6 B/pair at m = 4, 280.5 at
+#: m = 5, 276.3 at m = 7 and 276.2 at m = 10 on one thread; 294.3 at m = 8
+#: and m = 10 in two ranges, where the count includes the thread pool's
+#: start.
+_RESULTANT_BYTES_PER_PAIR = 304
+#: Peak bytes per (a, b, x) point of a range's evaluation block, the rows
+#: whose difference polynomial is not zero: Horner's multiply by x holds
+#: the value, the uint32 index, its intp copy and the product, 20 B, and
+#: ``np.nonzero`` 16 B a hit.  Measured (tracemalloc, every row of a pass
+#: flagged, over what the range holds): 20.2 B at m = 10, 20.6 at m = 7,
+#: 23.1-23.4 at m = 5 and 31.3-34.1 at m = 4, where a block is 256 points;
+#: whole sweeps with every row flagged peak at the unflagged sweep's bytes.
+_RESULTANT_BYTES_PER_POINT = 24
 
 
 # ----------------------------------------------------------------------
@@ -461,28 +471,34 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     determinant must equal ``(a^3+ab^2+b^3)^2 x (x+a) H(x) H(x+a)`` with
     ``H(x) = x^3 + (a^2+ab+a+b^2+b+1) x + (a^3+a^2b+a+b^3+b^2+1)``.
 
-    Every (a, b, x) in GF(2^m)^3 is checked.  A pass holds whole rows: the
-    2^m points x of each of a block of (a, b) pairs, about
-    ``_RESULTANT_POINTS_PER_PASS`` points in all, split across the CPUs by
-    :func:`~apnlab.bitlinalg.split_run` on row boundaries.  Only the
-    equations' constant terms f0 and g0 depend on x, so each range takes
-    the determinant once, as a polynomial in f0 and g0 with coefficients
-    per (a, b) pair, and evaluates it at every point by Horner.  Each row
-    also gives two side facts: the constant term of H vanishes only at
-    (a, b) = (1, 1), and a^3+ab^2+b^3 is nonzero off the origin.
+    Every (a, b, x) in GF(2^m)^3 is checked.  For fixed (a, b) both sides
+    are polynomials in x, so each (a, b) row is checked by the coefficients
+    of their difference (:func:`_resultant_difference`), computed on arrays
+    of the size of the (a, b) pairs: a row whose difference has no nonzero
+    coefficient holds at all 2^m points.  A row with one is evaluated at
+    every x, since a nonzero polynomial of degree >= 2^m can vanish on the
+    whole field; that and the scan order of the witnesses is
+    :func:`_resultant_range`'s.  A pass holds ``_RESULTANT_PAIRS_PER_PASS``
+    pairs (at least one row's 2^m), split across the CPUs by
+    :func:`~apnlab.bitlinalg.split_run`.  Each pair also gives two side
+    facts: the constant term of H vanishes only at (a, b) = (1, 1), and
+    a^3+ab^2+b^3 is nonzero off the origin.
 
-    Raises :class:`MemoryBudgetError` before allocating when one pass would
-    exceed ``APNLAB_MEM_BUDGET_GIB``.
+    Raises :class:`MemoryBudgetError` before allocating when one pass and
+    its evaluation blocks would exceed ``APNLAB_MEM_BUDGET_GIB``.
     """
     field = field_new(m)
     order = field.order
     checked = order**3
     pairs = order * order
-    per_pass = min(pairs, max(1, _RESULTANT_POINTS_PER_PASS // order))
-    check_alloc(per_pass * order * _RESULTANT_BYTES_PER_POINT,
-                f"resultant check at m={m} (one pass of {per_pass * order} points)")
+    # a pass, and each range of a split one, holds at least one row's 2^m
+    # pairs, so a range's evaluation block of pairs // 2^m rows (at least
+    # one) holds no more points than the range has pairs
+    per_pass = min(pairs, max(order, _RESULTANT_PAIRS_PER_PASS))
+    check_alloc(per_pass * (_RESULTANT_BYTES_PER_PAIR + _RESULTANT_BYTES_PER_POINT),
+                f"resultant check at m={m} (one pass of {per_pass} (a, b) pairs)")
     field._product_table()  # the tables, built once before the ranges share them
-    min_part = -(-_RESULTANT_MIN_PART_POINTS // order)  # rows
+    min_part = max(order, _RESULTANT_MIN_PART_PAIRS)
     mismatches: list[tuple[int, int, int]] = []
     const_zeros: set[tuple[int, int]] = set()
     denom_zeros: set[tuple[int, int]] = set()
@@ -506,14 +522,33 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
 def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
     """The first ``_WITNESS_CAP`` mismatch witnesses (a, b, x) in the rows
     of the pairs a 2^m + b = lo..hi-1, and the (a, b) among them where the
-    constant term of H and where a^3+ab^2+b^3 vanish."""
+    constant term of H and where a^3+ab^2+b^3 vanish.
+
+    Only the rows whose difference polynomial has a nonzero coefficient
+    are evaluated at every x, in scan order, by Horner, in blocks of
+    (hi - lo) // 2^m rows (at least one), until the range holds
+    ``_WITNESS_CAP`` witnesses.
+    """
     mul, sq = field.mul_vec, field.sqr_vec
     ab = np.arange(lo, hi, dtype=np.uint32)
     a, b = ab >> field.n, ab & np.uint32(field.order - 1)
+    difference = _resultant_difference(field, a, b)
+    flagged = np.flatnonzero(difference.any(axis=0))
     x = field.all_elements_vec()
-    hits = _resultant_mismatches(field, a[:, None], b[:, None], x[None, :])
-    row, col = np.divmod(hits[:_WITNESS_CAP], field.order)
-    found = list(zip(a[row].tolist(), b[row].tolist(), x[col].tolist()))
+    block = max(1, (hi - lo) // field.order)
+    found: list[tuple[int, int, int]] = []
+    for start in range(0, len(flagged), block):
+        if len(found) >= _WITNESS_CAP:
+            break
+        rows = flagged[start: start + block]
+        coefficients = difference[:, rows, None]
+        at_x = np.broadcast_to(coefficients[-1], (len(rows), field.order))
+        for c in coefficients[-2::-1]:
+            at_x = mul(at_x, x) ^ c
+        row, col = np.nonzero(at_x)
+        take = _WITNESS_CAP - len(found)
+        row, col = rows[row[:take]], col[:take]
+        found += zip(a[row].tolist(), b[row].tolist(), x[col].tolist())
     a2, b2 = sq(a), sq(b)
     a3, b3 = mul(a2, a), mul(b2, b)
     const, denom = (list(zip(a[value == 0].tolist(), b[value == 0].tolist()))
@@ -522,62 +557,82 @@ def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
     return found, const, denom
 
 
-def _resultant_mismatches(field: Field, a, b, x) -> np.ndarray:
-    """Flat indices, over the broadcast of ``(P, 1)`` columns a, b against
-    the row x, where the y-resultant (:func:`_resultant_lhs`) differs from
-    its printed factors.
+def _poly_times(mul, p: np.ndarray, terms: dict) -> np.ndarray:
+    """The product of p, a polynomial in x whose row i holds the
+    coefficients of x^i, one per (a, b) pair, and the sum of the terms
+    ``{e: c}``, c x^e with c a column of pairs or, where it is None, 1."""
+    out = np.zeros((len(p) + max(terms), p.shape[1]), dtype=np.uint32)
+    for e, c in terms.items():
+        out[e: e + len(p)] ^= p if c is None else mul(p, c)
+    return out
 
-    Every value that depends on (a, b) alone is computed on the columns.
+
+def _poly_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The sum of polynomials p and q in x; p, a product of
+    :func:`_poly_times`, is reused when it is as long as q."""
+    if len(p) < len(q):
+        p, q = q.copy(), p
+    p[: len(q)] ^= q
+    return p
+
+
+def _resultant_difference(field: Field, a, b) -> np.ndarray:
+    """The y-resultant (:func:`_resultant_lhs`) minus its printed factors,
+    as a polynomial in x: row i holds the coefficients of x^i, one per pair
+    of the 1-D arrays a, b.
+
+    The right-hand side is built as the left is, from the polynomials x,
+    x+a, H(x) and H(x+a), so every product is of the size of a and b.
     """
-    lhs = _resultant_lhs(field, a, b, x)
-    mul, sq, pw = field.mul_vec, field.sqr_vec, field.pow_vec
+    lhs = _resultant_lhs(field, a, b)
+    mul, sq = field.mul_vec, field.sqr_vec
     a2, b2 = sq(a), sq(b)
     a3, b3 = mul(a2, a), mul(b2, b)
     h_lin = a2 ^ mul(a, b) ^ a ^ b2 ^ b ^ 1
     h_const = a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1
-    xa = x ^ a
+    lead2 = sq(a3 ^ mul(a, b2) ^ b3)
+    h = np.stack([h_const, h_lin, np.zeros_like(a), np.ones_like(a)])  # H(x)
+    # H(x+a) = x^3 + a x^2 + (a^2 + h_lin) x + H(a)
+    hh = _poly_times(mul, h, {0: a3 ^ mul(h_lin, a) ^ h_const, 1: a2 ^ h_lin,
+                              2: a, 3: None})
+    # lead^2 x (x+a) = lead^2 x^2 + lead^2 a x
+    rhs = _poly_times(mul, hh, {1: mul(lead2, a), 2: lead2})
+    return _poly_plus(rhs, lhs)
 
-    def h_at(t: np.ndarray) -> np.ndarray:
-        return pw(t, 3) ^ mul(h_lin, t) ^ h_const
 
-    lead = a3 ^ mul(a, b2) ^ b3
-    rhs = mul(mul(mul(sq(lead), mul(x, xa)), h_at(x)), h_at(xa))
-
-    return np.flatnonzero(lhs ^ rhs)
-
-
-def _resultant_lhs(field: Field, a, b, x):
-    """The derivative system's y-resultant over the broadcast of a, b, x.
+def _resultant_lhs(field: Field, a, b) -> np.ndarray:
+    """The derivative system's y-resultant as a polynomial in x: row i
+    holds the coefficients of x^i, one per pair of the 1-D arrays a, b.
 
     Of the Sylvester entries only the constant terms f0 and g0 of the two
     equations depend on x, so the determinant is a polynomial in them whose
     coefficients (:func:`_resultant_coefficients`) are the size of a and b.
-    It is evaluated at f0 and g0 by Horner, in f0 inside g0, skipping each
-    coefficient that is zero at every (a, b) given.
+    It is taken by Horner, in f0 inside g0, over polynomials in x, skipping
+    each coefficient that is zero at every (a, b) given.
     """
     mul, sq = field.mul_vec, field.sqr_vec
-    a2, b2, x2 = sq(a), sq(b), sq(x)
+    a2, b2 = sq(a), sq(b)
     # the constant terms in y of the equations in _resultant_coefficients
-    f0 = mul(a, x2) ^ mul(a2 ^ b2 ^ b, x)
-    g0 = mul(a ^ b, sq(x2)) ^ mul(b2, x2) ^ mul(sq(a2) ^ b, x)
-    coefficients = {key: c for key, c in _resultant_coefficients(field, a, b).items()
-                    if c.any()}
+    f0 = {1: a2 ^ b2 ^ b, 2: a}
+    g0 = {1: sq(a2) ^ b, 2: b2, 4: a ^ b}
+    coefficients = {key: c[None] for key, c in
+                    _resultant_coefficients(field, a, b).items() if c.any()}
 
-    def horner(terms: list, t):
+    def horner(terms: list, t: dict):
         """The sum of terms[i] t^i over the terms that are not None; None
         if every term is."""
         acc = None
         for c in reversed(terms):
             if acc is not None:
-                acc = mul(acc, t)
+                acc = _poly_times(mul, acc, t)
             if c is not None:
-                acc = c if acc is None else acc ^ c
+                acc = c if acc is None else _poly_plus(acc, c)
         return acc
 
     # of degree 4 in f0 and 2 in g0: one per Sylvester row of each equation
     lhs = horner([horner([coefficients.get((i, j)) for i in range(5)], f0)
                   for j in range(3)], g0)
-    return 0 if lhs is None else lhs
+    return np.zeros((1, len(a)), dtype=np.uint32) if lhs is None else lhs
 
 
 def _resultant_coefficients(field: Field, a, b) -> dict[tuple[int, int], np.ndarray]:

@@ -183,7 +183,7 @@ def test_criterion_04x_rank_table_gf512_gated_rows(monkeypatch):
 def test_criterion_05_resultant_identity():
     budget_s = 10.0
     t0 = time.perf_counter()
-    reports = {m: verify_resultant_identity(m) for m in (4, 5, 7)}
+    reports = {m: verify_resultant_identity(m) for m in (4, 5, 7, 8, 10)}
     elapsed = time.perf_counter() - t0
     ok = (all(r.all_ok for r in reports.values())
           and all(r.checked == (1 << m) ** 3 for m, r in reports.items())
@@ -191,7 +191,7 @@ def test_criterion_05_resultant_identity():
     detail = {m: (r.identity_holds, r.b_coeff_zero_set_ok,
                   r.denominator_nonzero_ok) for m, r in reports.items()}
     report(5, ok,
-           f"full sweeps m=4,5,7 (identity, zero-set, denominator)={detail}, "
+           f"full sweeps m=4,5,7,8,10 (identity, zero-set, denominator)={detail}, "
            f"{elapsed:.2f}s (budget {budget_s:.0f}s)")
 
 

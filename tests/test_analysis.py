@@ -17,6 +17,7 @@ from apnlab.analysis import (
     _key_claims,
     _key_point_values,
     _resultant_coefficients,
+    _resultant_difference,
     _resultant_lhs,
     _sylvester_rows,
     algebraic_degree,
@@ -538,21 +539,33 @@ def _derivative_sylvester(a, b, x, modulus):
             + [[0] * i + g + [0] * (1 - i) for i in range(2)])
 
 
+def _poly_at(field, poly, x):
+    """The polynomial in x ``poly`` (row i: the coefficients of x^i, one
+    per pair) at x, broadcast against its columns."""
+    value = np.zeros(np.broadcast(poly[0], x).shape, dtype=np.uint32)
+    for c in poly[::-1]:
+        value = field.mul_vec(value, x) ^ c
+    return value
+
+
 @pytest.mark.parametrize("m", [3, 5])
 def test_resultant_lhs_matches_gaussian_elimination(m):
-    # every (a, b, x) at m=3, as the sweep passes them ((P, 1) columns
-    # against the row of x); 2,000 seeded points at m=5, elementwise
+    # the determinant's polynomial in x at every (a, b, x) at m=3 (each
+    # pair's column against the row of x); at 2,000 seeded points at m=5,
+    # each pair's polynomial at its own x
     field = get_field(m)
     order = field.order
     if m == 3:
         ab = np.arange(order * order, dtype=np.uint32)
-        a, b = (ab >> m)[:, None], (ab & (order - 1))[:, None]
+        a, b = ab >> m, ab & (order - 1)
         x = np.arange(order, dtype=np.uint32)[None, :]
+        got = _poly_at(field, _resultant_lhs(field, a, b)[:, :, None], x)
+        a, b, x = (np.broadcast_to(v, got.shape) for v in (a[:, None], b[:, None], x))
     else:
         a, b, x = np.random.default_rng(25).integers(0, order, (3, 2000),
                                                       dtype=np.uint32)
-    got = np.broadcast_to(_resultant_lhs(field, a, b, x), np.broadcast(a, b, x).shape)
-    points = zip(*(np.broadcast_to(v, got.shape).ravel().tolist() for v in (a, b, x)))
+        got = _poly_at(field, _resultant_lhs(field, a, b), x)
+    points = zip(*(v.ravel().tolist() for v in (a, b, x)))
     want = [gauss_det(_derivative_sylvester(*point, field.modulus), field.modulus)
             for point in points]
     assert got.ravel().tolist() == want
@@ -591,28 +604,45 @@ def test_resultant_identity_report(m, side_facts):
 
 
 def test_resultant_sweep_in_short_passes_matches_one_pass(monkeypatch):
-    one_pass = verify_resultant_identity(4)  # 4096 points, one pass
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1000)
+    one_pass = verify_resultant_identity(4)  # 256 pairs, one pass
+    monkeypatch.setattr(analysis, "_RESULTANT_PAIRS_PER_PASS", 63)
     assert verify_resultant_identity(4) == one_pass
 
 
+def _planted_difference(order, flagged, seen):
+    """A stand-in for ``_resultant_difference`` that adds to the real
+    difference, on the row of each flagged flat index (a 2^m + b) 2^m + x,
+    the polynomial that is 1 at that x and 0 elsewhere, 1 + (x + s)^(q-1),
+    and records the flat pair indices a 2^m + b it is given."""
+    def planted(field, a, b):
+        pairs = a.astype(np.int64) * order + b
+        seen.append(pairs)
+        d = _resultant_difference(field, a, b)
+        out = np.zeros((max(order, len(d)), len(a)), dtype=np.uint32)
+        out[: len(d)] = d
+        for i in flagged:
+            col = np.flatnonzero(pairs == i // order)
+            s = int(i) % order
+            out[0, col] ^= 1
+            for k in range(order):  # (x + s)^(q-1): every binomial is odd
+                out[k, col] ^= field.pow(s, order - 1 - k)
+        return out
+
+    return planted
+
+
 def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
-    # a stand-in check flags 40 fixed points spread over the five passes of
-    # 63 (a, b) rows; the report keeps the first 16 by flat index
-    # (a 2^m + b) 2^m + x
+    # 40 fixed points spread over the five passes of 63 (a, b) pairs have a
+    # planted nonzero difference; the report keeps the first 16 by flat
+    # index (a 2^m + b) 2^m + x
     m, order = 4, 16
     flagged = np.random.default_rng(3).choice(order**3, 40, replace=False)
     seen = []
-
-    def flag(field, a, b, x):
-        flat = ((a.astype(np.int64) * order + b) * order + x).ravel()
-        seen.append(flat)
-        return np.flatnonzero(np.isin(flat, flagged))
-
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 63 * order)
-    monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
+    monkeypatch.setattr(analysis, "_RESULTANT_PAIRS_PER_PASS", 63)
+    monkeypatch.setattr(analysis, "_resultant_difference",
+                        _planted_difference(order, flagged, seen))
     rep = verify_resultant_identity(m)
-    assert np.array_equal(np.concatenate(seen), np.arange(order**3))
+    assert np.array_equal(np.concatenate(seen), np.arange(order**2))
     first = np.sort(flagged)[:16]
     assert len({int(i) // (63 * order) for i in first}) > 1
     assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
@@ -620,13 +650,64 @@ def test_resultant_witnesses_are_the_first_in_scan_order(monkeypatch):
     assert not rep.identity_holds and rep.checked == order**3
 
 
+def test_resultant_difference_that_vanishes_on_the_field_is_no_witness(
+        monkeypatch):
+    # x^16 + x is nonzero but vanishes on GF(16), so a row whose difference
+    # it is holds at every x.  Planted on every row it gives no witness;
+    # with one planted point on the last row as well, that point is the
+    # only witness
+    m, order = 4, 16
+    real = verify_resultant_identity(m)
+    for points, want in (([], []), ([(order**2 - 1) * order + 7], [(15, 15, 7)])):
+        planted = _planted_difference(order, points, [])
+
+        def vanishing(field, a, b, planted=planted):
+            d = planted(field, a, b)
+            out = np.zeros((order + 1, len(a)), dtype=np.uint32)
+            out[: len(d)] = d
+            out[order] ^= 1
+            out[1] ^= 1
+            return out
+
+        monkeypatch.setattr(analysis, "_resultant_difference", vanishing)
+        rep = verify_resultant_identity(m)
+        assert rep.mismatches == want and rep.checked == order**3
+    monkeypatch.setattr(analysis, "_resultant_difference",
+                        _planted_difference(order, [], []))
+    assert verify_resultant_identity(m) == real and real.identity_holds
+
+
+def _resultant_count(m):
+    """What ``verify_resultant_identity(m)`` counts before it allocates: a
+    pass of pairs and the evaluation blocks its ranges may hold."""
+    order = 1 << m
+    per_pass = min(order**2, max(order, analysis._RESULTANT_PAIRS_PER_PASS))
+    return per_pass * (analysis._RESULTANT_BYTES_PER_PAIR
+                       + analysis._RESULTANT_BYTES_PER_POINT)
+
+
+def _refused_before_sweeping(monkeypatch, m, count):
+    """A budget one byte under ``count`` refuses the sweep before any range
+    runs; the budget ``count`` itself is not checked here."""
+    def no_range(*args):
+        raise AssertionError("swept under a budget it does not fit")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_resultant_range", no_range)
+        patch.setenv("APNLAB_MEM_BUDGET_GIB", str((count - 1) / (1 << 30)))
+        with pytest.raises(MemoryBudgetError, match=f"needs {count} bytes"):
+            verify_resultant_identity(m)
+
+
 def test_resultant_side_facts_stay_within_two_short_passes(monkeypatch):
-    # 1024 passes of 2^11 points at m=7: the (a, b) side facts come from
-    # the passes' x = 0 points, so nothing outlives a pass.  The field's
-    # product table is built first: its build (64 KiB and 256 KiB of block
+    # 64 passes of 2^8 pairs at m=7: the (a, b) side facts come from each
+    # pass's pair columns, so nothing outlives a pass.  The field's product
+    # table is built first: its build (64 KiB and 256 KiB of block
     # temporaries) has its own check and happens once per field, not per pass
     m = 7
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 1 << 11)
+    monkeypatch.setattr(analysis, "_RESULTANT_PAIRS_PER_PASS", 1 << 8)
+    count = _resultant_count(m)
+    _refused_before_sweeping(monkeypatch, m, count)
     get_field(m)._product_table()
     tracemalloc.start()
     try:
@@ -635,22 +716,22 @@ def test_resultant_side_facts_stay_within_two_short_passes(monkeypatch):
     finally:
         tracemalloc.stop()
     assert rep.all_ok and rep.checked == 1 << 21
-    assert peak <= 2 * (1 << 11) * analysis._RESULTANT_BYTES_PER_POINT
+    assert peak <= 2 * count
 
 
-def test_resultant_sweep_memory_stays_within_two_passes():
-    # m=7 has 2^21 points, 16 passes; the (a, b) side facts hold about 44 B
-    # for each of the 2^14 pairs
-    m = 7
+def test_resultant_sweep_memory_stays_within_two_passes(monkeypatch):
+    # m=8 has 2^16 pairs, two passes
+    m = 8
+    count = _resultant_count(m)
+    _refused_before_sweeping(monkeypatch, m, count)
     tracemalloc.start()
     try:
         rep = verify_resultant_identity(m)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.all_ok and rep.checked == 1 << 21
-    per_pass = analysis._RESULTANT_POINTS_PER_PASS * analysis._RESULTANT_BYTES_PER_POINT
-    assert peak <= 2 * per_pass + 64 * 4**m
+    assert rep.all_ok and rep.checked == 1 << 24
+    assert peak <= 2 * count
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +961,7 @@ def _split_everywhere(monkeypatch, workers):
     """Split every pass into ``workers`` ranges where it has that many items;
     with one worker, fail on any use of the thread pool."""
     monkeypatch.setattr(bitlinalg, "_WORKERS", workers)
-    monkeypatch.setattr(analysis, "_RESULTANT_MIN_PART_POINTS", 1)
+    monkeypatch.setattr(analysis, "_RESULTANT_MIN_PART_PAIRS", 1)
     monkeypatch.setattr(analysis, "_KEY_MIN_PART_PAIRS", 1)
     if workers == 1:
         def no_pool():
@@ -903,25 +984,21 @@ def test_split_resultant_sweep_keeps_scan_order(monkeypatch, frequent_switches,
     # passes of 63 (a, b) rows (1008 points) cut into ranges of 32 or 21
     # rows; the planted witnesses 500, 540, ... put the first 16 (500..1100)
     # on both sides of the range boundary at 512 and at 672, and of the
-    # pass boundary at 1008
+    # pass boundary at 1008.  The last pass, 4 rows, is shorter than one
+    # row's 16 pairs, the least a range holds, and runs whole
     m, order = 4, 16
     real = verify_resultant_identity(m)
     flagged = np.arange(500, order**3, 40)[:40]
     seen = []
-
-    def flag(field, a, b, x):
-        flat = ((a.astype(np.int64) * order + b) * order + x).ravel()
-        seen.append(flat)
-        return np.flatnonzero(np.isin(flat, flagged))
-
     _split_everywhere(monkeypatch, workers)
-    monkeypatch.setattr(analysis, "_RESULTANT_POINTS_PER_PASS", 63 * order)
+    monkeypatch.setattr(analysis, "_RESULTANT_PAIRS_PER_PASS", 63)
     assert verify_resultant_identity(m) == real
-    monkeypatch.setattr(analysis, "_resultant_mismatches", flag)
+    monkeypatch.setattr(analysis, "_resultant_difference",
+                        _planted_difference(order, flagged, seen))
     rep = verify_resultant_identity(m)
-    ranges = sorted(seen, key=lambda flat: flat[0])
-    assert np.array_equal(np.concatenate(ranges), np.arange(order**3))
-    assert len(ranges) == 5 * workers
+    ranges = sorted(seen, key=lambda pairs: pairs[0])
+    assert np.array_equal(np.concatenate(ranges), np.arange(order**2))
+    assert len(ranges) == 4 * workers + 1
     assert rep.mismatches == [(int(i) >> 8, int(i) >> 4 & 15, int(i) & 15)
                               for i in flagged[:16]]
     assert rep.checked == order**3

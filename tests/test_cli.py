@@ -454,22 +454,43 @@ def test_verify_resultant_requires_m_coprime_to_3(capsys):
     assert "gcd(3,m)=1" in out["error"] and "gcd(3,m)=1" in err
 
 
+#: What ``verify --lemma resultant --m 5`` counts before it allocates: its
+#: one pass of 1,024 (a, b) pairs at 304 + 24 B (328 KiB).
+_RESULTANT_M5_BYTES = 1024 * (analysis._RESULTANT_BYTES_PER_PAIR
+                              + analysis._RESULTANT_BYTES_PER_POINT)
+
+
+def _no_resultant_range(*args):
+    raise AssertionError("swept under a budget it does not fit")
+
+
 def test_verify_resultant_memory_budget_exits_3(capsys, monkeypatch):
-    # one m=5 pass counts 32768 points x 40 B (1.25 MiB), above 1 MiB
-    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
+    # one byte under the one m=5 pass exits 3 before any range is swept;
+    # the count itself fits
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(_RESULTANT_M5_BYTES / (1 << 30)))
+    code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
+    assert code == 0 and out["identity_holds"] is True
+    monkeypatch.setattr(analysis, "_resultant_range", _no_resultant_range)
+    monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB",
+                       str((_RESULTANT_M5_BYTES - 1) / (1 << 30)))
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 3
     assert out["status"] == "resource-limit"
+    assert f"needs {_RESULTANT_M5_BYTES} bytes" in out["error"]
 
 
 def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
-    # with the variable unset the budget is 0.8 x MemAvailable: 0.8 MiB is
-    # below one m=5 pass; a malformed value is still refused first
+    # with the variable unset the budget is 0.8 x MemAvailable: here one
+    # byte under the one m=5 pass, refused before any range is swept; a
+    # malformed value is still refused first
     monkeypatch.delenv("APNLAB_MEM_BUDGET_GIB", raising=False)
-    monkeypatch.setattr(bitlinalg, "_meminfo_bytes", lambda keys: 1 << 20)
+    monkeypatch.setattr(bitlinalg, "_meminfo_bytes",
+                        lambda keys: (_RESULTANT_M5_BYTES - 1) / 0.8)
+    monkeypatch.setattr(analysis, "_resultant_range", _no_resultant_range)
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 3
     assert out["status"] == "resource-limit"
+    assert f"needs {_RESULTANT_M5_BYTES} bytes" in out["error"]
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "abc")
     code, out, _ = run(capsys, "verify", "--lemma", "resultant", "--m", "5")
     assert code == 2
@@ -491,6 +512,10 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
      "f80c8bd949c092553b35cf833e5c06ec7a102eb4c0479ad3c77639453f6ed2bc"),
     (["search", "--trinomial", "--m", "4"],
      "2adeae83edf8ecf3012300be8ebb4cd47f1c1ac8988eb76390b70178ad0aa6cd"),
+    (["verify", "--lemma", "resultant", "--m", "7"],
+     "38d4379fa30aa2a15a1b44cb92ffa68145a5012118fc64a3c5165f03ecef0a93"),
+    (["verify", "--lemma", "resultant", "--m", "8"],
+     "2538893e3f79bb457c5d8e2829baf0e7d8cd4b894f8a00351f96095c54c7ebb8"),
 ])
 def test_sweep_stdout_is_pinned(capsys, argv, digest):
     # stdout of each sweep as it was before its code was last rewritten; an
