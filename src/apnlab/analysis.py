@@ -18,7 +18,9 @@ Four groups of tools:
 * the algebraic identity suite behind the trinomial family's APN proof
   (:func:`sweep_key_lemmas` over every valid (s, mu, v) of an m, and
   :func:`sweep_key_lemma` for one tuple), which recomputes every displayed
-  quantity, claim and factorization at every point, one tuple a row.
+  quantity, claim and factorization at every point.  A pass is a grid of
+  mu rows and v columns against the points; v enters only through C and
+  E, so every quantity free of them is computed once per mu, not per v.
 
 Everything here is exact GF(2^m) arithmetic; no floating point, no
 sampling.  Each exhaustive sweep checks its size with ``check_alloc`` first;
@@ -69,7 +71,9 @@ _WITNESS_BYTES_PER_ELEMENT = 4 + 8 + 2 + 2
 #: Cells per vectorised pass: DDT cells (whole rows of the table), and the
 #: n basis images per direction of the quadratic rank test.
 _DDT_CELLS_PER_PASS = 1 << 16
-#: (tuple, point) pairs the batched key-lemma sweep evaluates per pass.
+#: Most (tuple, point) pairs a pass of the key-lemma sweep evaluates: as
+#: many whole mu rows (each (2^m - 1) v x (2^3m - 1) points) as fit, or,
+#: where one row does not (m >= 5), a block of v for one mu.
 _KEY_ELEMS_PER_PASS = 1 << 18
 #: Fewest (tuple, point) pairs in one range of a split key-lemma pass.  On
 #: a 2-core x86-64 host, two ranges took 1.51x the one-thread time of a
@@ -78,10 +82,11 @@ _KEY_MIN_PART_PAIRS = 1 << 13
 #: Bytes each key-lemma tuple holds until the sweep returns.  Measured
 #: (tracemalloc, m = 3): 301 B over 5,292 tuples, 307 B over 882.
 _KEY_BYTES_PER_TUPLE = 384
-#: Peak bytes per (tuple, point) pair of one key-lemma pass.  Measured
-#: (tracemalloc, full passes, results included): 120.1 B at m = 3, and
-#: 141.4 B at m = 4, of which the 16,380 results are about 24 B.
-_KEY_BYTES_PER_PAIR = 128
+#: Peak bytes per (tuple, point) pair of one key-lemma pass, whose v-free
+#: quantities are 1/V of its size.  Measured (tracemalloc, one full pass,
+#: its results and power maps included): 92.1 B at m = 3 (73 mu x 7 v),
+#: 88.3 B at m = 4 (4 mu x 15 v) and 95.0 B at m = 5 (1 mu x 8 v).
+_KEY_BYTES_PER_PAIR = 96
 
 #: (a, b) pairs per pass of the resultant sweep.  On a 2-core x86-64 host,
 #: with ranges of at least 2^14 pairs, the m = 10 sweep took 0.55 s at
@@ -285,7 +290,7 @@ def _derivative_rank_passes(f: FunctionTable):
     for a0 in range(1, order, step):
         a = np.arange(a0, min(a0 + step, order), dtype=np.uint32)[:, None]
         images = lut[a ^ basis] ^ lut[basis] ^ lut[a] ^ lut[0]
-        yield a0, row_ranks(images, n)
+        yield a0, row_ranks(images)
 
 
 def is_apn_quadratic(f: FunctionTable) -> bool:
@@ -679,9 +684,12 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits, v_bits,
                       a: np.ndarray, la: np.ndarray) -> dict:
     """The proof's displayed quantities at the points ``a``, elementwise.
 
-    ``a`` is a uint32 array of points, ``la`` holds L(a) for each tuple, and
-    ``mu_bits``/``v_bits`` are per-tuple ``(T, 1)`` columns (or ints); every
-    value is an array of the broadcast shape, one row per tuple.
+    ``a`` is a uint32 array of points and ``la`` holds L(a) for each mu;
+    ``mu_bits`` and ``v_bits`` are ints or arrays that broadcast against
+    them.  A sweep passes a ``(M, 1, 1)`` column of mu, a ``(1, V, 1)`` row
+    of v and ``la`` of shape ``(M, 1, N)``: v enters only through C and E,
+    so the quantities free of both keep the v-free shape, and each product
+    takes its v-free factors together before the full-size one.
     """
     mul, pw = field.mul_vec, field.pow_vec
     qm = 1 << m
@@ -696,45 +704,31 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits, v_bits,
     D = mul(mu_bits, mul(lam, pw(a, qs)))
     E = mul(pw(cv, qm), a)
 
-    U1 = (
-        mul(pw(D, q2), pw(E, qm + 1))
-        ^ mul(A, mul(pw(C, q2), pw(E, qm)))
-        ^ mul(pw(B, qm), pw(C, q2 + 1))
-    )
-    U2 = (
-        mul(pw(A, q2), pw(E, qm + 1))
-        ^ mul(B, mul(pw(C, q2), pw(E, qm)))
-        ^ mul(pw(C, q2 + 1), pw(D, qm))
-    )
-    U3 = (
-        mul(pw(B, q2), pw(E, qm + 1))
-        ^ mul(pw(C, q2), mul(D, pw(E, qm)))
-        ^ mul(pw(A, qm), pw(C, q2 + 1))
-    )
+    # the powers of C and E that several terms share, each taken once
+    Cm, Cq2, Cq21 = pw(C, qm), pw(C, q2), pw(C, q2 + 1)
+    Em, Eq2, Em1 = pw(E, qm), pw(E, q2), pw(E, qm + 1)
+    CE = mul(Cq2, Em)
+    Bqm, Dq2, Dqm = pw(B, qm), pw(D, q2), pw(D, qm)
+
+    U1 = mul(Dq2, Em1) ^ mul(A, CE) ^ mul(Bqm, Cq21)
+    U2 = mul(pw(A, q2), Em1) ^ mul(B, CE) ^ mul(Cq21, Dqm)
+    U3 = mul(pw(B, q2), Em1) ^ mul(D, CE) ^ mul(pw(A, qm), Cq21)
     U4 = pw(C, q2 + qm + 1) ^ pw(E, q2 + qm + 1)
 
-    V1 = (
-        mul(pw(A, q2 + 2), pw(C, qm))
-        ^ mul(A, mul(B, mul(pw(C, qm), pw(D, q2))))
-        ^ mul(A, mul(pw(B, qm + 1), pw(E, q2)))
-        ^ mul(pw(A, 2), mul(pw(D, qm), pw(E, q2)))
-    )
-    V2 = (
-        mul(pw(A, q2 + 2), pw(E, qm))
-        ^ mul(A, mul(B, mul(pw(D, q2), pw(E, qm))))
-        ^ mul(pw(A, q2 + 1), mul(pw(B, qm), C))
-        ^ mul(A, mul(C, pw(D, q2 + qm)))
-    )
-    V3 = (
-        mul(pw(A, q2 + 1), mul(pw(B, qm), E))
-        ^ mul(A, mul(pw(B, qm + 1), pw(C, q2)))
-        ^ mul(pw(A, 2), mul(pw(C, q2), pw(D, qm)))
-        ^ mul(A, mul(pw(D, q2 + qm), E))
-    )
+    # the v-free factor of the terms of V1, V2 and V3, each taken once
+    A22 = pw(A, q2 + 2)
+    ABD = mul(A, mul(B, Dq2))
+    AB1 = mul(A, pw(B, qm + 1))
+    A2D = mul(pw(A, 2), Dqm)
+    A1B = mul(pw(A, q2 + 1), Bqm)
+    AD = mul(A, pw(D, q2 + qm))
+    V1 = mul(A22, Cm) ^ mul(ABD, Cm) ^ mul(AB1, Eq2) ^ mul(A2D, Eq2)
+    V2 = mul(A22, Em) ^ mul(ABD, Em) ^ mul(A1B, C) ^ mul(AD, C)
+    V3 = mul(A1B, E) ^ mul(AB1, Cq2) ^ mul(A2D, Cq2) ^ mul(AD, E)
     V4 = mul(
-        pw(B, qm + 1) ^ mul(A, pw(D, qm)), mul(A, pw(B, q2)) ^ pw(D, q2 + 1)
+        pw(B, qm + 1) ^ mul(A, Dqm), mul(A, pw(B, q2)) ^ pw(D, q2 + 1)
     ) ^ mul(
-        pw(A, q2 + 1) ^ mul(B, pw(D, q2)), pw(A, qm + 1) ^ mul(pw(B, qm), D)
+        pw(A, q2 + 1) ^ mul(B, Dq2), pw(A, qm + 1) ^ mul(Bqm, D)
     )
 
     mum = pw(mu_bits, qm)
@@ -808,7 +802,7 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
     Covers both displayed shapes of the first product, the three-fold
     Frobenius ladder of each triple, the closed forms of the diagnostics,
     and the proportionality tying E to C.  ``equality`` is a boolean array
-    of the quantities' shape.
+    of the broadcast shape of ``q`` and ``v_bits``.
     """
     mul, pw = field.mul_vec, field.pow_vec
     qm = 1 << m
@@ -819,30 +813,30 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
         return pw(a, e)
 
     asu = mul(ap(qs), q["U"])
-    vcb = mul(v_bits, mul(ap(qm), pw(q["C"], q2)))
+    am = ap(qm)
+    vc = mul(v_bits, pw(q["C"], q2))  # the U forms' factor that depends on v
     av = mul(a, q["V"])
-    vlt = mul(
-        mul(v_bits, ap((1 << (2 * m + s + 1)) + (1 << (m + s)))),
-        mul(q["la"], q["T"]),
-    )
+    lt = mul(ap((1 << (2 * m + s + 1)) + (1 << (m + s))),
+             mul(q["la"], q["T"]))
     # each side is compared as it is made, so a pass holds one product
-    # form at a time, not ten
+    # form at a time, not ten; each takes its v-free factors together
+    # before the one that depends on v
     return [
         ("U1 = v a^(2^m) C^(2^2m) (a^(2^s) U)^(2^2m)",
-         q["U1"] == mul(vcb, pw(asu, q2))),
+         q["U1"] == mul(mul(am, pw(asu, q2)), vc)),
         ("U1 = v a^(2^(2m+s)+2^m) C^(2^2m) U^(2^2m)",
-         q["U1"] == mul(mul(v_bits, ap((1 << (2 * m + s)) + qm)),
-                        mul(pw(q["C"], q2), pw(q["U"], q2)))),
+         q["U1"] == mul(mul(ap((1 << (2 * m + s)) + qm), pw(q["U"], q2)),
+                        vc)),
         ("U2 = v a^(2^m) C^(2^2m) (a^(2^s) U)^(2^m)",
-         q["U2"] == mul(vcb, pw(asu, qm))),
+         q["U2"] == mul(mul(am, pw(asu, qm)), vc)),
         ("U3 = v a^(2^m) C^(2^2m) (a^(2^s) U)",
-         q["U3"] == mul(vcb, asu)),
+         q["U3"] == mul(mul(am, asu), vc)),
         ("V1 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)^(2^2m)",
-         q["V1"] == mul(vlt, pw(av, q2))),
+         q["V1"] == mul(v_bits, mul(lt, pw(av, q2)))),
         ("V2 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)^(2^m)",
-         q["V2"] == mul(vlt, pw(av, qm))),
+         q["V2"] == mul(v_bits, mul(lt, pw(av, qm)))),
         ("V3 = v a^(2^(2m+s+1)+2^(m+s)) L(a) T (aV)",
-         q["V3"] == mul(vlt, av)),
+         q["V3"] == mul(v_bits, mul(lt, av))),
         ("V = a^(2^2m) P + a^(2^m) P^(2^m)",
          q["V"] == mul(ap(q2), q["P"]) ^ mul(ap(qm), pw(q["P"], qm))),
         ("U = V^(2^2m) + mu V",
@@ -900,9 +894,10 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
 
     Each (s, mu) of :func:`search_trinomial_params`, which establishes the
     preconditions, meets each unit v = g^(j (2^(3m)-1)/(2^m-1)) of GF(2^m)
-    in turn.  The tuples of one s share passes of at most
-    ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs, mu and v as columns, and
-    each pass's tuples are split across the CPUs by
+    in turn.  A pass is a grid of one s's tuples, mu rows by v columns, of
+    at most ``_KEY_ELEMS_PER_PASS`` (tuple, point) pairs: whole mu rows, or,
+    where one row holds more, a block of v for one mu.  Each pass's mu rows
+    (or, in a one-mu pass, its v columns) are split across the CPUs by
     :func:`~apnlab.bitlinalg.split_run`.  The results and one pass are
     checked against the budget before any tuple is built.
     """
@@ -911,53 +906,76 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
     if s is not None and not groups:
         raise PreconditionError(f"no valid (s, mu) with s={s} for m={m}")
     field = field_new(3 * m)
-    step = field.mult_order // ((1 << m) - 1)
+    points = field.mult_order
+    step = points // ((1 << m) - 1)
     vs = np.array([field.primitive_power(step * j) for j in range((1 << m) - 1)],
                   dtype=np.uint32)
     count = sum(mus.size for _, mus in groups) * vs.size
-    per_pass = min(count, max(1, _KEY_ELEMS_PER_PASS // field.mult_order))
+    rows = _KEY_ELEMS_PER_PASS // (vs.size * points)
+    cols = vs.size if rows else max(1, _KEY_ELEMS_PER_PASS // points)
+    rows = max(1, rows)
+    per_pass = min(max((mus.size for _, mus in groups), default=0), rows) * cols
     check_alloc(count * _KEY_BYTES_PER_TUPLE
-                + per_pass * field.mult_order * _KEY_BYTES_PER_PAIR,
+                + per_pass * points * _KEY_BYTES_PER_PAIR,
                 f"key verifier at m={m} ({count} tuples and a pass of "
                 f"{per_pass})")
     field._product_table()  # the tables, built once before the ranges share them
-    min_part = max(1, _KEY_MIN_PART_PAIRS // field.mult_order)
     out: list[KeyLemmaSweep] = []
     for t, mus in groups:
-        mu_col, v_col = np.repeat(mus, vs.size), np.tile(vs, mus.size)
-        for i in range(0, mu_col.size, per_pass):
-            mu_pass, v_pass = mu_col[i:i + per_pass], v_col[i:i + per_pass]
-            for part in split_run(
-                    lambda _, lo, hi: _sweep_key_group(
-                        field, m, t, mu_pass[lo:hi], v_pass[lo:hi]),
-                    mu_pass.size, min_part):
-                out += part
+        for i in range(0, mus.size, rows):
+            mu_pass = mus[i:i + rows]
+            for j in range(0, vs.size, cols):
+                v_pass = vs[j:j + cols]
+                if mu_pass.size > 1:
+                    parts = split_run(
+                        lambda _, lo, hi: _sweep_key_group(
+                            field, m, t, mu_pass[lo:hi], v_pass),
+                        mu_pass.size,
+                        max(1, _KEY_MIN_PART_PAIRS // (v_pass.size * points)))
+                else:
+                    parts = split_run(
+                        lambda _, lo, hi: _sweep_key_group(
+                            field, m, t, mu_pass, v_pass[lo:hi]),
+                        v_pass.size, max(1, _KEY_MIN_PART_PAIRS // points))
+                for part in parts:
+                    out += part
     return out
 
 
 def _sweep_key_group(field: Field, m: int, s: int, mus, vs) -> list[KeyLemmaSweep]:
-    """One pass over the valid tuples ``(s, mus[t], vs[t])`` (raw bits)."""
+    """One pass over the grid of valid tuples (s, mu, v), mu in ``mus`` and
+    v in ``vs`` (raw bits); the sweeps come mu by mu, v by v within each.
+
+    mu is a ``(M, 1, 1)`` column and v a ``(1, V, 1)`` row against the
+    points, so L(a) and every quantity free of v are ``(M, 1, N)`` arrays,
+    and only those that involve C or E are ``(M, V, N)``.
+    """
     a = field.all_elements_vec()[1:]
-    mu = np.asarray(mus, dtype=np.uint32)[:, None]
-    v = np.asarray(vs, dtype=np.uint32)[:, None]
+    mu = np.asarray(mus, dtype=np.uint32)[:, None, None]
+    v = np.asarray(vs, dtype=np.uint32)[None, :, None]
     la = field.frob_vec(a, m + s) ^ field.mul_vec(mu, field.frob_vec(a, s)) ^ a  # L(a)
     q = _key_point_values(field, m, s, mu, v, a, la)
     claims_ok = functools.reduce(np.logical_and, _key_claims(field, s, q))
     checks = _key_factorization_checks(field, m, s, mu, v, a, q)
     fact_ok = functools.reduce(np.logical_and, (ok for _, ok in checks))
+    # one row per tuple, in (mu, v) order
+    claims_ok = claims_ok.reshape(-1, a.size)
+    fact_ok = fact_ok.reshape(-1, a.size)
     claims_all = claims_ok.all(axis=1)
     fact_all = fact_ok.all(axis=1)
 
     def bad(ok_row: np.ndarray) -> list[int]:
         return [int(x) for x in a[~ok_row][:_WITNESS_CAP]]
 
+    tuples = [(mu_bits, v_bits) for mu_bits in mu.ravel().tolist()
+              for v_bits in v.ravel().tolist()]
     return [
         KeyLemmaSweep(
             m=m, s=s, mu=mu_bits, v=v_bits, total=int(a.size),
             claim_failures=[] if claims_all[t] else bad(claims_ok[t]),
             factorization_failures=[] if fact_all[t] else bad(fact_ok[t]),
         )
-        for t, (mu_bits, v_bits) in enumerate(zip(mu.ravel().tolist(), v.ravel().tolist()))
+        for t, (mu_bits, v_bits) in enumerate(tuples)
     ]
 
 
@@ -982,7 +1000,7 @@ def verify_subfield_scaled_permutations(m: int, s: int, mu) -> bool:
     basis = np.uint32(1) << np.arange(field.n, dtype=np.uint32)
     # images of the basis under head(z) + beta z, one row per beta
     images = head.eval_vec(basis) ^ field.mul_vec(betas[:, None], basis)
-    return bool(np.all(row_ranks(images, field.n) == field.n))
+    return bool(np.all(row_ranks(images) == field.n))
 
 
 def verify_adjoint_permutation_agreement(L) -> bool:

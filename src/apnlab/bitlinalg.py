@@ -13,8 +13,9 @@ style).
 
 :func:`split_run` runs one job over contiguous ranges of its items, one
 range per CPU the process may run on: the rows of a :class:`GF2Basis` chunk
-(each range reduced with its own table), and the points or tuples of a pass
-of the resultant and key-lemma sweeps in :mod:`apnlab.analysis`.
+(each range reduced with its own table), the (a, b) pairs of a resultant
+pass, and the mu rows (or, in a one-mu pass, the v columns) of a key-lemma
+pass in :mod:`apnlab.analysis`.
 """
 
 from __future__ import annotations
@@ -411,20 +412,23 @@ def rank(dense: np.ndarray) -> int:
     return basis.rank
 
 
-def row_ranks(vectors: np.ndarray, n: int) -> np.ndarray:
-    """GF(2) rank of the n-bit vectors (n <= 64) in each row of ``vectors``.
+def row_ranks(vectors: np.ndarray) -> np.ndarray:
+    """GF(2) rank of the vectors (integers of at most 64 bits) in each row
+    of ``vectors``.
 
-    Gaussian elimination on every row at once: for each bit, the first
-    vector of a row with that bit set is its pivot and is XORed into every
-    vector of the row with the bit set, itself included.
+    Gaussian elimination on every row at once, vector by vector: vector j,
+    reduced by the ones before it, is its row's pivot unless it is zero,
+    and is XORed into each later vector of the row that has its lowest set
+    bit.  No later XOR brings that bit back, so each nonzero pivot adds one
+    to the rank.  The work runs on a transposed copy, where vector j of
+    every row is one contiguous array.
     """
-    vectors = np.array(vectors)
-    rows = np.arange(vectors.shape[0])
-    ranks = np.zeros(vectors.shape[0], dtype=np.int64)
-    for bit in range(n):
-        has = (vectors >> bit) & 1
-        pivot = vectors[rows, has.argmax(axis=1)]
-        pivot *= (pivot >> bit) & 1  # rows with no vector carrying the bit
-        vectors ^= has * pivot[:, None]
-        ranks += pivot != 0
+    vectors = np.array(np.transpose(vectors), order="C")
+    ranks = np.zeros(vectors.shape[1], dtype=np.int64)
+    for j in range(vectors.shape[0]):
+        pivot = vectors[j]
+        low = pivot & (~pivot + 1)  # the lowest set bit; 0 for a zero pivot
+        later = vectors[j + 1:]
+        later ^= ((later & low) != 0) * pivot
+        ranks += low != 0
     return ranks

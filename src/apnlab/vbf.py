@@ -229,7 +229,7 @@ def is_linearized_permutation(L: LinearizedPoly) -> bool:
     the n basis vectors have full GF(2) rank."""
     n = L.field.n
     images = L.eval_vec(np.uint32(1) << np.arange(n, dtype=np.uint32))
-    return bool(row_ranks(images[None], n)[0] == n)
+    return bool(row_ranks(images[None])[0] == n)
 
 
 def adjoint(L: LinearizedPoly) -> LinearizedPoly:
@@ -336,7 +336,7 @@ def random_affine_permutation(field: Field, rng: np.random.Generator) -> Functio
     n = field.n
     while True:
         rows = [int(rng.integers(1, field.order)) for _ in range(n)]
-        if row_ranks(np.array([rows], dtype=np.uint32), n)[0] == n:
+        if row_ranks(np.array([rows], dtype=np.uint32))[0] == n:
             break
     const = int(rng.integers(0, field.order))
     zs = field.all_elements_vec()

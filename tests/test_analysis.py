@@ -37,6 +37,7 @@ from apnlab.bitlinalg import check_alloc
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.families import (
     FamilyId,
+    _trinomial_mus,
     build_from_descriptor,
     make_known,
     make_new_bivariate,
@@ -860,6 +861,17 @@ def _key_ids(m: int, params) -> list[tuple]:
     return [(s, mu.bits, field.primitive_power(v)) for s, mu, v in params]
 
 
+def _key_rows(q: dict) -> list[dict]:
+    """The quantities of a grid pass, one dict per tuple in (mu, v) order:
+    each quantity broadcast to the pass's (mu, v, point) shape and viewed
+    flat, one row per tuple."""
+    shape = q["C"].shape
+    flat = {k: np.broadcast_to(q[k], shape).reshape(-1, shape[-1])
+            for k in _KEY_QUANTITIES}
+    return [{k: flat[k][t] for k in _KEY_QUANTITIES}
+            for t in range(shape[0] * shape[1])]
+
+
 def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
     # one worker: every pass is one _key_point_values call, whatever the CPUs
     monkeypatch.setattr(bitlinalg, "_WORKERS", 1)
@@ -877,20 +889,29 @@ def test_batched_key_sweep_equals_per_tuple_fold_m2(monkeypatch):
     sweeps = sweep_key_lemmas(2)
     assert [(w.s, w.mu, w.v) for w in sweeps] == _key_ids(2, params)
     assert sweeps == singles
-    assert [q["A"].shape for q in passes] == [(36, 63), (36, 63)]  # one per shift
-    # passes of five tuples split each shift's group, and give the same reports
-    monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", 5 * 63)
+    # one pass per shift: 12 mu rows by 3 v columns, the v-free quantities
+    # once per mu
+    assert [q["C"].shape for q in passes] == [(12, 3, 63)] * 2
+    assert [q["A"].shape for q in passes] == [(12, 1, 63)] * 2
+    # passes of two mu rows, then, with passes of 2 x 63 pairs (under one
+    # row's 3 x 63), blocks of two v and one v of one mu, give the same
+    # reports
+    monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", 2 * 3 * 63)
     assert sweep_key_lemmas(2) == singles
-    # every quantity of every ninth row of the five-tuple passes is the
+    assert [q["C"].shape for q in passes[2:]] == [(2, 3, 63)] * 12
+    monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", 2 * 63)
+    assert sweep_key_lemmas(2) == singles
+    assert [q["C"].shape for q in passes[14:]] == [(1, 2, 63), (1, 1, 63)] * 24
+    # every quantity of every ninth tuple of each pass layout is the
     # oracle's value for that tuple
-    rows = [{k: q[k][t] for k in _KEY_QUANTITIES}
-            for q in passes[2:] for t in range(q["A"].shape[0])]
-    assert len(passes) == 2 + 16 and len(rows) == 72
     field = get_field(6)
-    for row, (s, mu, v) in list(zip(rows, params))[::9]:
-        oracle = _key_oracle(2, s, mu, v)
-        claims = _key_claims(field, s, row)
-        _assert_rows_match_oracle(row, claims, oracle)
+    for layout in (passes[2:14], passes[14:]):
+        rows = [row for q in layout for row in _key_rows(q)]
+        assert len(rows) == 72
+        for row, (s, mu, v) in list(zip(rows, params))[::9]:
+            oracle = _key_oracle(2, s, mu, v)
+            claims = _key_claims(field, s, row)
+            _assert_rows_match_oracle(row, claims, oracle)
 
 
 def test_batched_key_sweep_equals_per_tuple_fold_m3_sample():
@@ -928,7 +949,7 @@ def test_key_sweep_refuses_before_building_an_element(monkeypatch):
 
 
 def test_key_sweep_memory_stays_within_its_check(monkeypatch):
-    # the tuples' results and one full pass of 513 tuples x 511 points are
+    # the tuples' results and one full pass of 73 mu x 7 v x 511 points are
     # what check_alloc counts; the sweep's peak must stay inside that.  One
     # worker: split ranges peak together only when the threads keep step,
     # which a busy host does not promise (test_split_sweeps_stay_within_
@@ -951,6 +972,54 @@ def test_key_sweep_memory_stays_within_its_check(monkeypatch):
     assert len(sweeps) == 882 and all(w.all_pass for w in sweeps)
     assert len(counted) == 1 and peak <= counted[0]
     assert peak >= 0.8 * counted[0]  # the count is not loose either
+
+
+class _FirstPassDone(Exception):
+    pass
+
+
+def test_key_sweep_passes_a_v_block_of_one_mu_at_m5(monkeypatch):
+    # at m = 5 one mu row, 31 v x 32,767 points, holds more than a pass's
+    # 2^18 pairs: a pass is a block of 8 v for one mu, which check_alloc
+    # counts before it is built.  Only the first pass runs
+    monkeypatch.setattr(bitlinalg, "_WORKERS", 1)
+    m, points = 5, (1 << 15) - 1
+    s, mus = next((t, mus) for t, mus in _trinomial_mus(m) if mus.size)
+    events, shapes, results = [], [], []
+
+    def recorded_check(nbytes, what, budget=None):
+        events.append(("check", nbytes))
+        return check_alloc(nbytes, what, budget)
+
+    def recorded_values(*args, **kwargs):
+        q = _key_point_values(*args, **kwargs)
+        shapes.append((q["A"].shape, q["C"].shape))
+        return q
+
+    group = analysis._sweep_key_group
+
+    def first_pass_only(field, m, s, mus, vs):
+        if results:
+            raise _FirstPassDone
+        events.append(("pass", list(mus), list(vs)))
+        results.extend(group(field, m, s, mus, vs))
+        return results
+
+    monkeypatch.setattr(analysis, "check_alloc", recorded_check)
+    monkeypatch.setattr(analysis, "_key_point_values", recorded_values)
+    monkeypatch.setattr(analysis, "_sweep_key_group", first_pass_only)
+    with pytest.raises(_FirstPassDone):
+        sweep_key_lemmas(m, s)
+    field = get_field(3 * m)
+    vs = [field.primitive_power(j * (points // 31)) for j in range(8)]
+    assert events == [
+        ("check", 31 * mus.size * analysis._KEY_BYTES_PER_TUPLE
+         + 8 * points * analysis._KEY_BYTES_PER_PAIR),
+        ("pass", [int(mus[0])], vs),
+    ]
+    assert shapes == [((1, 1, points), (1, 8, points))]
+    assert [(w.mu, w.v) for w in results] == [(int(mus[0]), v) for v in vs]
+    assert all(w.all_pass and w.total == points for w in results)
 
 
 # ---------------------------------------------------------------------------
@@ -1008,7 +1077,7 @@ def test_split_resultant_sweep_keeps_scan_order(monkeypatch, frequent_switches,
 def test_split_key_sweep_equals_one_worker(monkeypatch, frequent_switches,
                                            workers):
     # claim 1 is forced false wherever A is 0 mod 7, so the reports carry
-    # failure lists; 36 tuples a pass, cut into 2 or 3 ranges
+    # failure lists; 12 mu rows x 3 v a pass, cut into 2 or 3 ranges of rows
     claims = analysis._key_claims
 
     def forced_claims(field, s, q):
@@ -1024,15 +1093,20 @@ def test_split_key_sweep_equals_one_worker(monkeypatch, frequent_switches,
     calls = []
     point_values = analysis._key_point_values
 
-    def recorded(*args, **kwargs):
-        q = point_values(*args, **kwargs)
-        calls.append(q["A"].shape)
+    def recorded(field, m, s, mu, v, a, la):
+        q = point_values(field, m, s, mu, v, a, la)
+        calls.append((q["C"].shape, [(s, int(w)) for w in mu.ravel()]))
         return q
 
     monkeypatch.setattr(analysis, "_key_point_values", recorded)
     assert sweep_key_lemmas(2) == ref
-    sizes = {1: [36], 2: [18, 18], 3: [12, 12, 12]}[workers]
-    assert sorted(calls) == sorted([(t, 63) for t in sizes] * 2)
+    sizes = {1: [12], 2: [6, 6], 3: [4, 4, 4]}[workers]
+    assert sorted(shape for shape, _ in calls) == sorted(
+        [(t, 3, 63) for t in sizes] * 2)
+    # the ranges of each shift's pass cover its mu rows, each once
+    for s, mus in _trinomial_mus(2):
+        got = sorted(mu for _, rows in calls for t, mu in rows if t == s)
+        assert got == sorted(mus.tolist())
 
 
 @pytest.mark.parametrize("sweep", ["resultant", "key"])

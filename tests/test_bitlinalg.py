@@ -130,15 +130,23 @@ def test_rank_matches_naive_across_row_slices():
 
 
 def test_row_ranks_match_textbook_elimination():
+    # n vectors a row, and more (n + 2) or fewer (n - 2) than bits; some rows
+    # rank-deficient, some all zero, some with a zero first vector
     rng = np.random.default_rng(5)
     for n, dtype in ((1, np.uint32), (4, np.uint32), (9, np.uint32),
                      (14, np.uint32), (64, np.uint64)):
-        vectors = rng.integers(0, 1 << n, (50, n), dtype=dtype)
-        vectors[::3, 1:] = vectors[::3, :1]  # some rank-deficient rows
-        got = row_ranks(vectors, n)
-        for row, r in zip(vectors, got):
-            dense = (row[:, None] >> np.arange(n, dtype=dtype)) & 1
-            assert r == naive_rank(dense)
+        for k in sorted({max(1, n - 2), n, n + 2}):
+            vectors = rng.integers(0, 1 << n, (50, k), dtype=dtype)
+            vectors[::3, 1:] = vectors[::3, :1]
+            vectors[1::7] = 0
+            vectors[2::5, 0] = 0
+            before = vectors.copy()
+            got = row_ranks(vectors)
+            assert np.array_equal(vectors, before)  # the argument is kept
+            assert (got[1::7] == 0).all()
+            for row, r in zip(vectors, got):
+                dense = (row[:, None] >> np.arange(n, dtype=dtype)) & 1
+                assert r == naive_rank(dense), (n, k)
 
 
 # ---------------------------------------------------------------------------

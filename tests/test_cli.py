@@ -516,6 +516,10 @@ def test_default_memory_budget_follows_available_memory(capsys, monkeypatch):
      "38d4379fa30aa2a15a1b44cb92ffa68145a5012118fc64a3c5165f03ecef0a93"),
     (["verify", "--lemma", "resultant", "--m", "8"],
      "2538893e3f79bb457c5d8e2829baf0e7d8cd4b894f8a00351f96095c54c7ebb8"),
+    (["verify", "--lemma", "key", "--m", "3"],  # all six shifts, 5,292 tuples
+     "d41905c7e7b0c12c990a7856188b0430f09cb1936fcfad60674f1f48f56474b2"),
+    (["verify", "--lemma", "key", "--m", "4", "--s", "1"],
+     "b4dcb9e9c987a310277947a281d3d9cb20670c220ad964e74f3936a21a75e8cb"),
 ])
 def test_sweep_stdout_is_pinned(capsys, argv, digest):
     # stdout of each sweep as it was before its code was last rewritten; an
@@ -530,7 +534,10 @@ def test_sweep_stdout_is_pinned(capsys, argv, digest):
 def test_verify_key_checks_its_size_before_building_tuples(capsys,
                                                          monkeypatch):
     # 1 MiB fits the 36 tuples of m=2, s=3 but not the 5,292 of m=3
-    # (about 2 MB), which it refuses before the list is built
+    # (about 2 MB), which it refuses before the list is built.  The m=3
+    # search's own GF(2^9) product table (1.5 MB) is built first, whatever
+    # ran before
+    search_trinomial_params(3)
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(1 / 1024))
     code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "2",
                        "--s", "3")
@@ -560,7 +567,7 @@ def _no_key_pass(*args):
 
 def test_verify_key_counts_one_pass_before_sweeping(capsys, monkeypatch):
     # 8 MiB holds the results of the 5,292 tuples of m=3 (2.0 MB) but not
-    # one pass of 513 tuples x 511 points (about 38 MB)
+    # one pass of 73 mu x 7 v x 511 points (about 25 MB)
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", str(8 / 1024))
     monkeypatch.setattr(analysis, "_sweep_key_group", _no_key_pass)
     code, out, _ = run(capsys, "verify", "--lemma", "key", "--m", "3")
@@ -578,11 +585,14 @@ def test_verify_key_with_pinned_s(capsys):
     assert out["tuples_checked"] == 36  # 12 mu values x 3 subfield v
 
 
-@pytest.mark.parametrize("pass_elems", [None, 4 * 63])
+@pytest.mark.parametrize("pass_elems", [None, 4 * 63, 2 * 63])
 def test_verify_key_failures_keep_tuple_order_and_cap(capsys, monkeypatch,
                                                       pass_elems):
     # claim 1 forced false at chosen (tuple, a) points: 20 tuples fail, one
-    # of them at 20 points, so both caps of 16 bite
+    # of them at 20 points, so both caps of 16 bite.  A pass is a grid of
+    # 12 mu x 3 v per shift; 4 x 63 pairs hold one mu row of 3 x 63, and
+    # 2 x 63 a v block of one mu.  Its tuples are the rows of the flattened
+    # (mu, v) grid
     if pass_elems is not None:
         monkeypatch.setattr(analysis, "_KEY_ELEMS_PER_PASS", pass_elems)
     rng = np.random.default_rng(9)
@@ -596,10 +606,11 @@ def test_verify_key_failures_keep_tuple_order_and_cap(capsys, monkeypatch,
     def forced_claims(field, s, q):
         out = claims(field, s, q)
         first = out[0].copy()
-        for row in range(first.shape[0]):
+        rows = first.reshape(-1, first.shape[-1])  # a view of the copy
+        for row in range(rows.shape[0]):
             for a in forced.get(seen[0] + row, ()):
-                first[row, a - 1] = False
-        seen[0] += first.shape[0]
+                rows[row, a - 1] = False
+        seen[0] += rows.shape[0]
         out[0] = first
         return out
 
