@@ -502,7 +502,6 @@ def verify_resultant_identity(m: int) -> ResultantIdentityReport:
     per_pass = min(pairs, max(order, _RESULTANT_PAIRS_PER_PASS))
     check_alloc(per_pass * (_RESULTANT_BYTES_PER_PAIR + _RESULTANT_BYTES_PER_POINT),
                 f"resultant check at m={m} (one pass of {per_pass} (a, b) pairs)")
-    field._product_table()  # the tables, built once before the ranges share them
     min_part = max(order, _RESULTANT_MIN_PART_PAIRS)
     mismatches: list[tuple[int, int, int]] = []
     const_zeros: set[tuple[int, int]] = set()
@@ -534,10 +533,10 @@ def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
     (hi - lo) // 2^m rows (at least one), until the range holds
     ``_WITNESS_CAP`` witnesses.
     """
-    mul, sq = field.mul_vec, field.sqr_vec
+    mul = field.mul_vec
     ab = np.arange(lo, hi, dtype=np.uint32)
     a, b = ab >> field.n, ab & np.uint32(field.order - 1)
-    difference = _resultant_difference(field, a, b)
+    difference, h0, lead = _resultant_difference(field, a, b)
     flagged = np.flatnonzero(difference.any(axis=0))
     x = field.all_elements_vec()
     block = max(1, (hi - lo) // field.order)
@@ -554,11 +553,8 @@ def _resultant_range(field: Field, lo: int, hi: int) -> tuple[list, list, list]:
         take = _WITNESS_CAP - len(found)
         row, col = rows[row[:take]], col[:take]
         found += zip(a[row].tolist(), b[row].tolist(), x[col].tolist())
-    a2, b2 = sq(a), sq(b)
-    a3, b3 = mul(a2, a), mul(b2, b)
     const, denom = (list(zip(a[value == 0].tolist(), b[value == 0].tolist()))
-                    for value in (a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1,
-                                  a3 ^ mul(a, b2) ^ b3))
+                    for value in (h0, lead))
     return found, const, denom
 
 
@@ -581,10 +577,11 @@ def _poly_plus(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return p
 
 
-def _resultant_difference(field: Field, a, b) -> np.ndarray:
+def _resultant_difference(field: Field, a, b) -> tuple[np.ndarray, ...]:
     """The y-resultant (:func:`_resultant_lhs`) minus its printed factors,
     as a polynomial in x: row i holds the coefficients of x^i, one per pair
-    of the 1-D arrays a, b.
+    of the 1-D arrays a, b; with it, per pair, the constant term H(0) of H
+    and the leading factor a^3+ab^2+b^3 of the right-hand side.
 
     The right-hand side is built as the left is, from the polynomials x,
     x+a, H(x) and H(x+a), so every product is of the size of a and b.
@@ -595,14 +592,15 @@ def _resultant_difference(field: Field, a, b) -> np.ndarray:
     a3, b3 = mul(a2, a), mul(b2, b)
     h_lin = a2 ^ mul(a, b) ^ a ^ b2 ^ b ^ 1
     h_const = a3 ^ mul(a2, b) ^ a ^ b3 ^ b2 ^ 1
-    lead2 = sq(a3 ^ mul(a, b2) ^ b3)
+    lead = a3 ^ mul(a, b2) ^ b3
+    lead2 = sq(lead)
     h = np.stack([h_const, h_lin, np.zeros_like(a), np.ones_like(a)])  # H(x)
     # H(x+a) = x^3 + a x^2 + (a^2 + h_lin) x + H(a)
     hh = _poly_times(mul, h, {0: a3 ^ mul(h_lin, a) ^ h_const, 1: a2 ^ h_lin,
                               2: a, 3: None})
     # lead^2 x (x+a) = lead^2 x^2 + lead^2 a x
     rhs = _poly_times(mul, hh, {1: mul(lead2, a), 2: lead2})
-    return _poly_plus(rhs, lhs)
+    return _poly_plus(rhs, lhs), h_const, lead
 
 
 def _resultant_lhs(field: Field, a, b) -> np.ndarray:
@@ -682,7 +680,8 @@ def _resultant_coefficients(field: Field, a, b) -> dict[tuple[int, int], np.ndar
 
 def _key_point_values(field: Field, m: int, s: int, mu_bits, v_bits,
                       a: np.ndarray, la: np.ndarray) -> dict:
-    """The proof's displayed quantities at the points ``a``, elementwise.
+    """The proof's displayed quantities at the points ``a``, elementwise,
+    with C^(2^m) and C^(2^2m) (``Cm``, ``Cq2``) for the factorization checks.
 
     ``a`` is a uint32 array of points and ``la`` holds L(a) for each mu;
     ``mu_bits`` and ``v_bits`` are ints or arrays that broadcast against
@@ -760,7 +759,7 @@ def _key_point_values(field: Field, m: int, s: int, mu_bits, v_bits,
     P = ap(1 << (2 * m + s)) ^ mul(mum, ap(1 << (m + s)))
 
     return {
-        "A": A, "B": B, "C": C, "D": D, "E": E,
+        "A": A, "B": B, "C": C, "D": D, "E": E, "Cm": Cm, "Cq2": Cq2,
         "U1": U1, "U2": U2, "U3": U3, "U4": U4,
         "V1": V1, "V2": V2, "V3": V3, "V4": V4,
         "U": U, "V": V, "T": T, "P": P, "la": la,
@@ -814,7 +813,7 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
 
     asu = mul(ap(qs), q["U"])
     am = ap(qm)
-    vc = mul(v_bits, pw(q["C"], q2))  # the U forms' factor that depends on v
+    vc = mul(v_bits, q["Cq2"])  # the U forms' factor that depends on v
     av = mul(a, q["V"])
     lt = mul(ap((1 << (2 * m + s + 1)) + (1 << (m + s))),
              mul(q["la"], q["T"]))
@@ -842,7 +841,7 @@ def _key_factorization_checks(field: Field, m: int, s: int, mu_bits, v_bits,
         ("U = V^(2^2m) + mu V",
          q["U"] == pw(q["V"], q2) ^ mul(mu_bits, q["V"])),
         ("E = C^(2^m) a^(1-2^2m)",
-         q["E"] == mul(pw(q["C"], qm), pw(a, 1 - q2))),
+         q["E"] == mul(q["Cm"], pw(a, 1 - q2))),
     ]
 
 
@@ -919,7 +918,6 @@ def sweep_key_lemmas(m: int, s: int | None = None) -> list[KeyLemmaSweep]:
                 + per_pass * points * _KEY_BYTES_PER_PAIR,
                 f"key verifier at m={m} ({count} tuples and a pass of "
                 f"{per_pass})")
-    field._product_table()  # the tables, built once before the ranges share them
     out: list[KeyLemmaSweep] = []
     for t, mus in groups:
         for i in range(0, mus.size, rows):

@@ -12,6 +12,7 @@ rank feeds) work on numpy integer arrays through the ``*_vec`` methods.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import threading
 from functools import lru_cache
@@ -298,19 +299,22 @@ class Field:
     # -- elements ------------------------------------------------------------
 
     def element(self, bits: int) -> "FieldElement":
-        if not 0 <= bits < self.order:
-            raise PreconditionError(
-                f"element bits out of range [0, 2^{self.n}): {bits}")
-        return FieldElement(self, bits)
+        return FieldElement(self, self.coerce(bits))
 
     def coerce(self, value: "FieldElement | int") -> int:
-        """Accept an int or a FieldElement of this field; return the int."""
+        """An int (anything ``operator.index`` takes) or a FieldElement of
+        this field, as its bits: the one gate of scalar operands, so any
+        other value, or an int outside ``[0, 2^n)``, is PreconditionError."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise PreconditionError(
                     f"mixed-field operands: {value.field!r} vs {self!r}")
             return value.bits
-        bits = int(value)
+        try:
+            bits = operator.index(value)
+        except TypeError:
+            raise PreconditionError(
+                f"GF(2^{self.n}) elements are ints, got {value!r}") from None
         if not 0 <= bits < self.order:
             raise PreconditionError(
                 f"element bits out of range [0, 2^{self.n}): {bits}")
@@ -329,29 +333,32 @@ class Field:
         needs no reduction, then a zero tail of 2m + 1 entries; ``log[0]``
         is 2m, so any sum with a zero operand lands in that tail and reads
         0.  Logs are int32: a sum of two is at most 4m < 2^26 for n <= 24.
+        Built once, under the field's lock, as the product table is.
         """
-        if self._exp is None:
+        if self._log is None:
             if self.n > _MAX_TABLE_N:
                 raise PreconditionError(
                     f"log/exp tables unsupported beyond n={_MAX_TABLE_N}")
-            check_alloc(_TABLE_BYTES_PER_ELEMENT << self.n,
-                        f"GF(2^{self.n}) log/exp table build")
-            m = self.mult_order
-            exp = np.zeros(4 * m + 1, dtype=np.uint32)
-            exp[0] = 1
-            k = 1
-            while k < m:  # g^(k..2k-1) = g^(0..k-1) * g^k
-                step = min(k, m - k)
-                g_k = self._mul_raw(int(exp[k - 1]), self.primitive)
-                exp[k:k + step] = self._mul_raw_vec(exp[:step], g_k)
-                k += step
-            assert self._mul_raw(int(exp[m - 1]), self.primitive) == 1, \
-                "primitive does not have full order"
-            exp[m:2 * m] = exp[:m]
-            log = np.empty(self.order, dtype=np.int32)
-            log[0] = 2 * m
-            log[exp[:m]] = np.arange(m, dtype=np.int32)
-            self._exp, self._log = exp, log
+            with self._lock:
+                if self._log is None:
+                    check_alloc(_TABLE_BYTES_PER_ELEMENT << self.n,
+                                f"GF(2^{self.n}) log/exp table build")
+                    m = self.mult_order
+                    exp = np.zeros(4 * m + 1, dtype=np.uint32)
+                    exp[0] = 1
+                    k = 1
+                    while k < m:  # g^(k..2k-1) = g^(0..k-1) * g^k
+                        step = min(k, m - k)
+                        g_k = self._mul_raw(int(exp[k - 1]), self.primitive)
+                        exp[k:k + step] = self._mul_raw_vec(exp[:step], g_k)
+                        k += step
+                    assert self._mul_raw(int(exp[m - 1]), self.primitive) == 1, \
+                        "primitive does not have full order"
+                    exp[m:2 * m] = exp[:m]
+                    log = np.empty(self.order, dtype=np.int32)
+                    log[0] = 2 * m
+                    log[exp[:m]] = np.arange(m, dtype=np.int32)
+                    self._exp, self._log = exp, log  # _log last: the fast path tests it
         return self._exp, self._log
 
     def all_elements_vec(self) -> np.ndarray:
@@ -359,19 +366,15 @@ class Field:
 
     def _product_table(self) -> np.ndarray | None:
         """The table of all products, entry ``(a << n) | b`` = a * b, for
-        n <= ``_PRODUCT_TABLE_MAX_N`` (None above); the log/exp tables are
-        built first either way, so a split pass calls this before its ranges
-        share the tables.
+        n <= ``_PRODUCT_TABLE_MAX_N`` (None above).
 
         Built once, under the field's lock, so the ranges of a split pass
         that meet it unbuilt share one build, and in blocks of rows, so the
         log sums never take a temporary of the table's size.
         """
         table = self._products
-        if table is None:
+        if table is None and self.n <= _PRODUCT_TABLE_MAX_N:
             exp, log = self._tables()
-            if self.n > _PRODUCT_TABLE_MAX_N:
-                return None
             with self._lock:
                 table = self._products
                 if table is None:
@@ -389,13 +392,29 @@ class Field:
                     self._products = table
         return table
 
-    def _uint32(self, a: np.ndarray) -> np.ndarray:
-        """Integer array ``a`` as uint32; IndexError for another dtype or an
-        entry outside ``[0, 2^n)``, which the cast could wrap into it."""
+    def _refuse(self) -> IndexError:
+        return IndexError(f"GF(2^{self.n}) operands are ints in [0, 2^{self.n})")
+
+    def _uint32(self, a) -> np.ndarray:
+        """Operand ``a`` (an array or an int) as a uint32 array, the one gate
+        of the ``*_vec`` methods: a uint32 array passes unchanged, since the
+        gathers bounds-check it; any other is IndexError unless its dtype is
+        integer and its entries lie in ``[0, 2^n)``, where the cast keeps them."""
+        a = np.asarray(a)
+        if a.dtype == np.uint32:
+            return a
         if a.dtype.kind not in "biu" or (
                 a.size and (a.min() < 0 or a.max() >= self.order)):
-            raise IndexError(f"GF(2^{self.n}) operands are ints in [0, 2^{self.n})")
+            raise self._refuse()
         return a.astype(np.uint32)
+
+    def _pack(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The index ``(a << n) | b`` of two uint32 operands; IndexError for an
+        entry >= 2^n, which no gather would refuse: b would alias another
+        index, and a << n wraps from a >= 2^(32-n)."""
+        if a.size and b.size and (a.max() >= self.order or b.max() >= self.order):
+            raise self._refuse()
+        return (a << self.n) | b
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise product of two arrays of field elements (broadcasting;
@@ -404,22 +423,16 @@ class Field:
         Up to n = 10 one gather through the table of all products; above,
         log arithmetic.  An operand outside ``[0, 2^n)`` raises IndexError.
         """
+        a, b = self._uint32(a), self._uint32(b)
         table = self._product_table()
         if table is None:
             exp, log = self._tables()
             return exp.take(log.take(a) + log.take(b))
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype != np.uint32 or b.dtype != np.uint32:
-            a, b = self._uint32(a), self._uint32(b)
         if a.size > b.size:
             # the product commutes: shift the operand with fewer entries,
             # a (P, 1) column rather than the grid it is broadcast against
             a, b = b, a
-        # a flat index has no room for b >= 2^n, and a << n wraps from
-        # a >= 2^(32-n): neither may reach the gather
-        if a.size and (a.max() >= self.order or b.max() >= self.order):
-            raise IndexError(f"GF(2^{self.n}) operands are ints in [0, 2^{self.n})")
-        return table.take((a << self.n) | b)
+        return table.take(self._pack(a, b))
 
     #: c * a for a scalar c: the same call as :meth:`mul_vec`, kept under
     #: this name because the benchmark's tracer wraps it by name.
@@ -448,9 +461,12 @@ class Field:
         """Elementwise a**e (scalar integer e; 0^0 = 1, 0^e = 0 for e > 0).
 
         Up to n = 16 one gather through the map x -> x^(e mod 2^n - 1);
-        above, log arithmetic."""
-        a = np.asarray(a, dtype=np.uint32)
+        above, log arithmetic.  An operand outside ``[0, 2^n)`` raises
+        IndexError."""
+        a = self._uint32(a)
         if e == 0:
+            if a.size and a.max() >= self.order:  # no gather checks it
+                raise self._refuse()
             return np.ones_like(a)
         if e < 0 and not a.all():
             raise ZeroDivisionError("inverse of 0 in " + repr(self))
@@ -485,8 +501,8 @@ class Field:
     def trace_vec(self, m: int, a: np.ndarray) -> np.ndarray:
         if self.n % m:
             raise PreconditionError(f"trace target degree must divide n: {m} | {self.n} fails")
-        acc = np.zeros_like(np.asarray(a, dtype=np.uint32))
-        cur = np.asarray(a, dtype=np.uint32)
+        cur = self._uint32(a)
+        acc = np.zeros_like(cur)
         for _ in range(self.n // m):
             acc = acc ^ cur
             cur = self.frob_vec(cur, m)
@@ -536,23 +552,16 @@ class FieldElement:
         self.field = field
         self.bits = bits
 
-    def _other(self, other: "FieldElement | int") -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise PreconditionError(
-                    f"mixed-field operands: {self.field!r} vs {other.field!r}")
-            return other.bits
-        return self.field.coerce(other)
-
     def __add__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.bits ^ self._other(other))
+        return FieldElement(self.field, self.bits ^ self.field.coerce(other))
 
     __radd__ = __add__
     __sub__ = __add__
     __rsub__ = __add__
 
     def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.bits, self._other(other)))
+        f = self.field
+        return FieldElement(f, f.mul(self.bits, f.coerce(other)))
 
     __rmul__ = __mul__
 
@@ -560,8 +569,8 @@ class FieldElement:
         return FieldElement(self.field, self.field.pow(self.bits, e))
 
     def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        return FieldElement(
-            self.field, self.field.mul(self.bits, self.field.inv(self._other(other))))
+        f = self.field
+        return FieldElement(f, f.mul(self.bits, f.inv(f.coerce(other))))
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.field, self.field.inv(self.bits))
@@ -581,7 +590,7 @@ class FieldElement:
         return hash((self.field, self.bits))
 
     def __lt__(self, other: "FieldElement") -> bool:
-        return self.bits < self._other(other)
+        return self.bits < self.field.coerce(other)
 
     def __int__(self) -> int:
         return self.bits
@@ -707,11 +716,11 @@ class SubfieldMap:
         return packed >> self._m, packed & (self.component.order - 1)
 
     def embed_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return self._embed[(np.asarray(xs, np.uint32).astype(np.int64) << self._m)
-                           | np.asarray(ys, np.uint32)]
+        c = self.component
+        return self._embed[c._pack(c._uint32(xs), c._uint32(ys))]
 
     def split_vec(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        packed = self._split[np.asarray(zs, np.uint32)]
+        packed = self._split[self.parent._uint32(zs)]
         return packed >> self._m, packed & np.uint32(self.component.order - 1)
 
 

@@ -76,9 +76,6 @@ class FunctionTable:
         self.field = field
         self.lut = arr
 
-    def eval(self, z: int | FieldElement) -> int:
-        return int(self.lut[self.field.coerce(z)])
-
     def is_permutation(self) -> bool:
         return bool(np.bincount(self.lut, minlength=self.field.order).max() == 1)
 
@@ -148,7 +145,7 @@ class UnivariatePoly:
         return UnivariatePoly(
             f, [(f.pow(c, 1 << k), e * (1 << k)) for c, e in self.terms])
 
-    def format(self, style: str = "power", var: str = "z") -> str:
+    def format(self, style: str = "power") -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -157,7 +154,7 @@ class UnivariatePoly:
             if e == 0:
                 parts.append(cs if cs else "1")
             else:
-                v = var if e == 1 else f"{var}^{e}"
+                v = "z" if e == 1 else f"z^{e}"
                 parts.append(f"{cs}*{v}" if cs else v)
         return " + ".join(parts)
 
@@ -213,12 +210,6 @@ class LinearizedPoly:
     def to_univariate(self) -> UnivariatePoly:
         return UnivariatePoly(self.field,
                               [(c, 1 << i) for i, c in enumerate(self.coeffs) if c])
-
-    def __add__(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        if other.field != self.field:
-            raise PreconditionError("mixed-field operands in polynomial sum")
-        return LinearizedPoly(self.field,
-                              [a ^ b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __repr__(self) -> str:
         return f"LinearizedPoly(GF(2^{self.field.n}), {self.coeffs})"

@@ -614,11 +614,12 @@ def _planted_difference(order, flagged, seen):
     """A stand-in for ``_resultant_difference`` that adds to the real
     difference, on the row of each flagged flat index (a 2^m + b) 2^m + x,
     the polynomial that is 1 at that x and 0 elsewhere, 1 + (x + s)^(q-1),
-    and records the flat pair indices a 2^m + b it is given."""
+    and records the flat pair indices a 2^m + b it is given; the side
+    facts' arrays pass through."""
     def planted(field, a, b):
         pairs = a.astype(np.int64) * order + b
         seen.append(pairs)
-        d = _resultant_difference(field, a, b)
+        d, *side = _resultant_difference(field, a, b)
         out = np.zeros((max(order, len(d)), len(a)), dtype=np.uint32)
         out[: len(d)] = d
         for i in flagged:
@@ -627,7 +628,7 @@ def _planted_difference(order, flagged, seen):
             out[0, col] ^= 1
             for k in range(order):  # (x + s)^(q-1): every binomial is odd
                 out[k, col] ^= field.pow(s, order - 1 - k)
-        return out
+        return out, *side
 
     return planted
 
@@ -663,12 +664,12 @@ def test_resultant_difference_that_vanishes_on_the_field_is_no_witness(
         planted = _planted_difference(order, points, [])
 
         def vanishing(field, a, b, planted=planted):
-            d = planted(field, a, b)
+            d, *side = planted(field, a, b)
             out = np.zeros((order + 1, len(a)), dtype=np.uint32)
             out[: len(d)] = d
             out[order] ^= 1
             out[1] ^= 1
-            return out
+            return out, *side
 
         monkeypatch.setattr(analysis, "_resultant_difference", vanishing)
         rep = verify_resultant_identity(m)
@@ -1113,8 +1114,8 @@ def test_split_key_sweep_equals_one_worker(monkeypatch, frequent_switches,
 def test_split_sweep_builds_field_tables_once(monkeypatch, sweep):
     # a fresh field has no tables or power maps; both ranges of a split
     # pass need them.  A build that takes 20 ms lets the second range see
-    # them unbuilt, unless the sweep builds the tables before it splits and
-    # the field builds each map under its lock
+    # them unbuilt, unless the field builds its exp/log tables, its product
+    # table and each map under its lock
     builds = []
     # the search's own field work (its shared GF(2^6)), not the sweep's,
     # whatever ran before

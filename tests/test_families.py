@@ -82,6 +82,9 @@ def test_build_from_descriptor_equals_make_known():
     '{tag:"NewBivariate", m:4}',
     '{tag:"NewTrinomial", m:2, s:3, mu:1, v:21}',
     '{tag:"EdelPottP", n:8, u:7}',
+    # builds but is not APN: _build_f10 does not validate the linear-map
+    # condition of its source construction, so no APN check is made here
+    '{tag:"F10", n:9, a:0, b:0, c:0}',
 ])
 def test_descriptor_for_round_trips(text):
     inst = build_from_descriptor(text)
@@ -136,6 +139,11 @@ def test_make_known_rejects_a_field_of_the_wrong_size(fid, n):
         ("Dobbertin", 5, {}),
         ("F11", 10, {"i": 3}),
         ("F11", 10, {"i": 7}),
+        ("F1", 12, {"k": 4, "s": 1}),
+        ("F2", 16, {"k": 4, "s": 1}),
+        ("F12", 6, {"a": 1, "b": 1}),
+        ("F15", 8, {"i": 1, "b": 0, "c": 5}),  # m = 4
+        ("F17", 10, {"i": 1}),  # m = 5
     ],
 )
 def test_cataloged_members_are_apn(tag, n, params):

@@ -398,11 +398,14 @@ def test_product_table_is_sized_before_it_is_built(monkeypatch):
     assert f._products is None
 
 
-@pytest.mark.parametrize("n", [7, 10, 11])
+@pytest.mark.parametrize("n", [7, 10, 11, 12, 17])
 def test_mul_vec_refuses_operands_outside_the_field(n):
+    # both paths: the product table up to n = 10, logs above; 1 << (32 - n)
+    # is the least a whose a << n wraps in the table's index
     f = Field(n)
     x = f.all_elements_vec()
-    bad = [f.order, f.order + 1, 1 << (32 - n), (1 << 32) - 1]
+    bad = [v for v in (f.order, f.order + 1, 1 << (32 - n), (1 << 32) - 1)
+           if v >= f.order]
     for v in bad:
         for a, b in ((x, v), (v, x), (x[:, None], v), (np.uint32(v), x[:3])):
             with pytest.raises(IndexError):
@@ -412,10 +415,36 @@ def test_mul_vec_refuses_operands_outside_the_field(n):
         for a, b in ((arr, x), (x, arr), (arr[:, None], x[:5]), (x[:5], arr[:, None])):
             with pytest.raises(IndexError):
                 f.mul_vec(a, b)
-    if n <= gf2n._PRODUCT_TABLE_MAX_N:
-        for a in (-1, np.array([1, -1]), np.array([1.0, 2.0])):
-            with pytest.raises(IndexError):
-                f.mul_vec(a, x[:2])
+    for a in (-1, np.array([1, -1]), np.array([1.0, 2.0]), 1 << 70):
+        with pytest.raises(IndexError):
+            f.mul_vec(a, x[:2])
+        with pytest.raises(IndexError):
+            f.mul_vec(x[:2], a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f8, sm: f8.pow_vec(np.array([2.7]), 3),
+    lambda f8, sm: f8.pow_vec(np.array([-1]), 3),
+    lambda f8, sm: f8.pow_vec(np.array([256]), -1),
+    lambda f8, sm: f8.pow_vec(np.array([300], dtype=np.uint32), 0),
+    lambda f8, sm: f8.pow_vec(np.array([300], dtype=np.uint32), 5),
+    lambda f8, sm: f8.pow_vec(np.array([1 << 16]), 0),
+    lambda f8, sm: f8.trace_vec(1, np.array([2.5])),
+    lambda f8, sm: f8.trace_vec(4, np.array([256], dtype=np.uint32)),
+    lambda f8, sm: sm.embed_vec(np.array([2.5]), np.array([1])),
+    lambda f8, sm: sm.embed_vec(np.array([1]), np.array([16], dtype=np.uint32)),
+    lambda f8, sm: sm.embed_vec(np.array([16], dtype=np.uint32), 1),
+    lambda f8, sm: sm.split_vec(np.array([-1])),
+    lambda f8, sm: sm.split_vec(np.array([256], dtype=np.uint32)),
+], ids=["pow-float", "pow-negative", "pow-inverse", "pow0-uint32",
+        "pow-uint32", "pow0-int", "trace-float", "trace-uint32", "embed-float",
+        "embed-y-uint32", "embed-x-uint32", "split-negative", "split-uint32"])
+def test_vec_methods_refuse_operands_outside_the_field(call):
+    # every *_vec path: pow_vec's map, e = 0 and e < 0, the trace, and the
+    # subfield map, each operand checked by its own field
+    f8 = get_field(8)
+    with pytest.raises(IndexError):
+        call(f8, subfield_map(f8, get_field(4)))
 
 
 def test_log_readers_keep_their_output():
@@ -579,11 +608,52 @@ def test_coerce_int_means_raw_bits():
     assert f.coerce(11) == 11
     el = f.element(11)
     assert f.coerce(el) == 11
+    assert f.coerce(np.uint32(11)) == f.element(np.int64(11)).bits == 11
     other = get_field(6)
     with pytest.raises(PreconditionError):
         f.coerce(other.element(1))
     with pytest.raises(PreconditionError):
         f.coerce(1 << 5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f: f.coerce(2.7),
+    lambda f: f.coerce("3"),
+    lambda f: f.element(2.7),
+    lambda f: f.element(-1),
+    lambda f: f.element(3) < 1 << 8,
+], ids=["coerce-float", "coerce-str", "element-float", "element-negative",
+        "lt-too-large"])
+def test_scalar_operands_outside_the_field_are_refused(call):
+    with pytest.raises(PreconditionError):
+        call(get_field(8))
+
+
+def test_element_operators_match_the_field_methods():
+    # README's quickstart arithmetic, on a seeded sample of GF(2^8) pairs
+    f = get_field(8)
+    rng = np.random.default_rng(8)
+    for a, b in rng.integers(0, f.order, (64, 2)).tolist():
+        x, y = f.element(a), f.element(b)
+        for got in (x + y, x - y, x + b, b + x):
+            assert got == a ^ b and got.field is f
+        for got in (x * y, x * b, b * x):
+            assert got == f.mul(a, b) and got.field is f
+        assert x ** 5 == f.pow(a, 5) and x ** 0 == 1
+        if b:
+            assert y ** -1 == f.inv(b) and x / y == x / b == f.mul(a, f.inv(b))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        assert (x < y) == (x < b) == (a < b)
+        assert int(x) == a and bool(x) == (a != 0)
+    assert f.element(0) ** 0 == 1
+    other = get_field(4).element(3)
+    for op in (lambda x: x + other, lambda x: x * other, lambda x: x / other,
+               lambda x: x < other, lambda x: x + 2.9, lambda x: 2.9 * x,
+               lambda x: x / 2.0, lambda x: x < 2.0):
+        with pytest.raises(PreconditionError):
+            op(f.element(5))
 
 
 def test_element_wrapper_inverse_and_trace():
