@@ -10,8 +10,6 @@ from .gf2n import (
     field_new,
     primitive_elements,
     subfield_embedding,
-    subfield_map,
-    trace,
 )
 
 __version__ = "0.1.0"

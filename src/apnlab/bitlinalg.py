@@ -2,9 +2,9 @@
 basis of bit-packed rows of any width.
 
 :func:`row_ranks` ranks many small sets of vectors of at most 64 bits at
-once, each vector held in one integer.  Wide rows are packed by :func:`pack`
-into numpy uint64 words, 64 columns per word, column j in word ``j >> 6`` at
-bit ``j & 63`` (LSB first).  Their rank is computed by absorbing rows into an
+once, each vector held in one integer.  Wide rows are packed into numpy
+uint64 words, 64 columns per word, column j in word ``j >> 6`` at bit
+``j & 63`` (LSB first).  Their rank is computed by absorbing rows into an
 incremental echelon basis.  A stored row is written once and never
 rewritten; each finished block of 8 rows carries a 256-entry index map from
 pivot bits to table entries, so one 256-entry XOR table per block clears
@@ -32,8 +32,6 @@ __all__ = [
     "GF2Basis",
     "check_alloc",
     "mem_budget_bytes",
-    "pack",
-    "rank",
     "row_ranks",
     "split_run",
     "xor_permute_columns",
@@ -188,10 +186,11 @@ class GF2Basis:
     """Echelon basis of a GF(2) row space in one row store, reserved once.
 
     Invariants: every stored row was fully reduced against the rows stored
-    before it, and a stored row is never rewritten, so ``rows_view`` of a
-    past moment stays valid.  Each finished block of 8 rows carries an index
-    map: entry ``h`` is the combination of block rows whose pivot bits are
-    ``h`` (the inverse of the block's unitriangular pivot-bit map).
+    before it, and a stored row is never rewritten, so the rows stored
+    before any moment keep their values after it.  Each finished block of 8
+    rows carries an index map: entry ``h`` is the combination of block rows
+    whose pivot bits are ``h`` (the inverse of the block's unitriangular
+    pivot-bit map).
     ``absorb`` stages incoming rows in chunks after the stored rows, reduces
     them there and moves the survivors down; the final ``rank`` equals the
     rank of everything absorbed.  ``stage`` gathers stored rows there, for a
@@ -218,12 +217,6 @@ class GF2Basis:
     @property
     def rank(self) -> int:
         return self.count
-
-    def rows_view(self) -> np.ndarray:
-        """Read-only view of the stored rows (do not mutate); stored rows are
-        never rewritten, so the view keeps its values across later absorbs,
-        which stage their chunks in the rows after it."""
-        return self._rows[: self.count]
 
     def check_absorb(self, rows: int, held: int) -> None:
         """Raise :class:`MemoryBudgetError` when absorbing ``rows`` rows, with
@@ -388,28 +381,6 @@ class GF2Basis:
                 self._append(row, lead)
                 gave[i] = True
         return gave
-
-
-def pack(dense: np.ndarray) -> np.ndarray:
-    """Pack a (rows, cols) 0/1 array into (rows, words) uint64 rows, column
-    j at bit ``j & 63`` of word ``j >> 6``: the rows :meth:`GF2Basis.absorb`
-    takes."""
-    array = np.asarray(dense, dtype=np.uint8)
-    if array.ndim != 2:
-        raise PreconditionError("dense input must be 2-D")
-    rows, cols = array.shape
-    packed = np.zeros((rows, _words_for(cols) * 8), dtype=np.uint8)
-    packed[:, : (cols + 7) >> 3] = np.packbits(array & 1, axis=1,
-                                               bitorder="little")
-    return packed.view(np.uint64)
-
-
-def rank(dense: np.ndarray) -> int:
-    """Rank over GF(2) of a dense (rows, cols) 0/1 array."""
-    rows = pack(dense)
-    basis = GF2Basis(np.shape(dense)[1])
-    basis.absorb(rows)
-    return basis.rank
 
 
 def row_ranks(vectors: np.ndarray) -> np.ndarray:

@@ -36,11 +36,11 @@ from .errors import PreconditionError
 from .gf2n import (
     Field,
     FieldElement,
+    SubfieldMap,
     cube_class,
     field_new,
     primitive_elements,
     subfield_embedding,
-    subfield_map,
 )
 from .vbf import (
     BivariateFunc,
@@ -55,7 +55,6 @@ from .vbf import (
 __all__ = [
     "FamilyId",
     "FamilyInstance",
-    "KNOWN_TAGS",
     "TABLE_RANKS",
     "build_from_descriptor",
     "descriptor_for",
@@ -103,8 +102,6 @@ _REQUIRED_PARAMS: dict[str, tuple[str, ...]] = {
     "NewTrinomial": ("m", "s", "mu", "v"),
     "EdelPottP": ("u",),
 }
-
-KNOWN_TAGS = tuple(_REQUIRED_PARAMS)
 
 #: Peak bytes per (s, mu) pair of a trinomial search's list of elements or
 #: of the CLI listing (tracemalloc: ``search_trinomial_params`` 147 B per
@@ -254,7 +251,7 @@ def _instance_uni(fid: FamilyId, poly: UnivariatePoly, label: str = "") -> Famil
 def _instance_biv(
     fid: FamilyId, biv: BivariateFunc, ambient: Field, label: str = ""
 ) -> FamilyInstance:
-    sm = subfield_map(ambient, biv.field)
+    sm = SubfieldMap(ambient, biv.field)
     return FamilyInstance(
         id=fid, form=biv, table=bivariate_to_table(biv, sm), label=label
     )

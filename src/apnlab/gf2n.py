@@ -33,8 +33,6 @@ __all__ = [
     "poly_is_irreducible",
     "primitive_elements",
     "subfield_embedding",
-    "subfield_map",
-    "trace",
 ]
 
 # Lexicographically least irreducible polynomial of each degree (bit i is the
@@ -275,13 +273,19 @@ class Field:
             raise ZeroDivisionError("inverse of 0 in " + repr(self))
         return self.pow(a, -1)
 
+    def _trace_steps(self, m: int) -> int:
+        """n / m, the terms of a trace onto GF(2^m); PreconditionError unless
+        m is a positive divisor of n."""
+        if not (1 <= m and self.n % m == 0):
+            raise PreconditionError(
+                f"trace target degree must be a positive divisor of n: m={m}, n={self.n}")
+        return self.n // m
+
     def trace_to(self, m: int, a: int) -> int:
         """Relative trace onto the subfield GF(2^m): sum of a^(2^(m*i))."""
-        if self.n % m:
-            raise PreconditionError(f"trace target degree must divide n: {m} | {self.n} fails")
         acc = 0
         cur = a
-        for _ in range(self.n // m):
+        for _ in range(self._trace_steps(m)):
             acc ^= cur
             for _ in range(m):
                 cur = self.sqr(cur)
@@ -499,11 +503,10 @@ class Field:
         return self.pow_vec(a, pow(2, k, self.mult_order) if self.mult_order > 1 else 1)
 
     def trace_vec(self, m: int, a: np.ndarray) -> np.ndarray:
-        if self.n % m:
-            raise PreconditionError(f"trace target degree must divide n: {m} | {self.n} fails")
+        steps = self._trace_steps(m)
         cur = self._uint32(a)
         acc = np.zeros_like(cur)
-        for _ in range(self.n // m):
+        for _ in range(steps):
             acc = acc ^ cur
             cur = self.frob_vec(cur, m)
         return acc
@@ -604,11 +607,6 @@ class FieldElement:
         return f"GF(2^{self.field.n}):0x{self.bits:x}"
 
 
-def trace(field: Field, m: int, z: "FieldElement | int") -> FieldElement:
-    """Relative trace of z from GF(2^n) onto its subfield GF(2^m) (m | n)."""
-    return FieldElement(field, field.trace_to(m, field.coerce(z)))
-
-
 def cube_class(field: Field, z: "FieldElement | int") -> str:
     """Classify z as ``'zero'``, ``'cube'`` or ``'noncube'``.
 
@@ -704,17 +702,6 @@ class SubfieldMap:
         self._split = split  # parent bits -> (x << m) | y
         self._m = m
 
-    def embed(self, x: int | FieldElement, y: int | FieldElement) -> int:
-        """Parent element corresponding to the component pair (x, y)."""
-        xb = self.component.coerce(x)
-        yb = self.component.coerce(y)
-        return int(self._embed[(xb << self._m) | yb])
-
-    def split(self, z: int | FieldElement) -> tuple[int, int]:
-        """Component pair (x, y) corresponding to the parent element z."""
-        packed = int(self._split[self.parent.coerce(z)])
-        return packed >> self._m, packed & (self.component.order - 1)
-
     def embed_vec(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         c = self.component
         return self._embed[c._pack(c._uint32(xs), c._uint32(ys))]
@@ -722,7 +709,3 @@ class SubfieldMap:
     def split_vec(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         packed = self._split[self.parent._uint32(zs)]
         return packed >> self._m, packed & np.uint32(self.component.order - 1)
-
-
-def subfield_map(parent: Field, component: Field) -> SubfieldMap:
-    return SubfieldMap(parent, component)

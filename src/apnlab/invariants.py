@@ -21,7 +21,6 @@ current basis one index-bit at a time.
 
 from __future__ import annotations
 
-import re
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -29,18 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bitlinalg
-from .bitlinalg import GF2Basis, check_alloc, rank, xor_permute_columns
+from .bitlinalg import GF2Basis, check_alloc, xor_permute_columns
 from .errors import PreconditionError
-from .gf2n import Field, field_from_header
+from .gf2n import Field
 from .vbf import FunctionTable
 
 __all__ = [
     "GammaRankReport",
     "code_matrix",
-    "code_matrix_rank",
     "export_code",
     "gamma_rank",
-    "parse_code_export",
 ]
 
 #: Bytes per basis row of the closure's labels while a chunk is absorbed:
@@ -79,11 +76,6 @@ def code_matrix(f: FunctionTable) -> np.ndarray:
         dense[1 + i, :] = (cols >> i) & 1
         dense[1 + n + i, :] = (images >> i) & 1
     return dense
-
-
-def code_matrix_rank(f: FunctionTable) -> int:
-    """GF(2) rank of :func:`code_matrix` (at most ``2n+1``)."""
-    return rank(code_matrix(f))
 
 
 @dataclass
@@ -208,8 +200,7 @@ def export_code(f: FunctionTable, format: str = "plain-bits") -> Iterator[str]:
 
     ``"plain-bits"``: a field header line followed by ``2n+1`` rows of
     ``0``/``1`` characters, one column per field element in canonical order.
-    Byte-deterministic for a given field header and LUT, and parseable back
-    via :func:`parse_code_export`.
+    Byte-deterministic for a given field header and LUT.
 
     ``"script"``: a self-contained computer-algebra script (Magma-style)
     that rebuilds the code as a ``LinearCode`` over GF(2).
@@ -240,23 +231,3 @@ def _script_lines(fld: Field, dense: np.ndarray) -> Iterator[str]:
 
 
 _EXPORT_LINES = {"plain-bits": _plain_bits_lines, "script": _script_lines}
-
-
-def parse_code_export(text: str) -> tuple[Field, np.ndarray]:
-    """Inverse of :func:`export_code` for the ``plain-bits`` format: the
-    field and the dense uint8 0/1 code matrix."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise PreconditionError("empty code export")
-    fld = field_from_header(lines[0])
-    rows = lines[1:]
-    if len(rows) != 2 * fld.n + 1:
-        raise PreconditionError(
-            f"expected {2 * fld.n + 1} rows for n={fld.n}, got {len(rows)}"
-        )
-    dense = np.zeros((len(rows), fld.order), dtype=np.uint8)
-    for i, row in enumerate(rows):
-        if not re.fullmatch(r"[01]+", row) or len(row) != fld.order:
-            raise PreconditionError(f"bad 0/1 row of length {len(row)}")
-        dense[i] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
-    return fld, dense

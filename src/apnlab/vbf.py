@@ -14,6 +14,7 @@ Four interchangeable forms:
 
 from __future__ import annotations
 
+import operator
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -29,13 +30,10 @@ __all__ = [
     "UnivariatePoly",
     "adjoint",
     "bivariate_to_table",
-    "compose",
     "is_linearized_permutation",
     "normalize_exponent",
-    "random_affine_permutation",
     "read_lut",
     "to_table",
-    "write_lut",
 ]
 
 
@@ -44,7 +42,13 @@ def normalize_exponent(e: int, mult_order: int) -> int:
 
     0 stays 0 (the constant-term exponent); positive e maps to
     ((e - 1) mod (2^n - 1)) + 1, so z^e and its reduction agree at z = 0 too.
+    An exponent that ``operator.index`` refuses, or a negative one, is
+    PreconditionError.
     """
+    try:
+        e = operator.index(e)
+    except TypeError:
+        raise PreconditionError(f"polynomial exponents are ints, got {e!r}") from None
     if e < 0:
         raise PreconditionError("polynomial exponents must be non-negative")
     if e == 0:
@@ -66,18 +70,19 @@ class FunctionTable:
     """A function GF(2^n) -> GF(2^n) as a read-only lookup table."""
 
     def __init__(self, field: Field, lut: Sequence[int] | np.ndarray):
-        arr = np.array(lut, dtype=np.uint32)
+        arr = np.asarray(lut)
         if arr.shape != (field.order,):
             raise PreconditionError(
                 f"lookup table must have 2^{field.n} entries, got {arr.shape}")
-        if arr.size and int(arr.max()) >= field.order:
-            raise PreconditionError("lookup table entry out of field range")
+        # before the cast, which would wrap a negative or too-large entry
+        # and truncate a float
+        if arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= field.order:
+            raise PreconditionError(
+                f"lookup table entries must be ints in [0, 2^{field.n})")
+        arr = arr.astype(np.uint32)  # a copy, even of a uint32 table
         arr.setflags(write=False)
         self.field = field
         self.lut = arr
-
-    def is_permutation(self) -> bool:
-        return bool(np.bincount(self.lut, minlength=self.field.order).max() == 1)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FunctionTable) and self.field == other.field
@@ -107,14 +112,6 @@ class UnivariatePoly:
     @classmethod
     def monomial(cls, field: Field, e: int, c: int | FieldElement = 1) -> "UnivariatePoly":
         return cls(field, [(c, e)])
-
-    def eval(self, z: int | FieldElement) -> int:
-        f = self.field
-        zb = f.coerce(z)
-        acc = 0
-        for c, e in self.terms:
-            acc ^= f.mul(c, f.pow(zb, e))
-        return acc
 
     def eval_vec(self, zs: np.ndarray) -> np.ndarray:
         f = self.field
@@ -182,17 +179,6 @@ class LinearizedPoly:
         for c, i in terms:
             cs[i % field.n] ^= field.coerce(c)
         return cls(field, cs)
-
-    def eval(self, z: int | FieldElement) -> int:
-        f = self.field
-        zb = f.coerce(z)
-        acc = 0
-        cur = zb
-        for c in self.coeffs:
-            if c:
-                acc ^= f.mul(c, cur)
-            cur = f.sqr(cur)
-        return acc
 
     def eval_vec(self, zs: np.ndarray) -> np.ndarray:
         f = self.field
@@ -269,12 +255,6 @@ class BivariateFunc:
                                                f.pow_vec(ys, ey)))
         return acc
 
-    def eval(self, x: int | FieldElement, y: int | FieldElement) -> tuple[int, int]:
-        xs = np.array([self.field.coerce(x)], dtype=np.uint32)
-        ys = np.array([self.field.coerce(y)], dtype=np.uint32)
-        return (int(self._eval_coord(self.first, xs, ys)[0]),
-                int(self._eval_coord(self.second, xs, ys)[0]))
-
     def to_table(self, submap: SubfieldMap) -> FunctionTable:
         if submap.component != self.field:
             raise PreconditionError("subfield map component differs from the function's field")
@@ -315,38 +295,8 @@ def bivariate_to_table(f: BivariateFunc, submap: SubfieldMap) -> FunctionTable:
     return f.to_table(submap)
 
 
-def compose(outer: FunctionTable, inner: FunctionTable) -> FunctionTable:
-    """The composite z -> outer(inner(z))."""
-    if outer.field != inner.field:
-        raise PreconditionError("mixed-field operands in composition")
-    return FunctionTable(outer.field, outer.lut[inner.lut])
-
-
-def random_affine_permutation(field: Field, rng: np.random.Generator) -> FunctionTable:
-    """A uniformly random affine permutation z -> M z + c of the field bits."""
-    n = field.n
-    while True:
-        rows = [int(rng.integers(1, field.order)) for _ in range(n)]
-        if row_ranks(np.array([rows], dtype=np.uint32))[0] == n:
-            break
-    const = int(rng.integers(0, field.order))
-    zs = field.all_elements_vec()
-    acc = np.full(field.order, const, dtype=np.uint32)
-    for j, row in enumerate(rows):
-        # output bit j is <row, z>; accumulate parity * 2^j
-        bit = np.bitwise_count(zs & np.uint32(row)) & 1
-        acc ^= (bit << j).astype(np.uint32)
-    return FunctionTable(field, acc)
-
-
 # ---------------------------------------------------------------------------
 # LUT file format: header line, then 2^n hex entries, one per line
-
-
-def write_lut(table: FunctionTable, fh: IO[str]) -> None:
-    fh.write(table.field.header() + "\n")
-    for v in table.lut:
-        fh.write(f"{int(v):x}\n")
 
 
 def read_lut(fh: IO[str]) -> FunctionTable:

@@ -1,20 +1,26 @@
 """Shared fixtures: cached small fields, the textbook GF(2) rank and DDT
 oracles, plain-integer GF(2^m) arithmetic with a Gaussian-elimination
-determinant and the key lemma's quantities on it, the unskipped translate
-closure and an extended-run gate."""
+determinant, scalar evaluation of the function forms, the subfield pair map
+and the key lemma's quantities on it, dense-row packing and ranks, affine
+permutations, LUT and code-export text, the unskipped translate closure and
+an extended-run gate."""
 
 from __future__ import annotations
 
+import functools
 import os
+import re
+from typing import IO
 
 import numpy as np
 import pytest
 
 from apnlab import bitlinalg
-from apnlab.bitlinalg import GF2Basis, xor_permute_columns
-from apnlab.gf2n import Field, field_new
+from apnlab.bitlinalg import GF2Basis, row_ranks, xor_permute_columns
+from apnlab.errors import PreconditionError
+from apnlab.gf2n import Field, field_from_header, field_new
 from apnlab.invariants import _graph_indicator_row
-from apnlab.vbf import FunctionTable
+from apnlab.vbf import BivariateFunc, FunctionTable, LinearizedPoly
 
 _FIELDS: dict[int, Field] = {}
 
@@ -70,6 +76,63 @@ def shift_add_pow(a: int, e: int, modulus: int) -> int:
         a = shift_add_mul(a, a, modulus)
         e >>= 1
     return out
+
+
+def scalar_eval(form, *point):
+    """``form`` at one point from its stored terms, in plain-int arithmetic
+    on :func:`shift_add_mul`: a UnivariatePoly or LinearizedPoly at z, a
+    BivariateFunc at (x, y) as the pair of its coordinates."""
+    modulus = form.field.modulus
+
+    def at(terms) -> int:
+        out = 0
+        for c, *exps in terms:
+            for v, e in zip(point, exps):
+                c = shift_add_mul(c, shift_add_pow(v, e, modulus), modulus)
+            out ^= c
+        return out
+
+    if isinstance(form, BivariateFunc):
+        return at(form.first), at(form.second)
+    if isinstance(form, LinearizedPoly):
+        return at((c, 1 << i) for i, c in enumerate(form.coeffs))
+    return at(form.terms)
+
+
+@functools.cache
+def _subfield_pairs(parent: Field, component: Field) -> list[int]:
+    """SubfieldMap's correspondence from its definition, in plain-int
+    arithmetic: entry ``(x << m) | y`` is e(x) + e(y) * beta, where e sends
+    the component's generator to the least parent root of the component's
+    modulus and beta is the least parent element outside the image of e."""
+    mod, m = parent.modulus, component.n
+
+    def value(coeffs: int, r: int, degree: int) -> int:
+        """The polynomial with coefficient bits ``coeffs`` at ``r``."""
+        out = 0
+        for i in range(degree + 1):
+            if coeffs >> i & 1:
+                out ^= shift_add_pow(r, i, mod)
+        return out
+
+    root = next(r for r in range(parent.order)
+                if value(component.modulus, r, m) == 0)
+    e = [value(x, root, m - 1) for x in range(component.order)]
+    beta = min(set(range(parent.order)) - set(e))
+    return [e[x] ^ shift_add_mul(e[y], beta, mod)
+            for x in range(component.order) for y in range(component.order)]
+
+
+def embed_pair(submap, x: int, y: int) -> int:
+    """The parent element of the component pair (x, y), by the definition."""
+    return _subfield_pairs(submap.parent, submap.component)[
+        (x << submap.component.n) | y]
+
+
+def split_pair(submap, z: int) -> tuple[int, int]:
+    """The component pair (x, y) of the parent element z, by the definition."""
+    return divmod(_subfield_pairs(submap.parent, submap.component).index(z),
+                  submap.component.order)
 
 
 def gauss_det(matrix: list[list[int]], modulus: int) -> int:
@@ -158,6 +221,85 @@ def key_lemma_oracle(m: int, s: int, mu: int, v: int, modulus: int) -> list[dict
     return rows
 
 
+def pack(dense: np.ndarray) -> np.ndarray:
+    """Pack a (rows, cols) 0/1 array into (rows, words) uint64 rows, column
+    j at bit ``j & 63`` of word ``j >> 6``: the rows GF2Basis.absorb takes."""
+    array = np.asarray(dense, dtype=np.uint8)
+    if array.ndim != 2:
+        raise PreconditionError("dense input must be 2-D")
+    rows, cols = array.shape
+    packed = np.zeros((rows, ((cols + 63) >> 6) * 8), dtype=np.uint8)
+    packed[:, : (cols + 7) >> 3] = np.packbits(array & 1, axis=1,
+                                               bitorder="little")
+    return packed.view(np.uint64)
+
+
+def basis_rank(dense: np.ndarray) -> int:
+    """GF(2) rank of a dense (rows, cols) 0/1 array, through GF2Basis."""
+    basis = GF2Basis(np.shape(dense)[1])
+    basis.absorb(pack(dense))
+    return basis.rank
+
+
+def stored_rows(basis: GF2Basis) -> np.ndarray:
+    """The rows a basis has stored, as a view (do not mutate)."""
+    return basis._rows[: basis.count]
+
+
+def is_permutation(table: FunctionTable) -> bool:
+    """Whether the table takes every field element once."""
+    return bool(np.unique(table.lut).size == table.field.order)
+
+
+def compose(outer: FunctionTable, inner: FunctionTable) -> FunctionTable:
+    """The composite z -> outer(inner(z))."""
+    return FunctionTable(outer.field, outer.lut[inner.lut])
+
+
+def random_affine_permutation(field: Field, rng: np.random.Generator) -> FunctionTable:
+    """A uniformly random affine permutation z -> M z + c of the field bits."""
+    n = field.n
+    while True:
+        rows = [int(rng.integers(1, field.order)) for _ in range(n)]
+        if row_ranks(np.array([rows], dtype=np.uint32))[0] == n:
+            break
+    const = int(rng.integers(0, field.order))
+    zs = field.all_elements_vec()
+    acc = np.full(field.order, const, dtype=np.uint32)
+    for j, row in enumerate(rows):
+        # output bit j is <row, z>; accumulate parity * 2^j
+        bit = np.bitwise_count(zs & np.uint32(row)) & 1
+        acc ^= (bit << j).astype(np.uint32)
+    return FunctionTable(field, acc)
+
+
+def write_lut(table: FunctionTable, fh: IO[str]) -> None:
+    """The LUT file ``apnlab ddt --lut`` reads: the field header, then the
+    2^n entries in hex, one per line."""
+    fh.write(table.field.header() + "\n")
+    for v in table.lut:
+        fh.write(f"{int(v):x}\n")
+
+
+def parse_code_export(text: str) -> tuple[Field, np.ndarray]:
+    """The field and the dense uint8 0/1 code matrix of a ``plain-bits``
+    code export."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise PreconditionError("empty code export")
+    fld = field_from_header(lines[0])
+    rows = lines[1:]
+    if len(rows) != 2 * fld.n + 1:
+        raise PreconditionError(
+            f"expected {2 * fld.n + 1} rows for n={fld.n}, got {len(rows)}")
+    dense = np.zeros((len(rows), fld.order), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        if not re.fullmatch(r"[01]+", row) or len(row) != fld.order:
+            raise PreconditionError(f"bad 0/1 row of length {len(row)}")
+        dense[i] = np.frombuffer(row.encode(), dtype=np.uint8) - ord("0")
+    return fld, dense
+
+
 def row_by_row_ddt(lut: np.ndarray) -> tuple[int, dict, list]:
     """Textbook DDT tally, one derivative direction a at a time, with the
     witnesses (a, b) attaining delta taken in scan order up to 16."""
@@ -190,7 +332,7 @@ def unskipped_closure(t: FunctionTable, chunk_rows: int):
     labels = [0]
     pivots = []
     for r in range(2 * t.field.n):
-        src = basis.rows_view()
+        src = stored_rows(basis)
         before = basis.count
         for start in range(0, src.shape[0], chunk_rows):
             chunk = src[start: start + chunk_rows]

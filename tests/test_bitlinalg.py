@@ -21,14 +21,12 @@ from apnlab.bitlinalg import (
     GF2Basis,
     check_alloc,
     mem_budget_bytes,
-    pack,
-    rank,
     row_ranks,
     xor_permute_columns,
 )
 from apnlab.errors import MemoryBudgetError, PreconditionError
 
-from conftest import naive_rank
+from conftest import basis_rank, naive_rank, pack, stored_rows
 
 GIB = 1 << 30
 #: One written basis row of 8 words with its pivot arrays and index map.
@@ -65,10 +63,10 @@ def test_dense_round_trip():
 
 def test_rank_known_values():
     eye = np.eye(20, dtype=np.uint8)
-    assert rank(eye) == 20
-    assert rank(np.zeros((5, 9), dtype=np.uint8)) == 0
+    assert basis_rank(eye) == 20
+    assert basis_rank(np.zeros((5, 9), dtype=np.uint8)) == 0
     ones = np.ones((6, 6), dtype=np.uint8)
-    assert rank(ones) == 1
+    assert basis_rank(ones) == 1
 
 
 def test_rank_matches_naive_random():
@@ -78,7 +76,7 @@ def test_rank_matches_naive_random():
         cols = int(rng.integers(1, 150))
         density = float(rng.uniform(0.02, 0.9))
         d = random_dense(rng, rows, cols, density)
-        assert rank(d) == naive_rank(d)
+        assert basis_rank(d) == naive_rank(d)
 
 
 def test_rank_transpose_invariant():
@@ -86,7 +84,7 @@ def test_rank_transpose_invariant():
     for _ in range(20):
         d = random_dense(rng, int(rng.integers(1, 80)),
                          int(rng.integers(1, 80)), 0.35)
-        assert rank(d) == rank(d.T)
+        assert basis_rank(d) == basis_rank(d.T)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(1, 64))
@@ -95,26 +93,26 @@ def test_rank_row_operations_invariant(seed, rows, cols):
     rng = np.random.default_rng(seed)
     d = random_dense(rng, rows, cols, 0.4)
     base = naive_rank(d)
-    assert rank(d) == base
+    assert basis_rank(d) == base
     # xor a random row into another: rank unchanged
     if rows >= 2:
         i, j = rng.choice(rows, 2, replace=False)
         d2 = d.copy()
         d2[i] ^= d2[j]
-        assert rank(d2) == base
+        assert basis_rank(d2) == base
 
 
 def test_rank_duplicated_rows():
     rng = np.random.default_rng(6)
     d = random_dense(rng, 30, 50, 0.4)
     doubled = np.vstack([d, d])
-    assert rank(doubled) == naive_rank(d)
+    assert basis_rank(doubled) == naive_rank(d)
 
 
 def test_rank_wide_matrix_multiword():
     rng = np.random.default_rng(7)
     d = random_dense(rng, 60, 1000, 0.02)
-    assert rank(d) == naive_rank(d)
+    assert basis_rank(d) == naive_rank(d)
 
 
 def test_rank_matches_naive_across_row_slices():
@@ -126,7 +124,7 @@ def test_rank_matches_naive_across_row_slices():
     d = np.zeros((2600, 8192), dtype=np.uint8)
     for k in range(40):
         d[left[:, k] == 1] ^= right[k]
-    assert rank(d) == naive_rank(d) == 40
+    assert basis_rank(d) == naive_rank(d) == 40
 
 
 def test_row_ranks_match_textbook_elimination():
@@ -198,10 +196,10 @@ def test_basis_never_rewrites_stored_rows():
     basis = GF2Basis(64)
     for row in ([0, 5], [1], [2], [3], [4]):
         assert basis.absorb(bits(*row)) == 1
-    before = basis.rows_view().copy()
+    before = stored_rows(basis).copy()
     for col in (5, 6, 7):
         assert basis.absorb(bits(col)) == 1
-    assert np.array_equal(basis.rows_view()[:5], before)
+    assert np.array_equal(stored_rows(basis)[:5], before)
     assert basis.absorb(bits(0, 6)) == 0  # rows 0, 5 and 6
     assert basis.rank == 8
 
@@ -279,7 +277,7 @@ def test_basis_allocates_nothing_before_its_first_check(monkeypatch):
     # one 256-entry table of 2^28-column rows (Gold n=14's Γ-rank) is 8 GiB
     monkeypatch.setenv("APNLAB_MEM_BUDGET_GIB", "1")
     basis = GF2Basis(1 << 28)
-    assert basis._rows.nbytes == 0 and basis.rows_view().shape == (0, 1 << 22)
+    assert basis._rows.nbytes == 0 and stored_rows(basis).shape == (0, 1 << 22)
     with pytest.raises(MemoryBudgetError, match="^absorbing 1 rows"):
         basis.check_absorb(1, basis.words * 8)  # the caller's row held
 
@@ -410,18 +408,18 @@ def _basis_of_40_rows(seed: int) -> GF2Basis:
 
 def test_stage_gathers_stored_rows_after_the_basis():
     basis = _basis_of_40_rows(14)
-    stored = basis.rows_view().copy()
+    stored = stored_rows(basis).copy()
     take = np.array([5, 0, 39, 3, 3, 17])
     staged = basis.stage(take, 0)
     assert np.array_equal(staged, stored[take])
-    assert basis.rows_view().tobytes() == stored.tobytes()
+    assert stored_rows(basis).tobytes() == stored.tobytes()
     # the staged rows are the store's rows after the basis, which absorb
     # reduces where they stand: every one lies in the span
     assert staged.base is basis._rows.base and staged.flags.writeable
     assert np.shares_memory(staged, basis._rows[40: 40 + take.size])
     gave = np.ones(take.size, dtype=bool)
     assert basis.absorb(staged, out=gave) == 0 and not gave.any()
-    assert basis.rows_view().tobytes() == stored.tobytes()
+    assert stored_rows(basis).tobytes() == stored.tobytes()
 
 
 def test_stage_refuses_rows_outside_the_basis():
@@ -447,7 +445,7 @@ def test_stage_and_translate_allocate_no_chunk(monkeypatch):
     basis.count = 256
     take = np.random.default_rng(17).integers(0, 256, 2048)
     mask = (37 << 6) | 45  # a word move and three butterfly steps
-    want = [np.unpackbits(basis.rows_view()[i].view(np.uint8),
+    want = [np.unpackbits(stored_rows(basis)[i].view(np.uint8),
                           bitorder="little")[np.arange(1 << 16) ^ mask]
             for i in take[[0, -1]]]
     tracemalloc.start()
@@ -528,7 +526,7 @@ def test_split_reduction_is_bit_identical(monkeypatch, workers):
     finally:
         sys.setswitchinterval(interval)
     assert len(basis._tables) == workers
-    assert np.array_equal(basis.rows_view(), ref.rows_view())
+    assert np.array_equal(stored_rows(basis), stored_rows(ref))
     assert np.array_equal(basis._piv_col[: basis.count],
                           ref._piv_col[: ref.count])
     assert gave.tolist() == ref_gave.tolist()

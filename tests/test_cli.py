@@ -20,8 +20,9 @@ from apnlab.families import (
     search_trinomial_params,
 )
 from apnlab.gf2n import field_new
-from apnlab.invariants import GammaRankReport, parse_code_export
-from apnlab.vbf import write_lut
+from apnlab.invariants import GammaRankReport
+
+from conftest import parse_code_export, write_lut
 
 
 def run(capsys, *argv) -> tuple[int, dict, str]:
@@ -344,6 +345,20 @@ def test_table_stdout_is_pinned(capsys, monkeypatch, which, digest):
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert json.loads(text)["all_match"] is True
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("plain-bits", "9c78941dbc3afd77c3efed0d4743827527b87433b72c36588bc251e49eb4fd44"),
+    ("script", "4ea321e680df5325bde3bf5fa1be0d601846b6dbdd8daedeecedf8e45ed7b250"),
+])
+def test_export_code_file_is_pinned(tmp_path, capsys, fmt, digest):
+    # every byte of the file an external tool reads, in both formats
+    out_path = tmp_path / "code"
+    code, out, _ = run(capsys, "export-code", "--family",
+                       '{tag:"Gold", n:5, i:1}', "--format", fmt,
+                       "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
 
 def test_table_reports_mismatch_and_ranks_nothing_else(capsys, monkeypatch):

@@ -16,17 +16,16 @@ from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.gf2n import (
     DEFAULT_MODULI,
     Field,
+    SubfieldMap,
     cube_class,
     field_from_header,
     field_new,
     poly_is_irreducible,
     primitive_elements,
     subfield_embedding,
-    subfield_map,
-    trace,
 )
 
-from conftest import get_field, shift_add_mul
+from conftest import embed_pair, get_field, shift_add_mul, split_pair
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +443,7 @@ def test_vec_methods_refuse_operands_outside_the_field(call):
     # subfield map, each operand checked by its own field
     f8 = get_field(8)
     with pytest.raises(IndexError):
-        call(f8, subfield_map(f8, get_field(4)))
+        call(f8, SubfieldMap(f8, get_field(4)))
 
 
 def test_log_readers_keep_their_output():
@@ -493,16 +492,18 @@ def test_absolute_trace_is_balanced():
     assert ones == 128
 
 
-def test_trace_helper_wraps_field_method():
-    f = get_field(6)
-    for a in (0, 1, 5, 63):
-        assert trace(f, 2, a).bits == f.trace_to(2, a)
-
-
 def test_trace_to_rejects_non_divisor():
     f = get_field(6)
     with pytest.raises(PreconditionError):
         f.trace_to(4, 1)
+    # on GF(2^8) a negative m divides n as Python computes n % m, and m = 0
+    # would divide by zero: both trace paths refuse them as they refuse 3
+    f8 = get_field(8)
+    for m in (-1, -2, 0, 3, 9):
+        with pytest.raises(PreconditionError, match="positive divisor of n"):
+            f8.trace_to(m, 5)
+        with pytest.raises(PreconditionError, match="positive divisor of n"):
+            f8.trace_vec(m, np.array([5, 7]))
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +555,10 @@ def test_cube_class_matches_brute(n):
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (8, 4)])
 def test_subfield_map_is_field_homomorphism(n, m):
     parent, comp = get_field(n), get_field(m)
-    sm = subfield_map(parent, comp)
+    sm = SubfieldMap(parent, comp)
     qm = 1 << m
-    emb = [sm.embed(a, 0) for a in range(qm)]  # the pair (a, 0) is a
+    # the pair (a, 0) is a
+    emb = [int(v) for v in sm.embed_vec(np.arange(qm), 0)]
     assert emb[0] == 0 and emb[1] == 1
     assert len(set(emb)) == qm
     for a in range(qm):
@@ -571,16 +573,19 @@ def test_subfield_map_is_field_homomorphism(n, m):
 @pytest.mark.parametrize("n,m", [(4, 2), (6, 3), (8, 4)])
 def test_split_embed_inverse_pair(n, m):
     parent, comp = get_field(n), get_field(m)
-    sm = subfield_map(parent, comp)
+    sm = SubfieldMap(parent, comp)
+    # each element's pair, scalar by scalar through the vector paths, is the
+    # pair of the definition
     for x in range(parent.order):
-        hi, lo = sm.split(x)
-        assert sm.embed(hi, lo) == x
+        hi, lo = (int(v) for v in sm.split_vec(x))
+        assert (hi, lo) == split_pair(sm, x)
+        assert int(sm.embed_vec(hi, lo)) == x
     k = min(comp.order, 8)
     pairs = [(a, b) for a in range(k) for b in range(k)]
     hi = np.array([p[0] for p in pairs], dtype=np.uint32)
     lo = np.array([p[1] for p in pairs], dtype=np.uint32)
     vec = sm.embed_vec(hi, lo)
-    assert [int(v) for v in vec] == [sm.embed(a, b) for a, b in pairs]
+    assert [int(v) for v in vec] == [embed_pair(sm, a, b) for a, b in pairs]
     sh, sl = sm.split_vec(vec)
     assert np.array_equal(sh, hi) and np.array_equal(sl, lo)
 
@@ -588,15 +593,15 @@ def test_split_embed_inverse_pair(n, m):
 def test_subfield_embedding_table_matches_map():
     parent, comp = get_field(6), get_field(3)
     table = subfield_embedding(parent, comp)
-    sm = subfield_map(parent, comp)
-    assert [int(t) for t in table] == [sm.embed(a, 0) for a in range(8)]
+    sm = SubfieldMap(parent, comp)
+    assert [int(t) for t in table] == [embed_pair(sm, a, 0) for a in range(8)]
 
 
 def test_subfield_map_requires_half_degree_component():
     with pytest.raises(PreconditionError):
-        subfield_map(get_field(6), get_field(4))
+        SubfieldMap(get_field(6), get_field(4))
     with pytest.raises(PreconditionError):
-        subfield_map(get_field(6), get_field(2))
+        SubfieldMap(get_field(6), get_field(2))
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,17 @@ import pytest
 from apnlab import bitlinalg, invariants
 from apnlab.bitlinalg import check_alloc, xor_permute_columns
 from apnlab.errors import MemoryBudgetError, PreconditionError
-from apnlab.invariants import (
-    code_matrix,
-    code_matrix_rank,
-    export_code,
-    gamma_rank,
-    parse_code_export,
-)
+from apnlab.invariants import code_matrix, export_code, gamma_rank
 from apnlab.vbf import FunctionTable, UnivariatePoly, to_table
 
-from conftest import get_field, naive_rank, unskipped_closure
+from conftest import (
+    basis_rank,
+    get_field,
+    naive_rank,
+    parse_code_export,
+    stored_rows,
+    unskipped_closure,
+)
 
 
 def gold_table(n: int) -> FunctionTable:
@@ -63,7 +64,7 @@ def test_code_matrix_shape_and_rows():
 def test_code_matrix_rank_equals_naive():
     for n in (3, 4, 5, 6):
         t = gold_table(n)
-        assert code_matrix_rank(t) == naive_rank(code_matrix(t))
+        assert basis_rank(code_matrix(t)) == naive_rank(code_matrix(t))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +283,8 @@ def test_translate_closure_skip_matches_unskipped_closure(monkeypatch, n, e):
     pivots = [sum(got for mask, _, got in calls if mask == 1 << r)
               for r in range(2 * n)]
     assert pivots == ref_pivots
-    assert np.array_equal(basis.rows_view(), ref_basis.rows_view())
-    index = {row.tobytes(): i for i, row in enumerate(ref_basis.rows_view())}
+    assert np.array_equal(stored_rows(basis), stored_rows(ref_basis))
+    index = {row.tobytes(): i for i, row in enumerate(stored_rows(ref_basis))}
     chunks = [(mask, [index[row.tobytes()] for row in rows])
               for mask, rows, _ in calls]
     assert chunks == _staircase_chunks(labels, ref_pivots, 64)

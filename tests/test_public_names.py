@@ -1,10 +1,11 @@
-"""Public names: every ``__all__`` entry resolves, every attribute the
-benchmark in ``apnbench/`` patches or reads still exists, the set-up of
-each benchmarked workload runs, and its tracer still sees the translate
-closure's calls."""
+"""Public names: every ``__all__`` entry resolves and has a caller outside
+the tests, every attribute the benchmark in ``apnbench/`` patches or reads
+still exists, the set-up of each benchmarked workload runs, and its tracer
+still sees the translate closure's calls."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -97,3 +98,49 @@ def test_span_tracer_sees_the_translate_closure(monkeypatch):
     assert metrics["bitlinalg.absorb_rows"] == sum(absorbed)
     assert metrics["bitlinalg.absorb_pivots"] == rank_value
     assert sum(absorbed) < unskipped_closure(table, 64)[3]
+
+
+#: Paper lemmas that criterion 8 checks; no command calls them.
+_UNREFERENCED_BY_DESIGN = {"verify_subfield_scaled_permutations",
+                           "verify_adjoint_permutation_agreement"}
+
+
+def _all_entries(tree: ast.Module) -> list[str]:
+    """The strings of a module-level ``__all__ = [...]``."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return [elt.value for elt in node.value.elts]
+    return []
+
+
+def _references(tree: ast.Module, strings: bool) -> set[str]:
+    """Names and attribute names the module reads (an assignment is no
+    reference), and with ``strings`` its string constants (the benchmark's
+    tracer patches by name)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_public_name_has_a_caller():
+    # an __all__ entry that no module of the package (its __init__ aside)
+    # and no benchmark file reaches is dead code kept alive by its own tests
+    src = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+           for p in Path(apnlab.__file__).parent.glob("*.py")
+           if p.stem != "__init__"}
+    reached = set().union(
+        *(_references(tree, strings=False) for tree in src.values()),
+        *(_references(ast.parse(p.read_text(encoding="utf-8")), strings=True)
+          for p in APNBENCH.glob("*.py")))
+    dead = [f"{module}.{name}" for module, tree in sorted(src.items())
+            for name in _all_entries(tree)
+            if name not in reached and name not in _UNREFERENCED_BY_DESIGN]
+    assert dead == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apnlab.errors import PreconditionError
-from apnlab.gf2n import subfield_map
+from apnlab.gf2n import SubfieldMap
 from apnlab.vbf import (
     BivariateFunc,
     FunctionTable,
@@ -18,16 +18,21 @@ from apnlab.vbf import (
     UnivariatePoly,
     adjoint,
     bivariate_to_table,
-    compose,
     is_linearized_permutation,
     normalize_exponent,
-    random_affine_permutation,
     read_lut,
     to_table,
-    write_lut,
 )
 
-from conftest import get_field
+from conftest import (
+    embed_pair,
+    get_field,
+    is_permutation,
+    random_affine_permutation,
+    scalar_eval,
+    split_pair,
+    write_lut,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +43,7 @@ def test_monomial_eval_matches_field_pow():
     f = get_field(6)
     p = UnivariatePoly.monomial(f, 3)
     for z in range(f.order):
-        assert p.eval(z) == f.pow(z, 3)
+        assert scalar_eval(p, z) == f.pow(z, 3)
     zs = f.all_elements_vec()
     assert np.array_equal(p.eval_vec(zs), f.pow_vec(zs, 3))
 
@@ -50,7 +55,7 @@ def test_multi_term_eval():
     p = UnivariatePoly(f, [(u, 9), (1, 3), (0, 17)])
     for z in range(f.order):
         expect = f.mul(u, f.pow(z, 9)) ^ f.pow(z, 3)
-        assert p.eval(z) == expect
+        assert scalar_eval(p, z) == expect
 
 
 def test_zero_coefficient_terms_dropped():
@@ -84,6 +89,16 @@ def test_normalize_exponent_edges():
     assert normalize_exponent(16, 15) == 1
     with pytest.raises(PreconditionError):
         normalize_exponent(-1, 15)
+    assert normalize_exponent(np.int64(16), 15) == 1
+    # a form refuses an exponent that is not an int where it is built, not
+    # by a TypeError in to_table
+    f = get_field(4)
+    for build in (lambda: UnivariatePoly(f, [(1, 2.5)]),
+                  lambda: UnivariatePoly.monomial(f, 3.0),
+                  lambda: BivariateFunc(f, [(1, 1, 2.5)], []),
+                  lambda: UnivariatePoly(f, [(1, "3")])):
+        with pytest.raises(PreconditionError, match="exponents are ints"):
+            build()
 
 
 def test_frob_and_scaled():
@@ -93,8 +108,8 @@ def test_frob_and_scaled():
     c = f.primitive_power(2)
     s = UnivariatePoly(f, [(c, 0)]) * p  # p scaled by c
     for z in range(f.order):
-        assert q.eval(z) == f.sqr(p.eval(z))
-        assert s.eval(z) == f.mul(c, p.eval(z))
+        assert scalar_eval(q, z) == f.sqr(scalar_eval(p, z))
+        assert scalar_eval(s, z) == f.mul(c, scalar_eval(p, z))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +122,7 @@ def test_to_table_round_trips_representations():
     t = to_table(p)
     assert isinstance(t, FunctionTable)
     assert to_table(t) is t
-    assert [int(v) for v in t.lut] == [p.eval(z) for z in range(f.order)]
+    assert [int(v) for v in t.lut] == [scalar_eval(p, z) for z in range(f.order)]
 
 
 def test_function_table_validates_lut():
@@ -116,12 +131,22 @@ def test_function_table_validates_lut():
         FunctionTable(f, [0] * 7)  # wrong length
     with pytest.raises(PreconditionError):
         FunctionTable(f, list(range(7)) + [8])  # value out of range
+    # entries are checked before the uint32 cast, which would truncate a
+    # float, wrap a negative int and overflow on a too-large one
+    for lut in ([0.5] * 8, np.full(8, 2.0), [-1] + [0] * 7,
+                np.full(8, -1, dtype=np.int8), [1 << 40] + [0] * 7,
+                [1 << 70] + [0] * 7, np.ones(8, dtype=bool)):
+        with pytest.raises(PreconditionError, match=r"ints in \[0, 2\^3\)"):
+            FunctionTable(f, lut)
 
 
-def test_is_permutation():
-    f = get_field(5)
-    assert to_table(UnivariatePoly.monomial(f, 3)).is_permutation()  # gcd(3,31)=1
-    assert not to_table(UnivariatePoly.monomial(f, 0)).is_permutation()
+def test_function_table_keeps_a_read_only_copy():
+    f = get_field(3)
+    lut = np.arange(8, dtype=np.uint32)[::-1]
+    t = FunctionTable(f, lut)
+    assert t.lut.dtype == np.uint32 and not t.lut.flags.writeable
+    assert lut.flags.writeable and not np.shares_memory(t.lut, lut)
+    assert FunctionTable(f, [int(v) for v in lut]) == t
 
 
 def test_lut_file_round_trip():
@@ -144,18 +169,6 @@ def test_read_lut_rejects_truncated_input():
         read_lut(io.StringIO("\n".join(lines)))
 
 
-def test_compose_is_lut_indexing():
-    f = get_field(4)
-    a = to_table(UnivariatePoly.monomial(f, 3))
-    b = to_table(UnivariatePoly.monomial(f, 2))
-    c = compose(a, b)
-    for z in range(f.order):
-        assert c.lut[z] == a.lut[b.lut[z]]
-    other = get_field(5)
-    with pytest.raises(PreconditionError):
-        compose(a, to_table(UnivariatePoly.monomial(other, 3)))
-
-
 # ---------------------------------------------------------------------------
 # linearized polynomials
 # ---------------------------------------------------------------------------
@@ -166,10 +179,10 @@ def test_linearized_eval_is_additive():
     rng = np.random.default_rng(11)
     for _ in range(100):
         x, y = map(int, rng.integers(0, f.order, 2))
-        assert L.eval(x ^ y) == L.eval(x) ^ L.eval(y)
+        assert scalar_eval(L, x ^ y) == scalar_eval(L, x) ^ scalar_eval(L, y)
     zs = f.all_elements_vec()
     assert np.array_equal(L.eval_vec(zs),
-                          np.array([L.eval(z) for z in range(f.order)]))
+                          np.array([scalar_eval(L, z) for z in range(f.order)]))
 
 
 def test_from_exponent_terms_matches_coeff_vector():
@@ -179,11 +192,11 @@ def test_from_exponent_terms_matches_coeff_vector():
                                                (f.element(5), 2)])
     M = LinearizedPoly(f, [f.element(3), 0, f.element(5), 0, 0, 0])
     for z in range(f.order):
-        assert L.eval(z) == M.eval(z)
+        assert scalar_eval(L, z) == scalar_eval(M, z)
     # exponents reduce mod n (z^(2^n) = z)
     K = LinearizedPoly.from_exponent_terms(f, [(f.element(1), 6)])
     for z in range(f.order):
-        assert K.eval(z) == z
+        assert scalar_eval(K, z) == z
 
 
 def test_to_univariate_agrees():
@@ -191,7 +204,7 @@ def test_to_univariate_agrees():
     L = LinearizedPoly(f, [1, 0, 7, 0, 0])
     p = L.to_univariate()
     for z in range(f.order):
-        assert p.eval(z) == L.eval(z)
+        assert scalar_eval(p, z) == scalar_eval(L, z)
 
 
 @pytest.mark.parametrize("n", [6, 9, 12])
@@ -204,7 +217,7 @@ def test_linearized_permutation_matches_table(n):
         coeffs = rng.integers(0, f.order, n) * (rng.random(n) < 0.25)
         L = LinearizedPoly(f, [int(c) for c in coeffs])
         got = is_linearized_permutation(L)
-        assert got == L.to_table().is_permutation(), L
+        assert got == is_permutation(L.to_table()), L
         verdicts.add(got)
     assert verdicts == {True, False}
 
@@ -216,7 +229,7 @@ def test_matrix_rows_rank_iff_permutation():
     # z + z^2 kills GF(2): never injective
     sing = LinearizedPoly(f, [1, 1, 0, 0, 0, 0])
     assert not is_linearized_permutation(sing)
-    assert sing.to_table().is_permutation() is False
+    assert is_permutation(sing.to_table()) is False
 
 
 def test_adjoint_trace_pairing_exhaustive():
@@ -225,13 +238,13 @@ def test_adjoint_trace_pairing_exhaustive():
     La = adjoint(L)
     for x in range(f.order):
         for y in range(f.order):
-            lhs = f.trace_to(1, f.mul(y, L.eval(x)))
-            rhs = f.trace_to(1, f.mul(x, La.eval(y)))
+            lhs = f.trace_to(1, f.mul(y, scalar_eval(L, x)))
+            rhs = f.trace_to(1, f.mul(x, scalar_eval(La, y)))
             assert lhs == rhs
     # involution
     Laa = adjoint(La)
     for z in range(f.order):
-        assert Laa.eval(z) == L.eval(z)
+        assert scalar_eval(Laa, z) == scalar_eval(L, z)
 
 
 # ---------------------------------------------------------------------------
@@ -240,16 +253,16 @@ def test_adjoint_trace_pairing_exhaustive():
 
 def test_bivariate_to_table_matches_manual_eval():
     comp, parent = get_field(3), get_field(6)
-    sm = subfield_map(parent, comp)
+    sm = SubfieldMap(parent, comp)
     # (x, y) -> (x^3 + y, x y)
     g = BivariateFunc(comp, [(1, 3, 0), (1, 0, 1)], [(1, 1, 1)])
     t = bivariate_to_table(g, sm)
     assert t.field is parent
     for z in range(parent.order):
-        x, y = sm.split(z)
+        x, y = split_pair(sm, z)
         first = comp.pow(x, 3) ^ y
         second = comp.mul(x, y)
-        assert t.lut[z] == sm.embed(first, second)
+        assert t.lut[z] == embed_pair(sm, first, second)
 
 
 def test_bivariate_zero_coordinate():
@@ -257,7 +270,7 @@ def test_bivariate_zero_coordinate():
     u2 = comp.primitive_power(2)
     g = BivariateFunc(comp, [(u2, 1, 0)], [(0, 0, 0)])
     for x in range(comp.order):
-        fx, sx = g.eval(x, 0)
+        fx, sx = scalar_eval(g, x, 0)
         assert fx == comp.mul(u2, x) and sx == 0
 
 
@@ -270,7 +283,7 @@ def test_random_affine_permutation_is_affine_bijection():
     rng = np.random.default_rng(5)
     for _ in range(10):
         t = random_affine_permutation(f, rng)
-        assert t.is_permutation()
+        assert is_permutation(t)
         # affine: A(x ^ y ^ z) = A(x) ^ A(y) ^ A(z)
         for _ in range(40):
             x, y, z = map(int, rng.integers(0, f.order, 3))
