@@ -49,7 +49,6 @@ from .vbf import (
     UnivariatePoly,
     bivariate_to_table,
     is_linearized_permutation,
-    to_table,
 )
 
 __all__ = [

@@ -1,12 +1,13 @@
 """Arithmetic in GF(2^n) with plain-int elements and numpy bulk helpers.
 
 Field elements are integers in ``[0, 2^n)`` whose bits are the coefficients of
-the polynomial representative (bit i = coefficient of x^i).  A :class:`Field`
-carries the modulus, lazily built log/exp tables, for n <= 10 a lazily built
-table of all products and, for n <= 16, one lazily built map x -> x^e per
-exponent in use; :class:`FieldElement` is a thin operator-overloading wrapper
-used by the symbolic layers.  Bulk paths (truth tables, difference counting,
-rank feeds) work on numpy integer arrays through the ``*_vec`` methods.
+the polynomial representative (bit i = coefficient of x^i), for n <= 24.  A
+:class:`Field` carries the modulus, lazily built log/exp tables that every
+scalar method reads, for n <= 10 a lazily built table of all products and, for
+n <= 16, one lazily built map x -> x^e per exponent in use;
+:class:`FieldElement` is a thin operator-overloading wrapper used by the
+symbolic layers.  Bulk paths (truth tables, difference counting, rank feeds)
+work on numpy integer arrays through the ``*_vec`` methods.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ DEFAULT_MODULI: dict[int, int] = {
     24: 0x100001B,
 }
 
-_MAX_TABLE_N = 24  # log/exp tables are built only up to this size
+_MAX_TABLE_N = 24  # largest field degree: the log/exp tables' limit
 #: Peak bytes per element of a table build: exp 16, log 4, log's index run 4.
 #: Measured (tracemalloc): 24.02 B at n = 22, 20.0 B held afterwards.
 _TABLE_BYTES_PER_ELEMENT = 24
@@ -82,6 +83,14 @@ _POWER_MAP_MAX_N = 16
 #: replaces the oldest, so evaluating many exponents cannot grow a cached
 #: field without bound.
 _POWER_MAP_BYTES = 16 << 20
+
+
+def _index(value, what: str) -> int:
+    """``operator.index(value)``, or PreconditionError naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise PreconditionError(f"{what} are ints, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -161,25 +170,23 @@ def poly_is_irreducible(p: int) -> bool:
 
 
 class Field:
-    """GF(2^n) under a fixed irreducible modulus.
+    """GF(2^n), 1 <= n <= 24, under a fixed irreducible modulus.
 
     Elements are ints; the scalar methods (:meth:`mul`, :meth:`inv`, ...) and
     the numpy bulk methods (:meth:`mul_vec`, :meth:`pow_vec`, ...) all share
-    this representation.  ``primitive`` is the least element (by bit pattern)
-    of multiplicative order 2^n - 1.
+    this representation, and all read the log/exp tables, built on first use.
+    A scalar operand passes :meth:`coerce`.  ``primitive`` is the least
+    element (by bit pattern) of multiplicative order 2^n - 1.
     """
 
     __slots__ = ("n", "modulus", "order", "mult_order", "primitive",
                  "_exp", "_log", "_products", "_maps", "_lock")
 
     def __init__(self, n: int, modulus: int | None = None):
-        if not 1 <= n <= 64:
-            raise PreconditionError(f"field degree in [1, 64], got {n}")
+        if not 1 <= n <= _MAX_TABLE_N:
+            raise PreconditionError(f"field degree in [1, {_MAX_TABLE_N}] (n <= "
+                                    f"{_MAX_TABLE_N}: the log/exp tables' limit), got {n}")
         if modulus is None:
-            if n not in DEFAULT_MODULI:
-                raise PreconditionError(
-                    f"no default modulus for n={n} (defaults cover n <= 24); "
-                    "pass modulus explicitly")
             modulus = DEFAULT_MODULI[n]
         if _pdeg(modulus) != n or not poly_is_irreducible(modulus):
             raise PreconditionError(
@@ -215,6 +222,7 @@ class Field:
     # -- scalar arithmetic ---------------------------------------------------
 
     def _mul_raw(self, a: int, b: int) -> int:
+        """a * b by shift-and-add: the tables' bootstrap, before they exist."""
         m, n = self.modulus, self.n
         r = 0
         while b:
@@ -240,42 +248,29 @@ class Field:
         return r
 
     def mul(self, a: int, b: int) -> int:
-        if self._log is not None:
-            if a == 0 or b == 0:
-                return 0
-            return int(self._exp[int(self._log[a]) + int(self._log[b])])
-        return self._mul_raw(a, b)
+        exp, log = self._tables()
+        return exp.item(log.item(self.coerce(a)) + log.item(self.coerce(b)))
 
     def sqr(self, a: int) -> int:
         return self.mul(a, a)
 
     def pow(self, a: int, e: int) -> int:
         """a**e with the function-semantics conventions 0^0 = 1, 0^e = 0 (e > 0)."""
+        a, e = self.coerce(a), _index(e, "exponents")
         if a == 0:
-            if e == 0:
-                return 1
             if e < 0:
                 raise ZeroDivisionError("inverse of 0 in " + repr(self))
-            return 0
-        e %= self.mult_order
-        if self._log is not None:
-            return int(self._exp[(int(self._log[a]) * e) % self.mult_order])
-        r, b = 1, a
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, b)
-            b = self._mul_raw(b, b)
-            e >>= 1
-        return r
+            return int(e == 0)
+        exp, log = self._tables()
+        return exp.item(log.item(a) * e % self.mult_order)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in " + repr(self))
         return self.pow(a, -1)
 
     def _trace_steps(self, m: int) -> int:
         """n / m, the terms of a trace onto GF(2^m); PreconditionError unless
         m is a positive divisor of n."""
+        m = _index(m, "trace target degrees")
         if not (1 <= m and self.n % m == 0):
             raise PreconditionError(
                 f"trace target degree must be a positive divisor of n: m={m}, n={self.n}")
@@ -283,20 +278,30 @@ class Field:
 
     def trace_to(self, m: int, a: int) -> int:
         """Relative trace onto the subfield GF(2^m): sum of a^(2^(m*i))."""
-        acc = 0
-        cur = a
+        acc, cur = 0, self.coerce(a)
+        exp, log = self._tables()
         for _ in range(self._trace_steps(m)):
             acc ^= cur
             for _ in range(m):
-                cur = self.sqr(cur)
+                cur = exp.item(2 * log.item(cur))  # log[0] doubled: the zero tail
         return acc
 
     def _find_primitive(self) -> int:
+        """The least element of full order, by square-and-multiply on _mul_raw."""
+        def power(a: int, e: int) -> int:
+            r = 1
+            while e:
+                if e & 1:
+                    r = self._mul_raw(r, a)
+                a = self._mul_raw(a, a)
+                e >>= 1
+            return r
+
         if self.mult_order == 1:
             return 1
         ps = _prime_factors(self.mult_order)
         for a in range(2, self.order):
-            if all(self.pow(a, self.mult_order // p) != 1 for p in ps):
+            if all(power(a, self.mult_order // p) != 1 for p in ps):
                 return a
         raise AssertionError("no primitive element found")  # pragma: no cover
 
@@ -340,9 +345,6 @@ class Field:
         Built once, under the field's lock, as the product table is.
         """
         if self._log is None:
-            if self.n > _MAX_TABLE_N:
-                raise PreconditionError(
-                    f"log/exp tables unsupported beyond n={_MAX_TABLE_N}")
             with self._lock:
                 if self._log is None:
                     check_alloc(_TABLE_BYTES_PER_ELEMENT << self.n,
@@ -362,7 +364,7 @@ class Field:
                     log = np.empty(self.order, dtype=np.int32)
                     log[0] = 2 * m
                     log[exp[:m]] = np.arange(m, dtype=np.int32)
-                    self._exp, self._log = exp, log  # _log last: the fast path tests it
+                    self._exp, self._log = exp, log  # _log last: the unlocked test reads it
         return self._exp, self._log
 
     def all_elements_vec(self) -> np.ndarray:
@@ -563,8 +565,7 @@ class FieldElement:
     __rsub__ = __add__
 
     def __mul__(self, other: "FieldElement | int") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, f.mul(self.bits, f.coerce(other)))
+        return FieldElement(self.field, self.field.mul(self.bits, other))
 
     __rmul__ = __mul__
 
@@ -572,8 +573,7 @@ class FieldElement:
         return FieldElement(self.field, self.field.pow(self.bits, e))
 
     def __truediv__(self, other: "FieldElement | int") -> "FieldElement":
-        f = self.field
-        return FieldElement(f, f.mul(self.bits, f.inv(f.coerce(other))))
+        return self * self.field.inv(other)
 
     def inv(self) -> "FieldElement":
         return FieldElement(self.field, self.field.inv(self.bits))

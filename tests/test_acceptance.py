@@ -37,7 +37,6 @@ from apnlab.gf2n import (
     field_new,
     poly_is_irreducible,
     primitive_elements,
-    subfield_embedding,
 )
 from apnlab.invariants import gamma_rank
 from apnlab.vbf import LinearizedPoly, UnivariatePoly, to_table

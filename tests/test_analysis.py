@@ -36,10 +36,8 @@ from apnlab.analysis import (
 from apnlab.bitlinalg import check_alloc
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.families import (
-    FamilyId,
     _trinomial_mus,
     build_from_descriptor,
-    make_known,
     make_new_bivariate,
     make_new_trinomial,
     search_trinomial_params,

@@ -24,7 +24,7 @@ from apnlab.families import (
     search_trinomial_params,
     validate_trinomial_params,
 )
-from apnlab.gf2n import field_new, primitive_elements
+from apnlab.gf2n import primitive_elements
 
 from conftest import embed_pair, get_field, scalar_eval, split_pair
 

@@ -25,7 +25,7 @@ from apnlab.gf2n import (
     subfield_embedding,
 )
 
-from conftest import embed_pair, get_field, shift_add_mul, split_pair
+from conftest import embed_pair, get_field, shift_add_mul, shift_add_pow, split_pair
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +209,18 @@ def test_vector_ops_match_scalar(n):
 
 
 @pytest.mark.parametrize("n", [1, 8, 16, 17, 21, 24])
-def test_vector_kernels_match_table_free_scalar_ops(n):
-    # the oracle field never builds tables, so its mul/pow run shift-and-add
-    oracle, f = Field(n), Field(n)
-    m = f.mult_order
+def test_vector_kernels_match_shift_add_oracle(n):
+    # the oracle shares no code with the field: plain-int shift-and-add,
+    # with a nonzero base's exponent reduced mod 2^n - 1
+    f = Field(n)
+    m, mod = f.mult_order, f.modulus
+
+    def mul(p, q):
+        return shift_add_mul(p, q, mod)
+
+    def power(p, e):
+        return shift_add_pow(p, e % m if p else e, mod)
+
     rng = np.random.default_rng(n)
     a = rng.integers(0, f.order, 400, dtype=np.uint32)
     b = rng.integers(0, f.order, 400, dtype=np.uint32)
@@ -220,11 +228,10 @@ def test_vector_kernels_match_table_free_scalar_ops(n):
     b[::7] = 0
     a[:4] = b[:4] = [0, 1, m, f.primitive]
     pairs = list(zip(a.tolist(), b.tolist()))
-    assert f.mul_vec(a, b).tolist() == [oracle.mul(p, q) for p, q in pairs]
-    assert f.sqr_vec(a).tolist() == [oracle.mul(p, p) for p in a.tolist()]
+    assert f.mul_vec(a, b).tolist() == [mul(p, q) for p, q in pairs]
+    assert f.sqr_vec(a).tolist() == [mul(p, p) for p in a.tolist()]
     for c in {0, 1, m, int(b[-1])}:
-        assert f.mul_vec(c, a).tolist() == [oracle.mul(c, p)
-                                                   for p in a.tolist()]
+        assert f.mul_vec(c, a).tolist() == [mul(c, p) for p in a.tolist()]
     # one row per left operand, broadcast against the whole right operand
     grid = f.mul_vec(a[:6, None], b)
     assert grid.shape == (6, b.size)
@@ -232,15 +239,14 @@ def test_vector_kernels_match_table_free_scalar_ops(n):
                for i in range(6))
     for e in {0, 1, 2, 3, m - 1, m, m + 1, max(0, f.order - 3), f.order - 2,
               5 * m + 3, (1 << 40) + 1}:
-        assert f.pow_vec(a, e).tolist() == [oracle.pow(p, e) for p in a.tolist()], e
+        assert f.pow_vec(a, e).tolist() == [power(p, e) for p in a.tolist()], e
     nz = a[a != 0]
     for e in {-1, -2, -(m - 1), -(1 << 40)}:
-        assert f.pow_vec(nz, e).tolist() == [oracle.pow(p, e) for p in nz.tolist()], e
-    assert f.inv_vec(nz).tolist() == [oracle.inv(p) for p in nz.tolist()]
+        assert f.pow_vec(nz, e).tolist() == [power(p, e) for p in nz.tolist()], e
+    assert f.inv_vec(nz).tolist() == [power(p, -1) for p in nz.tolist()]
     assert f.pow_vec(np.zeros(3, dtype=np.uint32), 0).tolist() == [1, 1, 1]
     with pytest.raises(ZeroDivisionError):
         f.pow_vec(a, -1)
-    assert oracle._exp is None and oracle._log is None
     # powers gather through maps x -> x^e up to n = 16, one per e mod 2^n-1
     assert bool(f._maps) == (n <= 16)
     assert all(t.shape == (f.order,) and t.dtype == np.uint32
@@ -504,6 +510,11 @@ def test_trace_to_rejects_non_divisor():
             f8.trace_to(m, 5)
         with pytest.raises(PreconditionError, match="positive divisor of n"):
             f8.trace_vec(m, np.array([5, 7]))
+    # a float degree would reach range() and raise a bare TypeError there
+    with pytest.raises(PreconditionError, match="trace target degrees are ints"):
+        f8.trace_to(2.0, 5)
+    with pytest.raises(PreconditionError, match="trace target degrees are ints"):
+        f8.trace_vec(2.0, np.array([5, 7]))
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +643,42 @@ def test_coerce_int_means_raw_bits():
 def test_scalar_operands_outside_the_field_are_refused(call):
     with pytest.raises(PreconditionError):
         call(get_field(8))
+
+
+@pytest.mark.parametrize("tabled", [False, True], ids=["fresh", "tabled"])
+@pytest.mark.parametrize("call, error", [
+    (lambda f: f.mul(-1, 3), PreconditionError),
+    (lambda f: f.mul(3, -1), PreconditionError),
+    (lambda f: f.mul(300, 3), PreconditionError),
+    (lambda f: f.sqr(256), PreconditionError),
+    (lambda f: f.pow(-2, 3), PreconditionError),
+    (lambda f: f.pow(3, 2.0), PreconditionError),
+    (lambda f: f.inv(-1), PreconditionError),
+    (lambda f: f.trace_to(1, -1), PreconditionError),
+    (lambda f: f.element(3) ** 2.0, PreconditionError),
+    (lambda f: f.inv(0), ZeroDivisionError),
+    (lambda f: f.pow(0, -1), ZeroDivisionError),
+], ids=["mul-negative-left", "mul-negative-right", "mul-too-large", "sqr-too-large",
+        "pow-negative-base", "pow-float-exponent", "inv-negative",
+        "trace-negative", "element-float-exponent", "inv-zero", "pow-zero-negative"])
+def test_scalar_methods_refuse_bad_operands_with_or_without_tables(call, error, tabled):
+    # the answer must not depend on what an earlier call built, so each
+    # case runs on a field without tables and on one with them
+    f = Field(8)
+    if tabled:
+        f._tables()
+    with pytest.raises(error):
+        call(f)
+
+
+def test_field_degree_is_capped_at_the_table_limit():
+    modulus = (1 << 25) | 0b1001  # x^25 + x^3 + 1, irreducible
+    assert poly_is_irreducible(modulus)
+    with pytest.raises(PreconditionError, match="n <= 24"):
+        Field(25, modulus)
+    for n in (0, 25, 64):
+        with pytest.raises(PreconditionError, match="n <= 24"):
+            Field(n)
 
 
 def test_element_operators_match_the_field_methods():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from apnlab import bitlinalg, invariants
-from apnlab.bitlinalg import check_alloc, xor_permute_columns
+from apnlab.bitlinalg import xor_permute_columns
 from apnlab.errors import MemoryBudgetError, PreconditionError
 from apnlab.invariants import code_matrix, export_code, gamma_rank
 from apnlab.vbf import FunctionTable, UnivariatePoly, to_table

@@ -144,3 +144,27 @@ def test_every_public_name_has_a_caller():
             for name in _all_entries(tree)
             if name not in reached and name not in _UNREFERENCED_BY_DESIGN]
     assert dead == []
+
+
+def _unread_imports(tree: ast.Module) -> list[str]:
+    """Names the module imports and never loads; a function parameter of the
+    same name (a pytest fixture) counts as a load."""
+    imported = {alias.asname or alias.name.partition(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    read |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read():
+    # an import that nothing in its module loads is dead weight; the package
+    # __init__ imports only to re-export, so it is exempt
+    files = [p for p in sorted(Path(apnlab.__file__).parent.glob("*.py"))
+             if p.stem != "__init__"] + sorted(Path(__file__).parent.glob("*.py"))
+    unread = [f"{p.parent.name}/{p.name}: {name}" for p in files
+              for name in _unread_imports(ast.parse(p.read_text(encoding="utf-8")))]
+    assert unread == []
